@@ -15,6 +15,7 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError, cKDTree
@@ -85,6 +86,11 @@ class Network:
     @property
     def m(self) -> int:
         return sum(len(a) for a in self.adjacency) // 2
+
+    @cached_property
+    def span(self) -> float:
+        """Diameter of the node placement, computed on first use."""
+        return max_pairwise(self.positions)
 
     def neighbors(self, v: int) -> list[int]:
         """Sorted neighbor ids of v. Raises UnknownNode for ids outside the graph."""
@@ -190,7 +196,7 @@ def max_pairwise(positions: np.ndarray) -> float:
 
 def max_pairwise_distance(net: Network) -> float:
     """Diameter of the node placement (not the graph-hop diameter)."""
-    return max_pairwise(net.positions)
+    return net.span
 
 
 def to_json_dict(net: Network) -> dict:

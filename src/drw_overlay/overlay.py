@@ -10,6 +10,7 @@ the layer, connected through brokers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from .geom_graph import Network
 from .rng import stream
@@ -171,8 +172,11 @@ def build_overlay(net: Network, cfg: OverlayBuildConfig,
     walks: list[WalkState] = []
 
     def start(wid: int):
+        # Most walks of a large build are born intersected and never draw,
+        # so each walk's stream is only made on its first draw. A partial,
+        # unlike a lambda, keeps the walk and its result picklable.
         walk, out = init_walk(
-            net, initiators[wid], wid, registry, stream(cfg.seed, "walk", wid),
+            net, initiators[wid], wid, registry, partial(stream, cfg.seed, "walk", wid),
             strategy=cfg.strategy, marking=cfg.marking,
             free_roam=cfg.free_roam, trace=trace,
         )

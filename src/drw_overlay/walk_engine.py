@@ -21,6 +21,7 @@ via ``marking="eager"`` for sensitivity runs.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -149,10 +150,13 @@ class WalkState:
     the initiator), so the traced edges stay well defined even after
     backtracking. cursor is the 1-based position of the current head;
     cursor == len(path) except midway through a retreat.
+
+    rng is either given or made by make_rng on the walk's first draw, so a
+    walk that never draws never pays for a generator.
     """
 
     id: int
-    rng: np.random.Generator
+    rng: np.random.Generator | None = None
     path: list[int] = field(default_factory=list)
     parents: list[int] = field(default_factory=list)
     cursor: int = 0
@@ -167,6 +171,7 @@ class WalkState:
     maintain_second: bool = False
     marking: str = "lagged"
     free_roam: bool = False
+    make_rng: Callable[[], np.random.Generator] | None = field(default=None, repr=False)
     _retreating: bool = field(default=False, repr=False)
 
     @property
@@ -214,6 +219,13 @@ def _mark_neighborhood(walk: WalkState, net: Network, node: int) -> None:
             walk.marked2.update(net.neighbors(u))
 
 
+def _pick(walk: WalkState, items: list[int]) -> int:
+    """Uniform draw from items with the walk's generator, made on first use."""
+    if walk.rng is None:
+        walk.rng = walk.make_rng()
+    return items[int(walk.rng.integers(len(items)))]
+
+
 def _append(walk: WalkState, net: Network, node: int, parent_index: int) -> None:
     walk.path.append(node)
     walk.parents.append(parent_index)
@@ -237,21 +249,31 @@ def init_walk(net: Network, initiator: int, walk_id: int, registry,
     (lowest id first). Returns (walk, outcome) where outcome is the
     intersection if one of the shortcuts fired, else None.
 
-    rng_seed may be an int or a ready np.random.Generator.
+    rng_seed may be an int, a ready np.random.Generator, or a zero-argument
+    factory that the walk calls on its first draw; a walk born intersected
+    never calls it.
     """
     if marking not in MARKING_MODES:
         raise ValueError(f"unknown marking mode {marking!r}")
+    gen, make_rng = None, None
     if isinstance(rng_seed, np.random.Generator):
         gen = rng_seed
+    elif callable(rng_seed):
+        make_rng = rng_seed
     else:
         gen = np.random.default_rng(np.random.SeedSequence(int(rng_seed)))
-    walk = WalkState(id=walk_id, rng=gen, marking=marking, free_roam=free_roam)
+    walk = WalkState(id=walk_id, rng=gen, make_rng=make_rng, marking=marking,
+                     free_roam=free_roam)
     if strategy is not None:
         walk.maintain_marks = strategy.needs_marks
         walk.maintain_second = strategy.needs_second_marks
     _append(walk, net, initiator, parent_index=-1)
 
-    owner = registry.other_walk_at(initiator, walk_id)
+    # The new walk owns no node yet and the graph has no self-loops, so
+    # every owner of the initiator or of a neighbor is another walk.
+    membership = registry.membership
+    owners = membership.get(initiator)
+    owner = min(owners) if owners else None
     registry.register(initiator, walk_id)
     if owner is not None:
         walk.status = INTERSECTED
@@ -264,16 +286,16 @@ def init_walk(net: Network, initiator: int, walk_id: int, registry,
     if not nbrs:
         raise IsolatedInitiator(f"initiator {initiator} has no neighbors")
     for v in nbrs:
-        owner = registry.other_walk_at(v, walk_id)
-        if owner is not None:
+        owners = membership.get(v)
+        if owners:
+            out = StepOutcome(INTERSECTED_STEP, node=v, other_walk=min(owners))
             _append(walk, net, v, parent_index=0)
             registry.register(v, walk_id)
             walk.status = INTERSECTED
             walk.broker = v
-            out = StepOutcome(INTERSECTED_STEP, node=v, other_walk=owner)
             _trace(trace, walk, out, cost=None)
             return walk, out
-    v = nbrs[int(walk.rng.integers(len(nbrs)))]
+    v = _pick(walk, nbrs)
     _append(walk, net, v, parent_index=0)
     registry.register(v, walk_id)
     _trace(trace, walk, StepOutcome(EXTENDED, node=v), cost=None)
@@ -324,20 +346,22 @@ def step(walk: WalkState, net: Network, registry,
         return out
 
     # A candidate owned by another walk wins outright; scan in id order.
+    # Candidates exclude the walk's members, so every owner is another walk.
+    membership = registry.membership
     for v in candidates:
-        owner = registry.other_walk_at(v, walk.id)
-        if owner is not None:
+        owners = membership.get(v)
+        if owners:
+            out = StepOutcome(INTERSECTED_STEP, node=v, other_walk=min(owners))
             _append(walk, net, v, src_index)
             registry.register(v, walk.id)
             walk.status = INTERSECTED
             walk.broker = v
-            out = StepOutcome(INTERSECTED_STEP, node=v, other_walk=owner)
             _trace(trace, walk, out, cost=None)
             return out
 
     chosen_cost: float | None = None
     if strategy.kind == PURE:
-        v = candidates[int(walk.rng.integers(len(candidates)))]
+        v = _pick(walk, candidates)
     else:
         if strategy.kind == FIRST_NEIGHBORHOOD:
             costs = [cost_first_neighborhood(walk, net, c) for c in candidates]
@@ -349,7 +373,7 @@ def step(walk: WalkState, net: Network, registry,
                      for c in candidates]
         low = min(costs)
         best = [c for c, cost in zip(candidates, costs) if cost == low]
-        v = best[int(walk.rng.integers(len(best)))]
+        v = _pick(walk, best)
         chosen_cost = low
 
     _append(walk, net, v, src_index)
@@ -374,7 +398,7 @@ def _free_step(walk: WalkState, net: Network, registry,
             out = StepOutcome(INTERSECTED_STEP, node=v, other_walk=owner)
             _trace(trace, walk, out, cost=None)
             return out
-    v = nbrs[int(walk.rng.integers(len(nbrs)))]
+    v = _pick(walk, nbrs)
     _append(walk, net, v, len(walk.path) - 1)
     registry.register(v, walk.id)
     out = StepOutcome(EXTENDED, node=v)
