@@ -41,7 +41,7 @@ from .overlay import (
     build_overlay,
     to_json_dict,
 )
-from .walk_engine import STRATEGY_KINDS, parse_strategy
+from .walk_engine import STRATEGY_KINDS, IsolatedInitiator, parse_strategy
 
 USAGE_EXIT = 1
 RUNTIME_EXIT = 2
@@ -142,6 +142,8 @@ def _cmd_build(args) -> int:
         return _usage("provide exactly one of --net or --n/--r")
     if args.n is not None and args.r is None:
         return _usage("--r is required with --n")
+    if args.step_budget is not None and args.step_budget < 1:
+        return _usage("--step-budget must be at least 1")
     strategy = parse_strategy(args.strategy, args.alpha, args.beta)
     if args.net is not None:
         net = load_network(args.net)
@@ -167,6 +169,8 @@ def _cmd_experiment(args) -> int:
         return _usage("--scale must be in (0, 1]")
     if args.jobs < 1:
         return _usage("--jobs must be at least 1")
+    if args.step_budget is not None and args.step_budget < 1:
+        return _usage("--step-budget must be at least 1")
     tokens = [t for t in args.strategies.split(",") if t]
     if not tokens:
         return _usage("--strategies must name at least one strategy")
@@ -229,7 +233,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (NotConnected, BuildFailed, TooManyInitiators, EmptyGroup) as exc:
+    except (NotConnected, BuildFailed, TooManyInitiators, EmptyGroup,
+            IsolatedInitiator) as exc:
         print(f"drw-overlay: {exc}", file=sys.stderr)
         return RUNTIME_EXIT
     except (OSError, ValueError) as exc:

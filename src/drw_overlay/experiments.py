@@ -15,6 +15,7 @@ import csv
 import io
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from time import perf_counter
 
@@ -76,7 +77,6 @@ class ScenarioConfig:
     replications: int
     base_seed: int = 0
     step_budget: int | None = None
-    output_path: str | None = None
     r_rescale_ref: int | None = None
     scale: float = 1.0
     label: str = "custom"
@@ -279,32 +279,33 @@ def _format_record(rec: ExperimentRecord) -> list[str]:
     ]
 
 
+@contextmanager
+def _text_file(target, mode: str):
+    """Yield target as a text file: a path is opened here and closed on
+    exit, a file object is passed through and left open."""
+    if isinstance(target, (str, bytes)) or hasattr(target, "__fspath__"):
+        with open(target, mode, encoding="utf-8", newline="") as fh:
+            yield fh
+    else:
+        yield target
+
+
 def write_records_csv(records, out, metadata=()) -> None:
     """Write the record table; `out` is a path or a text file object."""
-    own = isinstance(out, (str, bytes)) or hasattr(out, "__fspath__")
-    fh = open(out, "w", encoding="utf-8", newline="") if own else out
-    try:
+    with _text_file(out, "w") as fh:
         for line in metadata:
             fh.write(f"# {line}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(RECORD_COLUMNS)
         for rec in records:
             writer.writerow(_format_record(rec))
-    finally:
-        if own:
-            fh.close()
 
 
 def read_records_csv(source) -> list[ExperimentRecord]:
     """Read records back; accepts a path or a text file object."""
-    own = isinstance(source, (str, bytes)) or hasattr(source, "__fspath__")
-    fh = open(source, "r", encoding="utf-8", newline="") if own else source
-    try:
+    with _text_file(source, "r") as fh:
         rows = [row for row in csv.reader(line for line in fh
                                           if not line.startswith("#")) if row]
-    finally:
-        if own:
-            fh.close()
     if not rows:
         raise ValueError("no header row found")
     header = tuple(rows[0])
@@ -359,9 +360,7 @@ def write_summary_csv(rows, group_keys=DEFAULT_GROUP_KEYS, out=None,
         buf = io.StringIO()
         write_summary_csv(rows, group_keys, buf, metadata)
         return buf.getvalue()
-    own = isinstance(out, (str, bytes)) or hasattr(out, "__fspath__")
-    fh = open(out, "w", encoding="utf-8", newline="") if own else out
-    try:
+    with _text_file(out, "w") as fh:
         for line in metadata:
             fh.write(f"# {line}\n")
         writer = csv.writer(fh, lineterminator="\n")
@@ -372,9 +371,6 @@ def write_summary_csv(rows, group_keys=DEFAULT_GROUP_KEYS, out=None,
                 f"{s.minimum:.6f}", f"{s.q1:.6f}", f"{s.median:.6f}",
                 f"{s.q3:.6f}", f"{s.maximum:.6f}", f"{s.lower_whisker:.6f}",
                 f"{s.upper_whisker:.6f}", str(s.outlier_count), str(s.count)])
-    finally:
-        if own:
-            fh.close()
     return None
 
 

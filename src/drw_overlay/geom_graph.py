@@ -16,6 +16,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError, cKDTree
@@ -91,6 +92,24 @@ class Network:
     def span(self) -> float:
         """Diameter of the node placement, computed on first use."""
         return max_pairwise(self.positions)
+
+    @cached_property
+    def neighbor_table(self) -> np.ndarray:
+        """Adjacency padded to a rectangle, built on first use.
+
+        An int32 array of shape (n+1, max degree): row v lists N(v) in
+        order and fills the rest with the sentinel n; row n is all sentinel.
+        Indexing a bool mask of length n+1 whose slot n is False with rows
+        of this table counts marked neighbours without a Python loop.
+        """
+        n = self.n
+        deg = np.fromiter(map(len, self.adjacency), dtype=np.intp, count=n)
+        table = np.full((n + 1, int(deg.max(initial=0))), n, dtype=np.int32)
+        starts = np.repeat(np.cumsum(deg) - deg, deg)
+        cols = np.arange(len(starts)) - starts
+        table[np.repeat(np.arange(n), deg), cols] = np.fromiter(
+            chain.from_iterable(self.adjacency), dtype=np.int32, count=len(starts))
+        return table
 
     def neighbors(self, v: int) -> list[int]:
         """Sorted neighbor ids of v. Raises UnknownNode for ids outside the graph."""
@@ -214,11 +233,28 @@ def to_json_dict(net: Network) -> dict:
     }
 
 
+_JSON_KEYS = ("n", "r", "seed", "positions", "edges")
+
+
 def from_json_dict(data: dict) -> Network:
+    """Inverse of to_json_dict. Raises ValueError on malformed input.
+
+    The edge list must be exactly the unit-disk graph of the stored
+    positions and radius, so duplicate edges, self-loops and edges longer
+    than r are rejected rather than loaded.
+    """
+    if not isinstance(data, dict):
+        raise ValueError("network JSON must be an object")
+    missing = [k for k in _JSON_KEYS if k not in data]
+    if missing:
+        raise ValueError(f"network JSON lacks {', '.join(missing)}")
     positions = np.asarray(data["positions"], dtype=np.float64)
     n = int(data["n"])
+    r = float(data["r"])
     if positions.shape != (n, 2):
         raise ValueError(f"positions shape {positions.shape} does not match n={n}")
+    if not r > 0:
+        raise ValueError(f"r must be positive, got {r!r}")
     adjacency: list[list[int]] = [[] for _ in range(n)]
     for u, v in data["edges"]:
         if not (0 <= u < n and 0 <= v < n and u != v):
@@ -227,7 +263,9 @@ def from_json_dict(data: dict) -> Network:
         adjacency[v].append(int(u))
     for lst in adjacency:
         lst.sort()
-    return Network(positions, adjacency, float(data["r"]), int(data["seed"]))
+    if adjacency != _adjacency_from_positions(positions, r):
+        raise ValueError(f"edges are not the unit disk graph of the positions at r={r!r}")
+    return Network(positions, adjacency, r, int(data["seed"]))
 
 
 def save_network(net: Network, path) -> None:

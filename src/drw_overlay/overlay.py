@@ -77,11 +77,6 @@ class OverlayRegistry:
         return sorted(n for n, w in self.membership.items() if len(w) >= 2)
 
 
-def register_member(registry: OverlayRegistry, node: int, walk_id: int) -> bool:
-    """Module-level alias for OverlayRegistry.register."""
-    return registry.register(node, walk_id)
-
-
 @dataclass
 class OverlayBuildConfig:
     """Parameters for one overlay-layer build on a given network."""

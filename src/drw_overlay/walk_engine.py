@@ -152,7 +152,9 @@ class WalkState:
     cursor == len(path) except midway through a retreat.
 
     rng is either given or made by make_rng on the walk's first draw, so a
-    walk that never draws never pays for a generator.
+    walk that never draws never pays for a generator. marked and marked2
+    are bool masks of length n+1 (slot n always False), made on the walk's
+    first mark; a walk that never marks keeps None.
     """
 
     id: int
@@ -161,8 +163,8 @@ class WalkState:
     parents: list[int] = field(default_factory=list)
     cursor: int = 0
     members: set[int] = field(default_factory=set)
-    marked: set[int] = field(default_factory=set)
-    marked2: set[int] = field(default_factory=set)
+    marked: np.ndarray | None = None
+    marked2: np.ndarray | None = None
     status: str = ACTIVE
     broker: int | None = None
     steps: int = 0
@@ -184,39 +186,72 @@ class WalkState:
         return self.path[self.cursor - 1]
 
 
+def candidate_costs(walk: WalkState, net: Network, strategy: CostStrategy,
+                    candidates: list[int], src_index: int) -> list:
+    """Score each candidate under strategy, in candidate order.
+
+    Counts gather the candidates' rows of ``net.neighbor_table`` from a
+    bool mask; the table's padding indexes slot n, which is always False.
+    The node behind the head is ``walk.path[src_index - 1]`` (none when
+    src_index is 0). Scores come back as Python numbers: ints, or floats
+    for "weighted"; "prw" scores every candidate 0.
+    """
+    if strategy.kind == PURE:
+        return [0] * len(candidates)
+    n = net.n
+    table = net.neighbor_table
+    rows = table.take(candidates, 0)
+    if strategy.kind == TWO_HOP:
+        behind = np.zeros(n + 1, dtype=bool)
+        if src_index > 0:
+            behind.put(table[walk.path[src_index - 1]], True)
+            behind[n] = False
+        return behind.take(rows).sum(1).tolist()
+    marked, marked2 = walk.marked, walk.marked2
+    if marked is None:  # nothing marked yet
+        marked = marked2 = np.zeros(n + 1, dtype=bool)
+    first = marked.take(rows).sum(1)
+    if strategy.kind == FIRST_NEIGHBORHOOD:
+        return first.tolist()
+    second = marked2.take(rows).sum(1)
+    return (strategy.alpha * first + strategy.beta * second).tolist()
+
+
 def cost_first_neighborhood(walk: WalkState, net: Network, v: int) -> int:
     """Overlap of v's neighborhood with the walk's marked set."""
-    marked = walk.marked
-    return sum(1 for u in net.neighbors(v) if u in marked)
+    return candidate_costs(walk, net, CostStrategy(FIRST_NEIGHBORHOOD), [v], 0)[0]
 
 
 def cost_two_hop(net: Network, behind: int, v: int) -> int:
     """Common neighbors of v and the node behind the head."""
-    back = set(net.neighbors(behind))
-    return sum(1 for u in net.neighbors(v) if u in back)
+    # src_index 1 makes path[0] the node behind the head.
+    return candidate_costs(WalkState(id=-1, path=[behind]), net, CostStrategy(TWO_HOP),
+                           [v], 1)[0]
 
 
 def cost_weighted(walk: WalkState, net: Network, v: int,
                   alpha: float, beta: float) -> float:
     """alpha * first-ring overlap + beta * second-ring overlap."""
-    first = 0
-    second = 0
-    for u in net.neighbors(v):
-        if u in walk.marked:
-            first += 1
-        if u in walk.marked2:
-            second += 1
-    return alpha * first + beta * second
+    return candidate_costs(walk, net, CostStrategy(WEIGHTED, alpha, beta), [v], 0)[0]
 
 
 def _mark_neighborhood(walk: WalkState, net: Network, node: int) -> None:
+    """Fold N(node) into marked and, if kept, N(u) into marked2 for each newly
+    marked u, which keeps marked2 = union of N(u) over marked u."""
     if not walk.maintain_marks:
         return
-    nbrs = net.neighbors(node)
-    walk.marked.update(nbrs)
+    n = net.n
+    table = net.neighbor_table
+    if walk.marked is None:
+        walk.marked = np.zeros(n + 1, dtype=bool)
+        if walk.maintain_second:
+            walk.marked2 = np.zeros(n + 1, dtype=bool)
+    row = table[node]
     if walk.maintain_second:
-        for u in nbrs:
-            walk.marked2.update(net.neighbors(u))
+        walk.marked2.put(table.take(row.compress(~walk.marked.take(row)), 0), True)
+        walk.marked2[n] = False
+    walk.marked.put(row, True)
+    walk.marked[n] = False
 
 
 def _pick(walk: WalkState, items: list[int]) -> int:
@@ -329,7 +364,7 @@ def step(walk: WalkState, net: Network, registry,
     src_index = walk.cursor - 2
     src = walk.path[src_index]
     members = walk.members
-    candidates = [v for v in net.neighbors(src) if v not in members]
+    candidates = [v for v in net.adjacency[src] if v not in members]
 
     if not candidates:
         if walk.cursor == 2:
@@ -363,14 +398,7 @@ def step(walk: WalkState, net: Network, registry,
     if strategy.kind == PURE:
         v = _pick(walk, candidates)
     else:
-        if strategy.kind == FIRST_NEIGHBORHOOD:
-            costs = [cost_first_neighborhood(walk, net, c) for c in candidates]
-        elif strategy.kind == TWO_HOP:
-            behind = set(net.neighbors(walk.path[src_index - 1])) if src_index > 0 else set()
-            costs = [sum(1 for u in net.neighbors(c) if u in behind) for c in candidates]
-        else:
-            costs = [cost_weighted(walk, net, c, strategy.alpha, strategy.beta)
-                     for c in candidates]
+        costs = candidate_costs(walk, net, strategy, candidates, src_index)
         low = min(costs)
         best = [c for c, cost in zip(candidates, costs) if cost == low]
         v = _pick(walk, best)

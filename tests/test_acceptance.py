@@ -29,6 +29,7 @@ import numpy as np
 import pytest
 
 import handnets as H
+from marks import mask_of, marked_nodes
 from drw_overlay.cli import main
 from drw_overlay.experiments import ScenarioConfig, run_scenario
 from drw_overlay.geom_graph import GraphGenConfig, generate_network
@@ -133,18 +134,19 @@ def test_cost_functions_match_set_oracles():
                 step(w, net, registry, strat)
             walks.append(w)
         probe, other = walks
+        marked, marked2 = marked_nodes(probe.marked), marked_nodes(probe.marked2)
         alpha, beta = float(rng.integers(1, 4)), float(rng.integers(0, 3))
         for v in rng.integers(0, net.n, size=25):
             v = int(v)
             nv = brute_neighbors(net, v)
-            if cost_first_neighborhood(probe, net, v) != len(nv & probe.marked):
+            if cost_first_neighborhood(probe, net, v) != len(nv & marked):
                 mismatches += 1
             counts["drw"] += 1
             behind = other.path[int(rng.integers(len(other.path)))]
             if cost_two_hop(net, behind, v) != len(nv & brute_neighbors(net, behind)):
                 mismatches += 1
             counts["twohop"] += 1
-            want = alpha * len(nv & probe.marked) + beta * len(nv & probe.marked2)
+            want = alpha * len(nv & marked) + beta * len(nv & marked2)
             if cost_weighted(probe, net, v, alpha, beta) != want:
                 mismatches += 1
             counts["weighted"] += 1
@@ -160,7 +162,7 @@ def test_hand_built_graphs_trace_exactly():
 
     net = H.fan_network()
     walk, _ = init_walk(net, H.FAN_X, 0, OverlayRegistry(), 0, strategy=DRW)
-    walk.marked = set(net.neighbors(H.FAN_X))
+    walk.marked = mask_of(net, net.neighbors(H.FAN_X))
     pattern = {node: cost_first_neighborhood(walk, net, node)
                for node in H.FAN_COSTS}
     if pattern != H.FAN_COSTS:

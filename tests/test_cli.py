@@ -6,7 +6,7 @@ import pytest
 
 from drw_overlay.cli import main
 from drw_overlay.experiments import read_records_csv
-from drw_overlay.geom_graph import load_network
+from drw_overlay.geom_graph import load_network, network_from_positions, to_json_dict
 
 
 def run(capsys, *argv):
@@ -180,6 +180,50 @@ def test_build_missing_net_file_exit_2(capsys):
     assert code == 2
 
 
+def test_build_step_budget_below_one_usage_error(capsys):
+    for budget in ("0", "-3"):
+        code, _, err = run(capsys, "build", "--n", "100", "--r", "0.2",
+                           "--initiators", "3", "--step-budget", budget)
+        assert code == 1
+        assert "--step-budget" in err
+
+
+# A path 0-1-2 with 0.05-long edges at r=0.06; node 3 is isolated.
+CHAIN_POSITIONS = [[0.1, 0.1], [0.15, 0.1], [0.2, 0.1], [0.9, 0.9]]
+
+
+def chain_json(**changes):
+    data = to_json_dict(network_from_positions(CHAIN_POSITIONS, 0.06))
+    data.update(changes)
+    return data
+
+
+def build_from_json(tmp_path, capsys, data, *extra):
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(data))
+    return run(capsys, "build", "--net", str(path), "--initiators", "4",
+               "--seed", "1", *extra)
+
+
+@pytest.mark.parametrize("data", [
+    {k: v for k, v in chain_json().items() if k != "seed"},
+    chain_json(edges=[[0, 1], [1, 2], [0, 1]]),   # duplicate edge
+    chain_json(edges=[[0, 1], [1, 2], [3, 3]]),   # self-loop
+    chain_json(r=0.01),                           # edges longer than r
+    chain_json(edges=[[0, 1]]),                   # edge missing
+], ids=["missing-seed", "duplicate-edge", "self-loop", "edge-too-long", "edge-missing"])
+def test_build_malformed_net_exit_2(tmp_path, capsys, data):
+    code, _, err = build_from_json(tmp_path, capsys, data)
+    assert code == 2
+    assert err.startswith("drw-overlay: ") and len(err.splitlines()) == 1
+
+
+def test_build_isolated_initiator_exit_2(tmp_path, capsys):
+    code, _, err = build_from_json(tmp_path, capsys, chain_json())
+    assert code == 2
+    assert err == "drw-overlay: initiator 3 has no neighbors\n"
+
+
 # --- experiment ---------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -223,6 +267,12 @@ def test_experiment_scale_out_of_range(capsys):
 def test_experiment_bad_strategy_token(capsys):
     assert main(["experiment", "--strategies", "drw,dfs"]) == 1
     capsys.readouterr()
+
+
+def test_experiment_step_budget_below_one_usage_error(capsys):
+    for budget in ("0", "-3"):
+        assert main(["experiment", "--step-budget", budget]) == 1
+        assert "--step-budget" in capsys.readouterr().err
 
 
 def test_experiment_jobs_invariance(tmp_path, capsys):

@@ -11,7 +11,6 @@ from drw_overlay.overlay import (
     OverlayRegistry,
     TooManyInitiators,
     build_overlay,
-    register_member,
     select_initiators,
     to_json_dict,
 )
@@ -27,10 +26,10 @@ PRW = CostStrategy("prw")
 def test_registry_membership_and_brokers():
     reg = OverlayRegistry()
     assert not reg.is_member(5)
-    assert register_member(reg, 5, 0) is False
+    assert reg.register(5, 0) is False
     assert reg.walks_at(5) == {0}
-    assert register_member(reg, 5, 0) is False    # same walk again: no broker
-    assert register_member(reg, 5, 3) is True
+    assert reg.register(5, 0) is False    # same walk again: no broker
+    assert reg.register(5, 3) is True
     assert reg.walks_at(5) == {0, 3}
     assert reg.broker_nodes() == [5]
     assert reg.member_nodes() == [5]

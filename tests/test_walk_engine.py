@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import handnets as H
+from marks import mask_of, marked_nodes
 from drw_overlay.geom_graph import GraphGenConfig, generate_network, network_from_positions
 from drw_overlay.overlay import OverlayRegistry
 from drw_overlay.rng import stream
@@ -66,7 +67,7 @@ def test_fan_costs_first_neighborhood():
     """Scored fan: a=3 b=2 c=3 d=2 z=1 with marked = N(x)."""
     net = H.fan_network()
     walk = WalkState(id=0, rng=np.random.default_rng(0))
-    walk.marked = set(net.neighbors(H.FAN_X))
+    walk.marked = mask_of(net, net.neighbors(H.FAN_X))
     for node, expected in H.FAN_COSTS.items():
         assert cost_first_neighborhood(walk, net, node) == expected
 
@@ -74,9 +75,10 @@ def test_fan_costs_first_neighborhood():
 def test_fan_costs_match_naive_set_intersection():
     net = H.fan_network()
     walk = WalkState(id=0, rng=np.random.default_rng(0))
-    walk.marked = set(net.neighbors(H.FAN_X))
+    marked = set(net.neighbors(H.FAN_X))
+    walk.marked = mask_of(net, marked)
     for v in range(net.n):
-        naive = len(set(net.neighbors(v)) & walk.marked)
+        naive = len(set(net.neighbors(v)) & marked)
         assert cost_first_neighborhood(walk, net, v) == naive
 
 
@@ -91,11 +93,11 @@ def test_cost_two_hop_counts_common_neighbors():
 def test_cost_weighted_combines_rings():
     net = H.fan_network()
     walk = WalkState(id=0, rng=np.random.default_rng(0))
-    walk.marked = {1, 7}
-    walk.marked2 = {2, 3, 11}
+    marked, marked2 = {1, 7}, {2, 3, 11}
+    walk.marked, walk.marked2 = mask_of(net, marked), mask_of(net, marked2)
     for v in range(net.n):
-        first = len(set(net.neighbors(v)) & walk.marked)
-        second = len(set(net.neighbors(v)) & walk.marked2)
+        first = len(set(net.neighbors(v)) & marked)
+        second = len(set(net.neighbors(v)) & marked2)
         assert cost_weighted(walk, net, v, 2.0, 0.5) == 2.0 * first + 0.5 * second
 
 
@@ -108,7 +110,7 @@ def test_fan_guided_step_picks_unique_minimum():
     assert out is None and walk.path == [H.FAN_X, H.FAN_Y]
     result = step(walk, net, reg, DRW)
     assert result.kind == EXTENDED and result.node == H.FAN_SCORED["z"]
-    assert walk.marked == set(net.neighbors(H.FAN_X))
+    assert marked_nodes(walk.marked) == set(net.neighbors(H.FAN_X))
 
 
 def test_fan_eager_marking_still_isolates_z():
@@ -118,7 +120,8 @@ def test_fan_eager_marking_still_isolates_z():
     walk, out = init_walk(net, H.FAN_X, 0, reg, stream(4, "walk", 0),
                           strategy=DRW, marking="eager")
     assert out is None
-    assert walk.marked == set(net.neighbors(H.FAN_X)) | set(net.neighbors(H.FAN_Y))
+    assert (marked_nodes(walk.marked)
+            == set(net.neighbors(H.FAN_X)) | set(net.neighbors(H.FAN_Y)))
     result = step(walk, net, reg, DRW)
     assert result.kind == EXTENDED and result.node == H.FAN_SCORED["z"]
 
@@ -188,7 +191,7 @@ def test_forced_chain_steps():
     out = step(walk, net, reg, DRW)
     assert out.kind == EXTENDED and out.node == 2
     assert walk.path == [0, 1, 2] and walk.cursor == 3
-    assert walk.marked == {1}           # N(initiator) marked on the first step
+    assert marked_nodes(walk.marked) == {1}   # N(initiator) marked on the first step
 
 
 def test_intersection_beats_cost():
@@ -359,7 +362,7 @@ def test_walk_invariants_random_networks():
                 else:
                     assert walk.path[i] in net.neighbors(walk.path[parent])
             if strat.kind == "drw" and walk.steps > 0:
-                assert set(net.neighbors(walk.path[0])) <= walk.marked
+                assert set(net.neighbors(walk.path[0])) <= marked_nodes(walk.marked)
             for node in walk.path:
                 assert 0 in reg.walks_at(node)
 
@@ -373,7 +376,7 @@ def test_twohop_walk_terminates_and_stays_tabu():
     if out is None:
         run_walk_until_stop(walk, net, reg, strat, default_step_budget(net.n))
     assert walk.status == INTERSECTED
-    assert walk.marked == set()         # twohop never maintains marks
+    assert marked_nodes(walk.marked) == set()   # twohop never maintains marks
 
 
 # --- free-roaming pure walk --------------------------------------------------
