@@ -180,7 +180,10 @@ def _cmd_experiment(args) -> int:
     except ValueError as exc:
         return _usage(str(exc))
     maker = desk_scenario if args.desk else full_scenario
-    cfg = maker(args.scale, strategies=strategies, base_seed=args.seed)
+    try:
+        cfg = maker(args.scale, strategies=strategies, base_seed=args.seed)
+    except ValueError as exc:  # e.g. a scale too small for any initiator count
+        return _usage(str(exc))
     if args.step_budget is not None:
         cfg.step_budget = args.step_budget
 

@@ -246,7 +246,9 @@ def run_scenario(cfg: ScenarioConfig, jobs: int = 1) -> list[ExperimentRecord]:
     if jobs <= 1:
         groups = [_run_rep_group(*t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # Under fork the pool starts all max_workers processes on its first
+        # submit, so it never gets more workers than tasks.
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             groups = list(pool.map(_run_rep_group_star, tasks, chunksize=1))
     rows = [rec for group in groups for rec in group]
     rows.sort(key=lambda rec: (rec.n, rec.initiators, rec.strategy, rec.rep))
@@ -315,13 +317,32 @@ def read_records_csv(source) -> list[ExperimentRecord]:
     for row in rows[1:]:
         if len(row) != len(RECORD_COLUMNS):
             raise ValueError(f"malformed row: {row!r}")
-        records.append(ExperimentRecord(
+        rec = ExperimentRecord(
             n=int(row[0]), r=float(row[1]), strategy=row[2],
             initiators=int(row[3]), rep=int(row[4]), seed=int(row[5]),
             active_path_size=int(row[6]), depth=float(row[7]),
             total_steps=int(row[8]), total_backtracks=int(row[9]),
-            failed=int(row[10]), wall_time_ms=float(row[11])))
+            failed=int(row[10]), wall_time_ms=float(row[11]))
+        problem = _record_problem(rec)
+        if problem:
+            raise ValueError(f"bad row {','.join(row)}: {problem}")
+        records.append(rec)
     return records
+
+
+def _record_problem(rec: ExperimentRecord) -> str | None:
+    """What makes a parsed record impossible, or None if nothing does."""
+    if rec.failed not in (0, 1):
+        return "failed must be 0 or 1"
+    for name in ("n", "initiators", "rep", "active_path_size", "total_steps",
+                 "total_backtracks"):
+        if getattr(rec, name) < 0:
+            return f"{name} must be >= 0"
+    if not (math.isfinite(rec.r) and rec.r > 0):
+        return "r must be positive"
+    if not 0 <= rec.depth <= 1:
+        return "depth must be in [0, 1]"
+    return None
 
 
 @dataclass(frozen=True)

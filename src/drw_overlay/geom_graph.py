@@ -241,7 +241,8 @@ def from_json_dict(data: dict) -> Network:
 
     The edge list must be exactly the unit-disk graph of the stored
     positions and radius, so duplicate edges, self-loops and edges longer
-    than r are rejected rather than loaded.
+    than r are rejected rather than loaded, and that graph must be
+    connected, as every generated network is.
     """
     if not isinstance(data, dict):
         raise ValueError("network JSON must be an object")
@@ -265,6 +266,8 @@ def from_json_dict(data: dict) -> Network:
         lst.sort()
     if adjacency != _adjacency_from_positions(positions, r):
         raise ValueError(f"edges are not the unit disk graph of the positions at r={r!r}")
+    if not _reaches_all(adjacency):
+        raise ValueError("network is not connected")
     return Network(positions, adjacency, r, int(data["seed"]))
 
 

@@ -9,7 +9,7 @@ the layer, connected through brokers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 from .geom_graph import Network
@@ -27,8 +27,6 @@ from .walk_engine import (
     run_walk_until_stop,
     step,
 )
-
-PAIR_PHASE_MODES = ("halt_partner", "run_both")
 
 
 class TooManyInitiators(ValueError):
@@ -56,9 +54,7 @@ class OverlayRegistry:
         walks.add(walk_id)
         return len(walks) >= 2
 
-    def walks_at(self, node: int) -> frozenset[int]:
-        return frozenset(self.membership.get(node, ()))
-
+    # No caller in the package; tests compare direct owner reads against it.
     def other_walk_at(self, node: int, walk_id: int) -> int | None:
         """Lowest id of a different walk owning node, if any."""
         owners = self.membership.get(node)
@@ -66,12 +62,6 @@ class OverlayRegistry:
             return None
         others = [w for w in owners if w != walk_id]
         return min(others) if others else None
-
-    def is_member(self, node: int) -> bool:
-        return node in self.membership
-
-    def member_nodes(self) -> list[int]:
-        return sorted(self.membership)
 
     def broker_nodes(self) -> list[int]:
         return sorted(n for n, w in self.membership.items() if len(w) >= 2)
@@ -85,16 +75,11 @@ class OverlayBuildConfig:
     strategy: CostStrategy
     seed: int = 0
     step_budget: int | None = None
-    pair_phase_mode: str = "halt_partner"
-    marking: str = "lagged"
-    free_roam: bool = False
     initiators: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if self.initiator_count < 2:
             raise ValueError(f"need at least 2 initiators, got {self.initiator_count}")
-        if self.pair_phase_mode not in PAIR_PHASE_MODES:
-            raise ValueError(f"unknown pair_phase_mode {self.pair_phase_mode!r}")
         if self.initiators is not None:
             self.initiators = tuple(int(v) for v in self.initiators)
             if len(self.initiators) != self.initiator_count:
@@ -141,12 +126,6 @@ def _finalize_partner(walk: WalkState, broker: int) -> None:
         walk._retreating = False
 
 
-def _checked_step(walk, net, registry, strategy, budget, trace):
-    if walk.steps >= budget:
-        raise BuildFailed(walk.id, f"step budget {budget} spent")
-    return step(walk, net, registry, strategy, trace)
-
-
 def build_overlay(net: Network, cfg: OverlayBuildConfig,
                   trace: list | None = None) -> OverlayResult:
     """Run the full construction and return the finished layer.
@@ -172,38 +151,39 @@ def build_overlay(net: Network, cfg: OverlayBuildConfig,
         # unlike a lambda, keeps the walk and its result picklable.
         walk, out = init_walk(
             net, initiators[wid], wid, registry, partial(stream, cfg.seed, "walk", wid),
-            strategy=cfg.strategy, marking=cfg.marking,
-            free_roam=cfg.free_roam, trace=trace,
+            strategy=cfg.strategy, trace=trace,
         )
         walks.append(walk)
         return walk, out
 
-    # First pair, alternating one step at a time.
-    w0, out0 = start(0)
-    w1, out1 = start(1)
-    if out1 is not None and cfg.pair_phase_mode == "halt_partner":
-        _finalize_partner(w0, out1.node)
-    while w0.status == ACTIVE or w1.status == ACTIVE:
-        for walk, partner in ((w0, w1), (w1, w0)):
-            if walk.status != ACTIVE:
-                continue
-            out = _checked_step(walk, net, registry, cfg.strategy, budget, trace)
-            if out.kind == EXHAUSTED_STEP:
-                raise BuildFailed(walk.id, "exhausted: backtracked past its initiator")
-            if out.kind == INTERSECTED_STEP and cfg.pair_phase_mode == "halt_partner":
-                _finalize_partner(partner, out.node)
+    try:
+        # First pair, alternating one step at a time.
+        w0, _ = start(0)
+        w1, out1 = start(1)
+        if out1 is not None:
+            _finalize_partner(w0, out1.node)
+        while w0.status == ACTIVE or w1.status == ACTIVE:
+            for walk, partner in ((w0, w1), (w1, w0)):
+                if walk.status != ACTIVE:
+                    continue
+                if walk.steps >= budget:
+                    raise StepBudgetExceeded(walk.id, budget)
+                out = step(walk, net, registry, cfg.strategy, trace)
+                if out.kind == EXHAUSTED_STEP:
+                    raise BuildFailed(walk.id, "exhausted: backtracked past its initiator")
+                if out.kind == INTERSECTED_STEP:
+                    _finalize_partner(partner, out.node)
 
-    # Remaining walks, one after another.
-    for wid in range(2, cfg.initiator_count):
-        walk, out = start(wid)
-        if out is not None:
-            continue
-        try:
+        # Remaining walks, one after another.
+        for wid in range(2, cfg.initiator_count):
+            walk, out = start(wid)
+            if out is not None:
+                continue
             run_walk_until_stop(walk, net, registry, cfg.strategy, budget, trace)
-        except StepBudgetExceeded as exc:
-            raise BuildFailed(wid, str(exc)) from exc
-        if walk.status != INTERSECTED:
-            raise BuildFailed(wid, "exhausted: backtracked past its initiator")
+            if walk.status != INTERSECTED:
+                raise BuildFailed(wid, "exhausted: backtracked past its initiator")
+    except StepBudgetExceeded as exc:
+        raise BuildFailed(exc.walk_id, f"step budget {budget} spent") from exc
 
     return _assemble(net, cfg, walks, registry, initiators)
 
@@ -215,8 +195,7 @@ def _assemble(net, cfg, walks, registry, initiators) -> OverlayResult:
         for i, parent in enumerate(w.parents):
             if parent >= 0:
                 a, b = w.path[i], w.path[parent]
-                if a != b:
-                    edges.add((a, b) if a < b else (b, a))
+                edges.add((a, b) if a < b else (b, a))
     result = OverlayResult(
         walks=walks,
         active_path=active,

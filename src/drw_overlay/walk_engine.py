@@ -14,9 +14,7 @@ node per step; retreating past the initiator exhausts the walk.
 Cost bookkeeping follows the marking discipline in which, on each normal
 extension step, the neighborhood of the node *behind* the head is folded
 into the marked set before candidates are scored. The head's own
-neighborhood is therefore never counted against its candidates. An eager
-variant (mark every recruited node's neighborhood on arrival) is available
-via ``marking="eager"`` for sensitivity runs.
+neighborhood is therefore never counted against its candidates.
 """
 
 from __future__ import annotations
@@ -45,8 +43,6 @@ EXTENDED = "extended"
 INTERSECTED_STEP = "intersected"
 BACKTRACKED = "backtracked"
 EXHAUSTED_STEP = "exhausted"
-
-MARKING_MODES = ("lagged", "eager")
 
 
 class IsolatedInitiator(RuntimeError):
@@ -171,8 +167,6 @@ class WalkState:
     backtracks: int = 0
     maintain_marks: bool = True
     maintain_second: bool = False
-    marking: str = "lagged"
-    free_roam: bool = False
     make_rng: Callable[[], np.random.Generator] | None = field(default=None, repr=False)
     _retreating: bool = field(default=False, repr=False)
 
@@ -261,19 +255,16 @@ def _pick(walk: WalkState, items: list[int]) -> int:
     return items[int(walk.rng.integers(len(items)))]
 
 
-def _append(walk: WalkState, net: Network, node: int, parent_index: int) -> None:
+def _append(walk: WalkState, node: int, parent_index: int) -> None:
     walk.path.append(node)
     walk.parents.append(parent_index)
     walk.members.add(node)
     walk.cursor = len(walk.path)
     walk._retreating = False
-    if walk.marking == "eager":
-        _mark_neighborhood(walk, net, node)
 
 
 def init_walk(net: Network, initiator: int, walk_id: int, registry,
               rng_seed, *, strategy: CostStrategy | None = None,
-              marking: str = "lagged", free_roam: bool = False,
               trace: list | None = None) -> tuple[WalkState, StepOutcome | None]:
     """Create a walk and recruit its second node.
 
@@ -288,8 +279,6 @@ def init_walk(net: Network, initiator: int, walk_id: int, registry,
     factory that the walk calls on its first draw; a walk born intersected
     never calls it.
     """
-    if marking not in MARKING_MODES:
-        raise ValueError(f"unknown marking mode {marking!r}")
     gen, make_rng = None, None
     if isinstance(rng_seed, np.random.Generator):
         gen = rng_seed
@@ -297,12 +286,11 @@ def init_walk(net: Network, initiator: int, walk_id: int, registry,
         make_rng = rng_seed
     else:
         gen = np.random.default_rng(np.random.SeedSequence(int(rng_seed)))
-    walk = WalkState(id=walk_id, rng=gen, make_rng=make_rng, marking=marking,
-                     free_roam=free_roam)
+    walk = WalkState(id=walk_id, rng=gen, make_rng=make_rng)
     if strategy is not None:
         walk.maintain_marks = strategy.needs_marks
         walk.maintain_second = strategy.needs_second_marks
-    _append(walk, net, initiator, parent_index=-1)
+    _append(walk, initiator, parent_index=-1)
 
     # The new walk owns no node yet and the graph has no self-loops, so
     # every owner of the initiator or of a neighbor is another walk.
@@ -324,14 +312,14 @@ def init_walk(net: Network, initiator: int, walk_id: int, registry,
         owners = membership.get(v)
         if owners:
             out = StepOutcome(INTERSECTED_STEP, node=v, other_walk=min(owners))
-            _append(walk, net, v, parent_index=0)
+            _append(walk, v, parent_index=0)
             registry.register(v, walk_id)
             walk.status = INTERSECTED
             walk.broker = v
             _trace(trace, walk, out, cost=None)
             return walk, out
     v = _pick(walk, nbrs)
-    _append(walk, net, v, parent_index=0)
+    _append(walk, v, parent_index=0)
     registry.register(v, walk_id)
     _trace(trace, walk, StepOutcome(EXTENDED, node=v), cost=None)
     return walk, None
@@ -352,12 +340,9 @@ def step(walk: WalkState, net: Network, registry,
         raise ValueError("walk was initialized without second-ring marks")
     walk.steps += 1
 
-    if walk.free_roam and strategy.kind == PURE:
-        return _free_step(walk, net, registry, trace)
-
     if not walk._retreating:
         # Lagged discipline: fold in the neighborhood one position behind
-        # the head. Under eager marking this is already a subset.
+        # the head.
         _mark_neighborhood(walk, net, walk.path[walk.cursor - 2])
         walk.cursor += 1
 
@@ -387,7 +372,7 @@ def step(walk: WalkState, net: Network, registry,
         owners = membership.get(v)
         if owners:
             out = StepOutcome(INTERSECTED_STEP, node=v, other_walk=min(owners))
-            _append(walk, net, v, src_index)
+            _append(walk, v, src_index)
             registry.register(v, walk.id)
             walk.status = INTERSECTED
             walk.broker = v
@@ -404,33 +389,10 @@ def step(walk: WalkState, net: Network, registry,
         v = _pick(walk, best)
         chosen_cost = low
 
-    _append(walk, net, v, src_index)
+    _append(walk, v, src_index)
     registry.register(v, walk.id)
     out = StepOutcome(EXTENDED, node=v)
     _trace(trace, walk, out, cost=chosen_cost)
-    return out
-
-
-def _free_step(walk: WalkState, net: Network, registry,
-               trace: list | None) -> StepOutcome:
-    """Pure walk without tabu: revisits allowed, path may repeat nodes."""
-    src = walk.path[-1]
-    nbrs = net.neighbors(src)
-    for v in nbrs:
-        owner = registry.other_walk_at(v, walk.id)
-        if owner is not None:
-            _append(walk, net, v, len(walk.path) - 1)
-            registry.register(v, walk.id)
-            walk.status = INTERSECTED
-            walk.broker = v
-            out = StepOutcome(INTERSECTED_STEP, node=v, other_walk=owner)
-            _trace(trace, walk, out, cost=None)
-            return out
-    v = _pick(walk, nbrs)
-    _append(walk, net, v, len(walk.path) - 1)
-    registry.register(v, walk.id)
-    out = StepOutcome(EXTENDED, node=v)
-    _trace(trace, walk, out, cost=None)
     return out
 
 

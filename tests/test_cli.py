@@ -221,7 +221,16 @@ def test_build_malformed_net_exit_2(tmp_path, capsys, data):
 def test_build_isolated_initiator_exit_2(tmp_path, capsys):
     code, _, err = build_from_json(tmp_path, capsys, chain_json())
     assert code == 2
-    assert err == "drw-overlay: initiator 3 has no neighbors\n"
+    assert err == "drw-overlay: network is not connected\n"
+
+
+def test_build_two_component_net_exit_2(tmp_path, capsys):
+    """No node is isolated, but the two pairs cannot reach each other."""
+    pairs = [[0.1, 0.1], [0.15, 0.1], [0.8, 0.8], [0.85, 0.8]]
+    data = to_json_dict(network_from_positions(pairs, 0.06))
+    code, _, err = build_from_json(tmp_path, capsys, data)
+    assert code == 2
+    assert err == "drw-overlay: network is not connected\n"
 
 
 # --- experiment ---------------------------------------------------------------------
@@ -262,6 +271,11 @@ def test_experiment_scale_out_of_range(capsys):
     assert main(["experiment", "--scale", "1.5"]) == 1
     assert main(["experiment", "--scale", "0"]) == 1
     capsys.readouterr()
+
+
+def test_experiment_empty_initiator_grid_usage_error(capsys):
+    assert main(["experiment", "--scale", "0.001"]) == 1
+    assert "no initiator counts for n=1000" in capsys.readouterr().err
 
 
 def test_experiment_bad_strategy_token(capsys):
@@ -331,6 +345,39 @@ def test_stats_malformed_input_exit_2(tmp_path, capsys):
     p.write_text("who,what\n1,2\n")
     code, _, _ = run(capsys, "stats", "--in", str(p))
     assert code == 2
+
+
+GOOD_ROW = dict(n="1000", r="0.05", strategy="drw", initiators="10", rep="0",
+                seed="7", active_path_size="200", depth="0.500000",
+                total_steps="180", total_backtracks="3", failed="0",
+                wall_time_ms="1.000")
+
+
+@pytest.mark.parametrize("bad", [
+    dict(active_path_size="-5", depth="nan", total_steps="-10"),
+    dict(failed="7"),
+    dict(active_path_size="-5"),
+    dict(total_steps="-10"),
+    dict(total_backtracks="-1"),
+    dict(depth="nan"),
+    dict(depth="1.5"),
+    dict(r="0"),
+], ids=["all-four", "failed", "size", "steps", "backtracks", "depth-nan",
+        "depth-above-1", "r-zero"])
+def test_stats_impossible_row_exit_2(tmp_path, capsys, bad):
+    p = tmp_path / "bad.csv"
+    row = {**GOOD_ROW, **bad}
+    p.write_text(",".join(row) + "\n" + ",".join(row.values()) + "\n")
+    code, out, err = run(capsys, "stats", "--in", str(p))
+    assert code == 2 and out == ""
+    assert err.startswith("drw-overlay: bad row ") and len(err.splitlines()) == 1
+
+
+def test_stats_good_row_accepted(tmp_path, capsys):
+    p = tmp_path / "good.csv"
+    p.write_text(",".join(GOOD_ROW) + "\n" + ",".join(GOOD_ROW.values()) + "\n")
+    code, _, _ = run(capsys, "stats", "--in", str(p))
+    assert code == 0
 
 
 def test_stats_missing_file_exit_2(capsys):

@@ -2,9 +2,11 @@
 
 import io
 import re
+from unittest import mock
 
 import pytest
 
+from drw_overlay import experiments
 from drw_overlay.experiments import (
     DEFAULT_GROUP_KEYS,
     FULL_INITIATORS,
@@ -176,6 +178,30 @@ def test_parallel_jobs_same_rows():
     strip = lambda rows: [(r.n, r.strategy, r.initiators, r.rep, r.seed,
                            r.active_path_size, r.depth) for r in rows]
     assert strip(serial) == strip(parallel)
+
+
+def test_pool_gets_no_more_workers_than_tasks():
+    """A pool forks all its workers up front, so --jobs is clamped."""
+    seen = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    cfg = small_config(replications=2)
+    with mock.patch.object(experiments, "ProcessPoolExecutor", InlinePool):
+        rows = run_scenario(cfg, jobs=500)
+    assert seen == [2]                   # one task per (n, replication)
+    assert len(rows) == 2 * 2 * 2
 
 
 def test_paired_networks_across_strategies():

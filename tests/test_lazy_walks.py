@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import handnets as H
-from drw_overlay import overlay, walk_engine
+from drw_overlay import overlay
 from drw_overlay.geom_graph import GraphGenConfig, generate_network
 from drw_overlay.overlay import (
     BuildFailed,
@@ -147,14 +147,11 @@ class ProbedRegistry(OverlayRegistry):
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(8, 60), net_seed=st.integers(0, 2**16),
        share=st.floats(0.05, 1.0), kind=st.sampled_from(STRATEGY_KINDS),
-       marking=st.sampled_from(walk_engine.MARKING_MODES), free_roam=st.booleans(),
        seed=st.integers(0, 2**16))
-def test_direct_owner_reads_match_other_walk_at(n, net_seed, share, kind, marking,
-                                                free_roam, seed):
+def test_direct_owner_reads_match_other_walk_at(n, net_seed, share, kind, seed):
     net = generate_network(GraphGenConfig(n=n, r=0.45, seed=net_seed))
     count = max(2, round(share * n))
-    cfg = OverlayBuildConfig(count, parse_strategy(kind), seed=seed, marking=marking,
-                             free_roam=free_roam)
+    cfg = OverlayBuildConfig(count, parse_strategy(kind), seed=seed)
     ProbedRegistry.instances = []
     with mock.patch.object(overlay, "OverlayRegistry", ProbedRegistry):
         try:

@@ -25,14 +25,13 @@ PRW = CostStrategy("prw")
 
 def test_registry_membership_and_brokers():
     reg = OverlayRegistry()
-    assert not reg.is_member(5)
+    assert 5 not in reg.membership
     assert reg.register(5, 0) is False
-    assert reg.walks_at(5) == {0}
+    assert reg.membership[5] == {0}
     assert reg.register(5, 0) is False    # same walk again: no broker
     assert reg.register(5, 3) is True
-    assert reg.walks_at(5) == {0, 3}
+    assert reg.membership == {5: {0, 3}}
     assert reg.broker_nodes() == [5]
-    assert reg.member_nodes() == [5]
 
 
 def test_registry_other_walk_lowest_id():
@@ -73,8 +72,6 @@ def test_select_initiators_bounds():
 def test_config_validation():
     with pytest.raises(ValueError):
         OverlayBuildConfig(initiator_count=1, strategy=DRW)
-    with pytest.raises(ValueError):
-        OverlayBuildConfig(initiator_count=2, strategy=DRW, pair_phase_mode="x")
     with pytest.raises(ValueError):
         OverlayBuildConfig(initiator_count=3, strategy=DRW, initiators=(1, 2))
     with pytest.raises(ValueError):
@@ -163,20 +160,6 @@ def test_pair_walk_halts_where_it_stands():
     assert w1.steps == 1
 
 
-def test_pair_phase_run_both():
-    """Alternative pair mode: both walks run to their own intersection."""
-    net = H.crossing_network()
-    cfg = OverlayBuildConfig(initiator_count=2, strategy=DRW, seed=0,
-                             initiators=(0, 5), pair_phase_mode="run_both")
-    res = build_overlay(net, cfg)
-    w0, w1 = res.walks
-    assert w0.path == [0, 1, 2, 7]
-    # walk 1 keeps walking after walk 0 bridged: from b3 it can only take
-    # the junction a3 (already walk 0's) and intersects there
-    assert w1.path == [5, 6, 7, 2] and w1.steps == 2
-    assert res.brokers == {7, 2}
-
-
 def test_initiator_already_member_immediate_broker():
     """A later initiator may already sit on an earlier walk's path."""
     net = H.star_network()
@@ -208,6 +191,22 @@ def test_build_failed_on_tiny_budget():
                              seed=0, step_budget=1)
     with pytest.raises(BuildFailed):
         build_overlay(net, cfg)
+
+
+@pytest.mark.parametrize("initiators, budget, walk_id", [
+    ((0, 9), 2, 0),      # pair phase: walk 0 spends its 2 steps first
+    ((0, 1, 9), 3, 2),   # walk 1 is born on walk 0's path; walk 2 needs 7 steps
+], ids=["pair-phase", "later-walk"])
+def test_budget_hit_fails_with_one_reason(initiators, budget, walk_id):
+    """A budget hit in either phase names the walk and the spent budget."""
+    from drw_overlay.geom_graph import network_from_positions
+    line = network_from_positions([[0.05 + 0.1 * i, 0.5] for i in range(10)], r=0.11)
+    cfg = OverlayBuildConfig(initiator_count=len(initiators), strategy=DRW, seed=0,
+                             initiators=initiators, step_budget=budget)
+    with pytest.raises(BuildFailed) as err:
+        build_overlay(line, cfg)
+    assert err.value.walk_id == walk_id
+    assert err.value.reason == f"step budget {budget} spent"
 
 
 def test_too_many_initiators_at_build():

@@ -13,7 +13,6 @@ from drw_overlay.overlay import OverlayRegistry
 from drw_overlay.walk_engine import (
     ACTIVE,
     FIRST_NEIGHBORHOOD,
-    MARKING_MODES,
     PURE,
     STRATEGY_KINDS,
     TWO_HOP,
@@ -72,9 +71,9 @@ def test_neighbor_table_pads_isolated_node():
 
 @settings(max_examples=80, deadline=None)
 @given(n=st.integers(4, 40), r=st.floats(0.15, 0.7), seed=st.integers(0, 2**16),
-       kind=st.sampled_from(STRATEGY_KINDS), marking=st.sampled_from(MARKING_MODES),
+       kind=st.sampled_from(STRATEGY_KINDS),
        alpha=st.sampled_from((0.0, 0.5, 1.0, 3.0)), beta=st.sampled_from((0.0, 1.0, 2.5)))
-def test_scoring_and_marks_match_set_oracles(n, r, seed, kind, marking, alpha, beta):
+def test_scoring_and_marks_match_set_oracles(n, r, seed, kind, alpha, beta):
     rng = np.random.default_rng(seed)
     net = network_from_positions(rng.random((n, 2)), r)
     assert_table_matches(net)
@@ -93,7 +92,7 @@ def test_scoring_and_marks_match_set_oracles(n, r, seed, kind, marking, alpha, b
         scored.append(len(candidates))
         return got
 
-    walk, _ = init_walk(net, initiator, 0, registry, seed, strategy=strategy, marking=marking)
+    walk, _ = init_walk(net, initiator, 0, registry, seed, strategy=strategy)
     everyone = list(range(n))
     with mock.patch.object(walk_engine, "candidate_costs", checked):
         while walk.status == ACTIVE and walk.steps < 4 * n:

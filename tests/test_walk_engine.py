@@ -113,19 +113,6 @@ def test_fan_guided_step_picks_unique_minimum():
     assert marked_nodes(walk.marked) == set(net.neighbors(H.FAN_X))
 
 
-def test_fan_eager_marking_still_isolates_z():
-    """Eager marking adds N(y) to the marks; z stays the unique minimum."""
-    net = H.fan_network()
-    reg = OverlayRegistry()
-    walk, out = init_walk(net, H.FAN_X, 0, reg, stream(4, "walk", 0),
-                          strategy=DRW, marking="eager")
-    assert out is None
-    assert (marked_nodes(walk.marked)
-            == set(net.neighbors(H.FAN_X)) | set(net.neighbors(H.FAN_Y)))
-    result = step(walk, net, reg, DRW)
-    assert result.kind == EXTENDED and result.node == H.FAN_SCORED["z"]
-
-
 # --- init behavior ----------------------------------------------------------
 
 def test_init_records_initiator_and_second_node():
@@ -136,7 +123,7 @@ def test_init_records_initiator_and_second_node():
     assert walk.parents == [-1, 0]
     assert walk.cursor == 2
     assert walk.members == {0, 1}
-    assert reg.walks_at(0) == {0} and reg.walks_at(1) == {0}
+    assert reg.membership[0] == {0} and reg.membership[1] == {0}
     assert walk.status == ACTIVE and walk.steps == 0
 
 
@@ -173,7 +160,7 @@ def test_init_on_foreign_member_intersects_in_place():
     assert out.kind == INTERSECTED_STEP and out.node == 2 and out.other_walk == 3
     assert walk.status == INTERSECTED and walk.broker == 2
     assert walk.path == [2]
-    assert reg.walks_at(2) == {3, 4}
+    assert reg.membership[2] == {3, 4}
 
 
 def test_init_isolated_initiator_raises():
@@ -205,7 +192,7 @@ def test_intersection_beats_cost():
     assert out.kind == INTERSECTED_STEP and out.node == 7 and out.other_walk == 9
     assert walk.status == INTERSECTED and walk.broker == 7
     assert walk.path == [0, 1, 2, 7]
-    assert reg.walks_at(7) == {0, 9}
+    assert reg.membership[7] == {0, 9}
 
 
 def test_step_after_termination_raises():
@@ -364,7 +351,7 @@ def test_walk_invariants_random_networks():
             if strat.kind == "drw" and walk.steps > 0:
                 assert set(net.neighbors(walk.path[0])) <= marked_nodes(walk.marked)
             for node in walk.path:
-                assert 0 in reg.walks_at(node)
+                assert 0 in reg.membership[node]
 
 
 def test_twohop_walk_terminates_and_stays_tabu():
@@ -377,35 +364,6 @@ def test_twohop_walk_terminates_and_stays_tabu():
         run_walk_until_stop(walk, net, reg, strat, default_step_budget(net.n))
     assert walk.status == INTERSECTED
     assert marked_nodes(walk.marked) == set()   # twohop never maintains marks
-
-
-# --- free-roaming pure walk --------------------------------------------------
-
-def test_free_roam_allows_revisits():
-    """Walking the long corridor end to end, some seed must bounce back."""
-    net = H.crossing_network()
-    saw_revisit = False
-    for seed in range(10):
-        reg = OverlayRegistry()
-        reg.register(4, 9)              # far end of the horizontal corridor
-        walk, out = init_walk(net, 0, 0, reg, seed, strategy=PRW, free_roam=True)
-        assert out is None
-        run_walk_until_stop(walk, net, reg, PRW, 10000)
-        assert walk.status == INTERSECTED and walk.broker == 4
-        assert walk.members == set(walk.path)
-        saw_revisit = saw_revisit or len(walk.path) > len(set(walk.path))
-    assert saw_revisit
-
-
-def test_free_roam_reaches_target_without_exhausting():
-    for seed in range(5):
-        net = generate_network(GraphGenConfig(n=80, r=0.18, seed=seed))
-        reg = OverlayRegistry()
-        reg.register(net.n - 1, 9)
-        walk, out = init_walk(net, 0, 0, reg, seed, strategy=PRW, free_roam=True)
-        if out is None:
-            run_walk_until_stop(walk, net, reg, PRW, 200000)
-        assert walk.status == INTERSECTED
 
 
 # --- budget -------------------------------------------------------------------
