@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import json
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 from .rng import stream
@@ -67,31 +67,44 @@ class GraphGenConfig:
 
 @dataclass(frozen=True)
 class Network:
-    """Immutable unit disk graph: positions, symmetric sorted adjacency, radius.
+    """Immutable unit disk graph: positions, radius and a CSR adjacency.
 
-    Instances are safe to share across workers; nothing mutates them after
-    construction. `attempts` records how many placements the generator tried
-    (1 for hand-built networks).
+    Row v of the graph is ``indices[indptr[v]:indptr[v + 1]]`` (both int32),
+    sorted ascending. Every other form of the graph is a view derived from
+    these two arrays on first use. Instances are safe to share across
+    workers; nothing mutates them after construction. `attempts` records how
+    many placements the generator tried (1 for hand-built networks).
     """
 
     positions: np.ndarray
-    adjacency: list[list[int]]
+    indptr: np.ndarray
+    indices: np.ndarray
     radius: float
     seed: int = 0
     attempts: int = field(default=1, compare=False)
 
     @property
     def n(self) -> int:
-        return len(self.adjacency)
+        return len(self.indptr) - 1
 
     @property
     def m(self) -> int:
-        return sum(len(a) for a in self.adjacency) // 2
+        return len(self.indices) // 2
 
     @cached_property
     def span(self) -> float:
         """Diameter of the node placement, computed on first use."""
         return max_pairwise(self.positions)
+
+    @cached_property
+    def adjacency(self) -> list[list[int]]:
+        """The rows as Python lists, built on first use.
+
+        The step loop scans a head's candidates in a list, which is faster
+        than slicing the CSR arrays on every step.
+        """
+        flat, bounds = self.indices.tolist(), self.indptr.tolist()
+        return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
 
     @cached_property
     def neighbor_table(self) -> np.ndarray:
@@ -103,12 +116,10 @@ class Network:
         of this table counts marked neighbours without a Python loop.
         """
         n = self.n
-        deg = np.fromiter(map(len, self.adjacency), dtype=np.intp, count=n)
+        deg = np.diff(self.indptr)
         table = np.full((n + 1, int(deg.max(initial=0))), n, dtype=np.int32)
-        starts = np.repeat(np.cumsum(deg) - deg, deg)
-        cols = np.arange(len(starts)) - starts
-        table[np.repeat(np.arange(n), deg), cols] = np.fromiter(
-            chain.from_iterable(self.adjacency), dtype=np.int32, count=len(starts))
+        cols = np.arange(len(self.indices)) - np.repeat(self.indptr[:-1], deg)
+        table[np.repeat(np.arange(n), deg), cols] = self.indices
         return table
 
     def neighbors(self, v: int) -> list[int]:
@@ -117,51 +128,38 @@ class Network:
             raise UnknownNode(f"node {v} not in 0..{self.n - 1}")
         return self.adjacency[v]
 
-    def edges(self):
-        """Yield each undirected edge once as (u, v) with u < v."""
-        for u, nbrs in enumerate(self.adjacency):
-            for v in nbrs:
-                if u < v:
-                    yield (u, v)
+    def edges(self) -> np.ndarray:
+        """Each undirected edge once, as the sorted rows (u, v) with u < v."""
+        rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
+        keep = rows < self.indices
+        return np.column_stack((rows[keep], self.indices[keep]))
 
 
-def _adjacency_from_positions(positions: np.ndarray, r: float) -> list[list[int]]:
-    n = len(positions)
-    adj: list[list[int]] = [[] for _ in range(n)]
-    if n < 2:
-        return adj
+def _unit_disk_pairs(positions: np.ndarray, r: float) -> np.ndarray:
+    """Pairs (u, v), u < v, with dx*dx + dy*dy <= r*r, as a (k, 2) array."""
     # KDTree prunes candidate pairs; the slightly inflated query radius makes
     # the candidate set a superset, then the exact squared rule decides.
-    tree = cKDTree(positions)
-    pairs = tree.query_pairs(r * (1.0 + 1e-9), output_type="ndarray")
-    if len(pairs):
-        dx = positions[pairs[:, 0], 0] - positions[pairs[:, 1], 0]
-        dy = positions[pairs[:, 0], 1] - positions[pairs[:, 1], 1]
-        keep = (dx * dx + dy * dy) <= r * r
-        for u, v in pairs[keep]:
-            adj[u].append(int(v))
-            adj[v].append(int(u))
-    for lst in adj:
-        lst.sort()
-    return adj
+    pairs = cKDTree(positions).query_pairs(r * (1.0 + 1e-9), output_type="ndarray")
+    d = positions[pairs[:, 0]] - positions[pairs[:, 1]]
+    return pairs[d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] <= r * r]
 
 
-def _reaches_all(adjacency: list[list[int]]) -> bool:
-    n = len(adjacency)
-    if n == 0:
-        return True
-    seen = bytearray(n)
-    seen[0] = 1
-    queue = deque([0])
-    count = 1
-    while queue:
-        u = queue.popleft()
-        for v in adjacency[u]:
-            if not seen[v]:
-                seen[v] = 1
-                count += 1
-                queue.append(v)
-    return count == n
+def _connected(n: int, pairs: np.ndarray) -> bool:
+    """True iff the graph on nodes 0..n-1 with these edges has at most one component."""
+    graph = coo_matrix((np.ones(len(pairs), dtype=np.int8), (pairs[:, 0], pairs[:, 1])),
+                       shape=(n, n))
+    return connected_components(graph, directed=False, return_labels=False) <= 1
+
+
+def _network(positions: np.ndarray, pairs: np.ndarray, r: float, seed: int,
+             attempts: int = 1) -> Network:
+    """The Network whose CSR rows hold both directions of every pair, sorted."""
+    n = len(positions)
+    u, v = pairs[:, 0], pairs[:, 1]
+    key = np.sort(np.concatenate((u * n + v, v * n + u)))
+    indptr = np.searchsorted(key, np.arange(n + 1) * n).astype(np.int32)
+    indices = (key % n).astype(np.int32)
+    return Network(positions, indptr, indices, r, seed, attempts)
 
 
 def network_from_positions(positions, r: float, seed: int = 0) -> Network:
@@ -170,27 +168,28 @@ def network_from_positions(positions, r: float, seed: int = 0) -> Network:
     if pos.ndim != 2 or pos.shape[1] != 2:
         raise ValueError(f"positions must have shape (n, 2), got {pos.shape}")
     r = min(float(r), MAX_RADIUS)
-    return Network(pos, _adjacency_from_positions(pos, r), r, seed)
+    return _network(pos, _unit_disk_pairs(pos, r), r, seed)
 
 
 def generate_network(cfg: GraphGenConfig) -> Network:
     """Generate a connected unit disk graph, rejection-sampling placements.
 
     Attempt k draws its positions from a sub-stream derived from (seed, k),
-    so a fixed config reproduces positions and adjacency bit-exactly.
+    so a fixed config reproduces positions and adjacency bit-exactly. A
+    rejected placement costs its pair search and one connectivity test.
     """
     for attempt in range(cfg.max_attempts):
         gen = stream(cfg.seed, "placement", attempt)
         positions = gen.random((cfg.n, 2))
-        adjacency = _adjacency_from_positions(positions, cfg.r)
-        if _reaches_all(adjacency):
-            return Network(positions, adjacency, cfg.r, cfg.seed, attempts=attempt + 1)
+        pairs = _unit_disk_pairs(positions, cfg.r)
+        if _connected(cfg.n, pairs):
+            return _network(positions, pairs, cfg.r, cfg.seed, attempts=attempt + 1)
     raise NotConnected(cfg.max_attempts)
 
 
 def is_connected(net: Network) -> bool:
     """True iff every node is reachable from node 0."""
-    return _reaches_all(net.adjacency)
+    return _connected(net.n, net.edges())
 
 
 def max_pairwise(positions: np.ndarray) -> float:
@@ -228,47 +227,64 @@ def to_json_dict(net: Network) -> dict:
         "n": net.n,
         "r": net.radius,
         "seed": net.seed,
-        "positions": [[float(x), float(y)] for x, y in net.positions],
-        "edges": [[u, v] for u, v in net.edges()],
+        "positions": net.positions.tolist(),
+        "edges": net.edges().tolist(),
     }
 
 
 _JSON_KEYS = ("n", "r", "seed", "positions", "edges")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _json_pairs(value, kinds: str) -> np.ndarray | None:
+    """A JSON list of pairs as a (k, 2) array whose dtype kind is in `kinds`, else None."""
+    if value == []:
+        return np.empty((0, 2), dtype=np.int64)
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # ragged nesting
+        return None
+    return arr if arr.dtype.kind in kinds and arr.ndim == 2 and arr.shape[1] == 2 else None
+
+
 def from_json_dict(data: dict) -> Network:
     """Inverse of to_json_dict. Raises ValueError on malformed input.
 
-    The edge list must be exactly the unit-disk graph of the stored
-    positions and radius, so duplicate edges, self-loops and edges longer
-    than r are rejected rather than loaded, and that graph must be
-    connected, as every generated network is.
+    `n` and `seed` must be integers, `r` a finite number > 0 (clamped to
+    sqrt 2), positions finite numbers and edges integer pairs. The edge list
+    must be exactly the unit-disk graph of the stored positions and radius,
+    in either orientation and any order, so duplicate edges, self-loops and
+    edges longer than r are rejected rather than loaded, and that graph must
+    be connected, as every generated network is.
     """
     if not isinstance(data, dict):
         raise ValueError("network JSON must be an object")
     missing = [k for k in _JSON_KEYS if k not in data]
     if missing:
         raise ValueError(f"network JSON lacks {', '.join(missing)}")
-    positions = np.asarray(data["positions"], dtype=np.float64)
-    n = int(data["n"])
-    r = float(data["r"])
-    if positions.shape != (n, 2):
-        raise ValueError(f"positions shape {positions.shape} does not match n={n}")
-    if not r > 0:
-        raise ValueError(f"r must be positive, got {r!r}")
-    adjacency: list[list[int]] = [[] for _ in range(n)]
-    for u, v in data["edges"]:
-        if not (0 <= u < n and 0 <= v < n and u != v):
-            raise ValueError(f"bad edge [{u}, {v}]")
-        adjacency[u].append(int(v))
-        adjacency[v].append(int(u))
-    for lst in adjacency:
-        lst.sort()
-    if adjacency != _adjacency_from_positions(positions, r):
-        raise ValueError(f"edges are not the unit disk graph of the positions at r={r!r}")
-    if not _reaches_all(adjacency):
+    n, r, seed = data["n"], data["r"], data["seed"]
+    if not (_is_int(n) and n > 0):
+        raise ValueError(f"n must be a positive integer, got {n!r}")
+    if not _is_int(seed):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+    if not (isinstance(r, (int, float)) and not isinstance(r, bool) and 0 < r < math.inf):
+        raise ValueError(f"r must be a finite number > 0, got {r!r}")
+    positions = _json_pairs(data["positions"], "if")
+    if positions is None or len(positions) != n or not np.isfinite(positions).all():
+        raise ValueError(f"positions must be {n} [x, y] pairs of finite numbers")
+    edges = _json_pairs(data["edges"], "i")
+    if edges is None:
+        raise ValueError("edges must be [u, v] pairs of integers")
+    net = network_from_positions(positions, r, seed)
+    given = np.sort(edges, axis=1)
+    if not np.array_equal(given[np.lexsort(given.T[::-1])], net.edges()):
+        raise ValueError(f"edges are not the unit disk graph of the positions at r={net.radius!r}")
+    if not is_connected(net):
         raise ValueError("network is not connected")
-    return Network(positions, adjacency, r, int(data["seed"]))
+    return net
 
 
 def save_network(net: Network, path) -> None:

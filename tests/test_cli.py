@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, file outputs, reproducibility."""
 
 import json
+import math
 
 import pytest
 
@@ -198,6 +199,16 @@ def chain_json(**changes):
     return data
 
 
+# A connected path 0-1-2-3 with the same spacing.
+PATH_POSITIONS = [[0.1, 0.1], [0.15, 0.1], [0.2, 0.1], [0.25, 0.1]]
+
+
+def path_json(**changes):
+    data = to_json_dict(network_from_positions(PATH_POSITIONS, 0.06))
+    data.update(changes)
+    return data
+
+
 def build_from_json(tmp_path, capsys, data, *extra):
     path = tmp_path / "net.json"
     path.write_text(json.dumps(data))
@@ -211,11 +222,28 @@ def build_from_json(tmp_path, capsys, data, *extra):
     chain_json(edges=[[0, 1], [1, 2], [3, 3]]),   # self-loop
     chain_json(r=0.01),                           # edges longer than r
     chain_json(edges=[[0, 1]]),                   # edge missing
-], ids=["missing-seed", "duplicate-edge", "self-loop", "edge-too-long", "edge-missing"])
+    path_json(n=4.5),
+    path_json(seed=1.9),
+    path_json(seed=True),
+    path_json(r="0.06"),
+    path_json(r=math.inf, edges=[[u, v] for u in range(4) for v in range(u + 1, 4)]),
+    path_json(positions=[[str(x), str(y)] for x, y in PATH_POSITIONS]),
+    path_json(edges=5),
+    path_json(edges=[["0", "1"], ["1", "2"], ["2", "3"]]),
+    path_json(edges=[[0.0, 1.0], [1.0, 2.0], [2.0, 3.0]]),
+], ids=["missing-seed", "duplicate-edge", "self-loop", "edge-too-long", "edge-missing",
+        "n-float", "seed-float", "seed-bool", "r-string", "r-infinite", "positions-strings",
+        "edges-not-a-list", "edges-strings", "edges-floats"])
 def test_build_malformed_net_exit_2(tmp_path, capsys, data):
     code, _, err = build_from_json(tmp_path, capsys, data)
     assert code == 2
     assert err.startswith("drw-overlay: ") and len(err.splitlines()) == 1
+
+
+def test_build_reversed_edges_load(tmp_path, capsys):
+    """The control for the cases above: edges in either orientation and any order."""
+    code, _, err = build_from_json(tmp_path, capsys, path_json(edges=[[3, 2], [1, 0], [2, 1]]))
+    assert (code, err) == (0, "")
 
 
 def test_build_isolated_initiator_exit_2(tmp_path, capsys):

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drw_overlay.geom_graph import (
     MAX_RADIUS,
@@ -151,10 +153,10 @@ def test_neighbors_unknown_node():
 
 def test_edges_each_pair_once():
     net = generate_network(GraphGenConfig(n=80, r=0.2, seed=11))
-    edges = list(net.edges())
+    edges = net.edges()
     assert len(edges) == net.m
-    assert all(u < v for u, v in edges)
-    assert len(set(edges)) == len(edges)
+    assert (edges[:, 0] < edges[:, 1]).all()
+    assert len(np.unique(edges, axis=0)) == len(edges)
 
 
 def test_max_pairwise_distance_matches_all_pairs_scan():
@@ -217,3 +219,55 @@ def test_json_rejects_malformed():
 def test_network_from_positions_validates_shape():
     with pytest.raises(ValueError):
         network_from_positions([[0.1, 0.2, 0.3]], r=0.5)
+
+
+def reaches_all(adjacency):
+    """Breadth-first search from node 0."""
+    seen, frontier = {0}, [0]
+    while frontier:
+        frontier = [v for u in frontier for v in adjacency[u] if v not in seen]
+        seen.update(frontier)
+    return len(seen) == len(adjacency)
+
+
+# Points on a 1/8 grid are binary-exact, so at r = k/8 some distances equal r
+# exactly; duplicated points are at distance 0.
+GRID_POINT = st.tuples(st.integers(0, 8), st.integers(0, 8)).map(lambda p: [p[0] / 8, p[1] / 8])
+FREE_POINT = st.tuples(st.floats(0, 1), st.floats(0, 1)).map(list)
+
+
+@st.composite
+def placements(draw):
+    points = draw(st.lists(st.one_of(GRID_POINT, FREE_POINT), min_size=1, max_size=36))
+    points += [points[i] for i in draw(st.lists(st.integers(0, len(points) - 1), max_size=4))]
+    r = draw(st.one_of(st.sampled_from((0.125, 0.25, 0.375, 0.5)), st.floats(0.01, 1.6)))
+    return points, r
+
+
+@settings(max_examples=60, deadline=None)
+@given(placement=placements(), seed=st.integers(0, 2**31))
+def test_csr_views_match_oracles(placement, seed):
+    points, r = placement
+    net = network_from_positions(points, r, seed)
+    n = net.n
+    adjacency = brute_force_adjacency(net.positions, net.radius)
+    assert net.adjacency == adjacency
+    for u, row in enumerate(net.adjacency):
+        assert row == sorted(set(row)) and u not in row
+        assert all(u in net.adjacency[v] for v in row)
+    table = net.neighbor_table
+    assert table.shape == (n + 1, max(map(len, adjacency)))
+    assert table.tolist() == [row + [n] * (table.shape[1] - len(row))
+                              for row in adjacency + [[]]]
+    assert net.m == len(net.edges())
+    assert is_connected(net) == reaches_all(adjacency)
+    data = json.loads(json.dumps(to_json_dict(net)))
+    if not is_connected(net):
+        with pytest.raises(ValueError, match="not connected"):
+            from_json_dict(data)
+        return
+    back = from_json_dict(data)
+    assert np.array_equal(back.positions, net.positions)
+    assert np.array_equal(back.indptr, net.indptr)
+    assert np.array_equal(back.indices, net.indices)
+    assert (back.radius, back.seed) == (net.radius, net.seed)

@@ -38,3 +38,12 @@ def test_experiment_csv_golden(tmp_path, capsys):
     assert sha256(records) == "70daa294b5b40ce779026fdc9ef1ff01b83298ccb502c11ca6ba9fb614669972"
     summary = (tmp_path / "summary.csv").read_bytes()
     assert sha256(summary) == "c0f06d0d8ae948be85365eefa5e17a5b1b33a5c733c096b987682019febd2ff4"
+
+
+def test_gen_network_json_golden(tmp_path, capsys):
+    """The rejection loop accepts the same placement (attempts=14) and writes
+    the same bytes."""
+    out = tmp_path / "net.json"
+    assert main(["gen", "--n", "1000", "--r", "0.05", "--seed", "7", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == "n=1000\nm=3717\nattempts=14\n"
+    assert sha256(out.read_bytes()) == "c06f5c150a6a332a9838148f21442b004008c582fa1780adc5a442caf329ba32"
