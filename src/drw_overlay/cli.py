@@ -125,7 +125,7 @@ def _usage(message: str) -> int:
 def _cmd_gen(args) -> int:
     if args.n < 2:
         return _usage("--n must be at least 2")
-    if args.r <= 0:
+    if not args.r > 0:
         return _usage("--r must be positive")
     net = generate_network(GraphGenConfig(n=args.n, r=args.r, seed=args.seed))
     save_network(net, args.out)
@@ -144,11 +144,14 @@ def _cmd_build(args) -> int:
         return _usage("--r is required with --n")
     if args.step_budget is not None and args.step_budget < 1:
         return _usage("--step-budget must be at least 1")
-    strategy = parse_strategy(args.strategy, args.alpha, args.beta)
+    try:
+        strategy = parse_strategy(args.strategy, args.alpha, args.beta)
+    except ValueError as exc:
+        return _usage(str(exc))
     if args.net is not None:
         net = load_network(args.net)
     else:
-        if args.n < 2 or args.r <= 0:
+        if args.n < 2 or not args.r > 0:
             return _usage("--n must be >= 2 and --r positive")
         net = generate_network(GraphGenConfig(n=args.n, r=args.r,
                                               seed=args.seed))

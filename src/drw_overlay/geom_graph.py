@@ -247,7 +247,10 @@ def _json_pairs(value, kinds: str) -> np.ndarray | None:
         arr = np.asarray(value)
     except ValueError:  # ragged nesting
         return None
-    return arr if arr.dtype.kind in kinds and arr.ndim == 2 and arr.shape[1] == 2 else None
+    if arr.dtype.kind not in kinds or arr.ndim != 2 or arr.shape[1] != 2:
+        return None
+    # NumPy upcasts a JSON true/false mixed with numbers to 1 or 0.
+    return None if any(type(x) is bool for pair in value for x in pair) else arr
 
 
 def from_json_dict(data: dict) -> Network:

@@ -20,6 +20,7 @@ from .walk_engine import (
     INTERSECTED,
     INTERSECTED_STEP,
     CostStrategy,
+    OverlayRegistry,
     StepBudgetExceeded,
     WalkState,
     default_step_budget,
@@ -40,31 +41,6 @@ class BuildFailed(RuntimeError):
         super().__init__(f"walk {walk_id} failed: {reason}")
         self.walk_id = walk_id
         self.reason = reason
-
-
-class OverlayRegistry:
-    """Who belongs to which walk. Membership only ever grows."""
-
-    def __init__(self):
-        self.membership: dict[int, set[int]] = {}
-
-    def register(self, node: int, walk_id: int) -> bool:
-        """Add node to walk_id's membership; True if this made it a broker."""
-        walks = self.membership.setdefault(node, set())
-        walks.add(walk_id)
-        return len(walks) >= 2
-
-    # No caller in the package; tests compare direct owner reads against it.
-    def other_walk_at(self, node: int, walk_id: int) -> int | None:
-        """Lowest id of a different walk owning node, if any."""
-        owners = self.membership.get(node)
-        if not owners:
-            return None
-        others = [w for w in owners if w != walk_id]
-        return min(others) if others else None
-
-    def broker_nodes(self) -> list[int]:
-        return sorted(n for n, w in self.membership.items() if len(w) >= 2)
 
 
 @dataclass
@@ -142,7 +118,7 @@ def build_overlay(net: Network, cfg: OverlayBuildConfig,
                                        stream(cfg.seed, "initiators"))
     budget = cfg.step_budget if cfg.step_budget is not None else default_step_budget(net.n)
 
-    registry = OverlayRegistry()
+    registry = OverlayRegistry(net.n)
     walks: list[WalkState] = []
 
     def start(wid: int):
@@ -189,9 +165,9 @@ def build_overlay(net: Network, cfg: OverlayBuildConfig,
 
 
 def _assemble(net, cfg, walks, registry, initiators) -> OverlayResult:
-    active = set(registry.membership)
-    edges = set()
+    active, edges = set(), set()
     for w in walks:
+        active.update(w.path)
         for i, parent in enumerate(w.parents):
             if parent >= 0:
                 a, b = w.path[i], w.path[parent]
@@ -200,7 +176,7 @@ def _assemble(net, cfg, walks, registry, initiators) -> OverlayResult:
         walks=walks,
         active_path=active,
         active_path_edges=edges,
-        brokers=set(registry.broker_nodes()),
+        brokers=registry.brokers,
         initiators=initiators,
         strategy_label=cfg.strategy.label,
         seed=cfg.seed,

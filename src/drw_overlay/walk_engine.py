@@ -7,9 +7,9 @@ pushes the walk away from where it has already been. Pure walks pick
 uniformly. Either way a candidate already recruited by another walk is taken
 immediately and becomes a broker, terminating the walk.
 
-Candidates are the head's neighbors that are not yet members of this walk
-(self-avoidance). When no candidate exists the head retreats one recruited
-node per step; retreating past the initiator exhausts the walk.
+Candidates are the head's neighbors that no walk owns yet (self-avoidance).
+When no candidate exists the head retreats one recruited node per step;
+retreating past the initiator exhausts the walk.
 
 Cost bookkeeping follows the marking discipline in which, on each normal
 extension step, the neighborhood of the node *behind* the head is folded
@@ -19,6 +19,7 @@ neighborhood is therefore never counted against its candidates.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -65,6 +66,37 @@ def default_step_budget(n: int) -> int:
     return 50 * n
 
 
+class OverlayRegistry:
+    """Which walk recruited each node: the one ownership record of a build.
+
+    owner[v] is the lowest id of a walk that recruited v, or -1, and brokers
+    holds the nodes a second walk recruited. One id per node suffices: an
+    active walk is the only owner of its own nodes, since a walk ends where
+    it meets another. The lowest id is kept, not the first, because that is
+    the other_walk a later walk reports on meeting a broker. owner is a list
+    because step reads single items, which a list serves faster than numpy.
+    """
+
+    def __init__(self, n: int):
+        self.owner: list[int] = [-1] * n
+        self.brokers: set[int] = set()
+
+    def register(self, node: int, walk_id: int) -> bool:
+        """Record that walk_id recruited node; True if node is a broker."""
+        o = self.owner[node]
+        if 0 <= o != walk_id:
+            self.brokers.add(node)
+        self.owner[node] = walk_id if o < 0 else min(o, walk_id)
+        return node in self.brokers
+
+    # Nothing in the package calls this; it stays because the benchmark's
+    # tracer wraps it by name and the tests read owners through it.
+    def other_walk_at(self, node: int, walk_id: int) -> int | None:
+        """The owner of node when that is a walk other than walk_id, else None."""
+        o = self.owner[node]
+        return o if o >= 0 and o != walk_id else None
+
+
 @dataclass(frozen=True)
 class CostStrategy:
     """Candidate scoring rule.
@@ -84,8 +116,8 @@ class CostStrategy:
     def __post_init__(self):
         if self.kind not in STRATEGY_KINDS:
             raise ValueError(f"unknown strategy {self.kind!r}, expected one of {STRATEGY_KINDS}")
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("alpha and beta must be non-negative")
+        if not (0 <= self.alpha < math.inf and 0 <= self.beta < math.inf):
+            raise ValueError("alpha and beta must be finite and non-negative")
 
     @property
     def needs_marks(self) -> bool:
@@ -158,7 +190,6 @@ class WalkState:
     path: list[int] = field(default_factory=list)
     parents: list[int] = field(default_factory=list)
     cursor: int = 0
-    members: set[int] = field(default_factory=set)
     marked: np.ndarray | None = None
     marked2: np.ndarray | None = None
     status: str = ACTIVE
@@ -255,15 +286,25 @@ def _pick(walk: WalkState, items: list[int]) -> int:
     return items[int(walk.rng.integers(len(items)))]
 
 
+def _meet(walk: WalkState, registry: OverlayRegistry, node: int, other: int,
+          trace: list | None) -> StepOutcome:
+    """End the walk on node, which walk `other` owns; node becomes a broker."""
+    registry.register(node, walk.id)
+    walk.status = INTERSECTED
+    walk.broker = node
+    out = StepOutcome(INTERSECTED_STEP, node=node, other_walk=other)
+    _trace(trace, walk, out, cost=None)
+    return out
+
+
 def _append(walk: WalkState, node: int, parent_index: int) -> None:
     walk.path.append(node)
     walk.parents.append(parent_index)
-    walk.members.add(node)
     walk.cursor = len(walk.path)
     walk._retreating = False
 
 
-def init_walk(net: Network, initiator: int, walk_id: int, registry,
+def init_walk(net: Network, initiator: int, walk_id: int, registry: OverlayRegistry,
               rng_seed, *, strategy: CostStrategy | None = None,
               trace: list | None = None) -> tuple[WalkState, StepOutcome | None]:
     """Create a walk and recruit its second node.
@@ -294,30 +335,19 @@ def init_walk(net: Network, initiator: int, walk_id: int, registry,
 
     # The new walk owns no node yet and the graph has no self-loops, so
     # every owner of the initiator or of a neighbor is another walk.
-    membership = registry.membership
-    owners = membership.get(initiator)
-    owner = min(owners) if owners else None
+    nbrs = net.neighbors(initiator)  # validates the id before the owner read
+    other = registry.owner[initiator]
+    if other >= 0:
+        return walk, _meet(walk, registry, initiator, other, trace)
     registry.register(initiator, walk_id)
-    if owner is not None:
-        walk.status = INTERSECTED
-        walk.broker = initiator
-        out = StepOutcome(INTERSECTED_STEP, node=initiator, other_walk=owner)
-        _trace(trace, walk, out, cost=None)
-        return walk, out
 
-    nbrs = net.neighbors(initiator)
     if not nbrs:
         raise IsolatedInitiator(f"initiator {initiator} has no neighbors")
     for v in nbrs:
-        owners = membership.get(v)
-        if owners:
-            out = StepOutcome(INTERSECTED_STEP, node=v, other_walk=min(owners))
+        other = registry.owner[v]
+        if other >= 0:
             _append(walk, v, parent_index=0)
-            registry.register(v, walk_id)
-            walk.status = INTERSECTED
-            walk.broker = v
-            _trace(trace, walk, out, cost=None)
-            return walk, out
+            return walk, _meet(walk, registry, v, other, trace)
     v = _pick(walk, nbrs)
     _append(walk, v, parent_index=0)
     registry.register(v, walk_id)
@@ -325,12 +355,12 @@ def init_walk(net: Network, initiator: int, walk_id: int, registry,
     return walk, None
 
 
-def step(walk: WalkState, net: Network, registry,
+def step(walk: WalkState, net: Network, registry: OverlayRegistry,
          strategy: CostStrategy, trace: list | None = None) -> StepOutcome:
     """Advance the walk by one transition and report what happened.
 
     A normal step marks the neighborhood of the node behind the head, then
-    scores the head's unvisited neighbors. A step that finds no candidate
+    scores the head's unowned neighbors. A step that finds no candidate
     only retreats the cursor; the next call resumes from the new head
     without marking again. Ties (and the pure strategy) use the walk's rng.
     """
@@ -348,8 +378,17 @@ def step(walk: WalkState, net: Network, registry,
 
     src_index = walk.cursor - 2
     src = walk.path[src_index]
-    members = walk.members
-    candidates = [v for v in net.adjacency[src] if v not in members]
+    # One owner read per neighbor, in id order: the first neighbor owned by
+    # another walk wins outright, and the unowned ones are the candidates.
+    owner = registry.owner
+    candidates = []
+    for v in net.adjacency[src]:
+        o = owner[v]
+        if o < 0:
+            candidates.append(v)
+        elif o != walk.id:
+            _append(walk, v, src_index)
+            return _meet(walk, registry, v, o, trace)
 
     if not candidates:
         if walk.cursor == 2:
@@ -364,20 +403,6 @@ def step(walk: WalkState, net: Network, registry,
         out = StepOutcome(BACKTRACKED, new_cursor=walk.cursor)
         _trace(trace, walk, out, cost=None)
         return out
-
-    # A candidate owned by another walk wins outright; scan in id order.
-    # Candidates exclude the walk's members, so every owner is another walk.
-    membership = registry.membership
-    for v in candidates:
-        owners = membership.get(v)
-        if owners:
-            out = StepOutcome(INTERSECTED_STEP, node=v, other_walk=min(owners))
-            _append(walk, v, src_index)
-            registry.register(v, walk.id)
-            walk.status = INTERSECTED
-            walk.broker = v
-            _trace(trace, walk, out, cost=None)
-            return out
 
     chosen_cost: float | None = None
     if strategy.kind == PURE:
@@ -396,7 +421,7 @@ def step(walk: WalkState, net: Network, registry,
     return out
 
 
-def run_walk_until_stop(walk: WalkState, net: Network, registry,
+def run_walk_until_stop(walk: WalkState, net: Network, registry: OverlayRegistry,
                         strategy: CostStrategy, step_budget: int,
                         trace: list | None = None) -> WalkState:
     """Step the walk until it intersects or exhausts, or raise on budget."""

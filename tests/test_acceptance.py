@@ -121,7 +121,7 @@ def test_cost_functions_match_set_oracles():
     r100 = 0.05 * math.sqrt(1000 / 100)
     for net_seed in range(50):
         net = generate_network(GraphGenConfig(n=100, r=r100, seed=net_seed))
-        registry = OverlayRegistry()
+        registry = OverlayRegistry(net.n)
         # grow two real walks so marked / marked2 states are non-trivial
         walks = []
         for wid, strat in ((0, CostStrategy("weighted")), (1, DRW)):
@@ -161,7 +161,7 @@ def test_hand_built_graphs_trace_exactly():
     problems = []
 
     net = H.fan_network()
-    walk, _ = init_walk(net, H.FAN_X, 0, OverlayRegistry(), 0, strategy=DRW)
+    walk, _ = init_walk(net, H.FAN_X, 0, OverlayRegistry(net.n), 0, strategy=DRW)
     walk.marked = mask_of(net, net.neighbors(H.FAN_X))
     pattern = {node: cost_first_neighborhood(walk, net, node)
                for node in H.FAN_COSTS}
@@ -230,7 +230,7 @@ def check_build(net, res):
                 continue
             if walk.path[parent] not in net.neighbors(walk.path[i]):
                 return "non-adjacent recruitment edge"
-        for v in walk.members:
+        for v in walk.path:
             reg.setdefault(v, set()).add(walk.id)
     if res.brokers != {v for v, owners in reg.items() if len(owners) >= 2}:
         return "broker set mismatch"

@@ -181,6 +181,28 @@ def test_build_missing_net_file_exit_2(capsys):
     assert code == 2
 
 
+WEIGHTED_BUILD = ("build", "--n", "100", "--r", "0.2", "--initiators", "3",
+                  "--strategy", "weighted")
+
+
+@pytest.mark.parametrize("argv", [
+    WEIGHTED_BUILD + ("--alpha", "nan"),
+    WEIGHTED_BUILD + ("--alpha", "inf"),
+    WEIGHTED_BUILD + ("--beta", "nan"),
+    WEIGHTED_BUILD + ("--alpha", "-1"),
+    ("experiment", "--desk", "--strategies", "weighted", "--alpha", "nan"),
+    ("experiment", "--desk", "--strategies", "weighted", "--alpha", "inf"),
+    ("gen", "--n", "100", "--r", "nan", "--out", "net.json"),
+    ("build", "--n", "100", "--r", "nan", "--initiators", "3"),
+], ids=["build-alpha-nan", "build-alpha-inf", "build-beta-nan", "build-alpha-negative",
+        "experiment-alpha-nan", "experiment-alpha-inf", "gen-r-nan", "build-r-nan"])
+def test_non_finite_weight_or_radius_usage_error(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)  # nothing is written, even where a parser lets one through
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert len(err.splitlines()) == 1
+
+
 def test_build_step_budget_below_one_usage_error(capsys):
     for budget in ("0", "-3"):
         code, _, err = run(capsys, "build", "--n", "100", "--r", "0.2",
@@ -231,9 +253,11 @@ def build_from_json(tmp_path, capsys, data, *extra):
     path_json(edges=5),
     path_json(edges=[["0", "1"], ["1", "2"], ["2", "3"]]),
     path_json(edges=[[0.0, 1.0], [1.0, 2.0], [2.0, 3.0]]),
+    path_json(edges=[[0, True], [True, 2], [2, 3]]),
+    path_json(positions=[[x, True] for x, _ in PATH_POSITIONS]),  # the path moved to y=1
 ], ids=["missing-seed", "duplicate-edge", "self-loop", "edge-too-long", "edge-missing",
         "n-float", "seed-float", "seed-bool", "r-string", "r-infinite", "positions-strings",
-        "edges-not-a-list", "edges-strings", "edges-floats"])
+        "edges-not-a-list", "edges-strings", "edges-floats", "edges-bool", "positions-bool"])
 def test_build_malformed_net_exit_2(tmp_path, capsys, data):
     code, _, err = build_from_json(tmp_path, capsys, data)
     assert code == 2

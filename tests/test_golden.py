@@ -6,7 +6,12 @@ taken before any optimisation and every later version must reproduce them.
 
 import hashlib
 
+import pytest
+
 from drw_overlay.cli import main
+from drw_overlay.geom_graph import GraphGenConfig, generate_network
+from drw_overlay.overlay import OverlayBuildConfig, build_overlay
+from drw_overlay.walk_engine import parse_strategy
 
 
 def sha256(data: bytes) -> str:
@@ -47,3 +52,24 @@ def test_gen_network_json_golden(tmp_path, capsys):
     assert main(["gen", "--n", "1000", "--r", "0.05", "--seed", "7", "--out", str(out)]) == 0
     assert capsys.readouterr().out == "n=1000\nm=3717\nattempts=14\n"
     assert sha256(out.read_bytes()) == "c06f5c150a6a332a9838148f21442b004008c582fa1780adc5a442caf329ba32"
+
+
+@pytest.fixture(scope="module")
+def golden_net():
+    return generate_network(GraphGenConfig(n=1000, r=0.05, seed=3))
+
+
+@pytest.mark.parametrize("strategy, count, digest", [
+    ("drw", 10, "455f6633d411377328ef3b5e24e02042c687e78ea5075aa0d5bf6a00f72c132b"),
+    ("prw", 10, "cf3dc27bad374afc669f55f0d7c436e8cfe830b77eae08cc45897b76c0682fe4"),
+    ("twohop", 10, "e0ab17a3d5bda5208558573da3bbae9b8830629e70ff6643538d6cb94d7e14e3"),
+    ("weighted", 10, "3b5fafe76c5f2ad00466ecc5c586a86c503cbdd14d1a53772474617df04c01c6"),
+    # 461 of the 500 walks are born intersected.
+    ("drw", 500, "2828b501b038b22657bb76383a33ca691db4963cdbc0414833cffd232d2eb54f"),
+])
+def test_step_trace_golden(golden_net, strategy, count, digest):
+    """The per-step cursor and cost sequence of the golden builds, which the
+    layer JSON does not pin."""
+    trace = []
+    build_overlay(golden_net, OverlayBuildConfig(count, parse_strategy(strategy), seed=3), trace)
+    assert sha256("".join(repr(r) + "\n" for r in trace).encode()) == digest

@@ -1,17 +1,15 @@
-"""Per-walk set-up: generators made on first draw, direct owner lookups."""
+"""Per-walk set-up: generators made on first draw; the ownership record."""
 
 import pickle
-import sys
 from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import handnets as H
-from drw_overlay import overlay
+from drw_overlay import overlay, walk_engine
 from drw_overlay.geom_graph import GraphGenConfig, generate_network
 from drw_overlay.overlay import (
-    BuildFailed,
     OverlayBuildConfig,
     OverlayRegistry,
     build_overlay,
@@ -20,10 +18,12 @@ from drw_overlay.overlay import (
 from drw_overlay.rng import stream
 from drw_overlay.walk_engine import (
     INTERSECTED,
+    INTERSECTED_STEP,
     STRATEGY_KINDS,
     CostStrategy,
     init_walk,
     parse_strategy,
+    step,
 )
 
 DRW = CostStrategy("drw")
@@ -37,7 +37,7 @@ def unused_factory():
 
 def test_walk_born_at_owned_initiator_makes_no_generator():
     net = H.crossing_network()
-    reg = OverlayRegistry()
+    reg = OverlayRegistry(net.n)
     reg.register(2, 3)
     walk, out = init_walk(net, 2, 4, reg, unused_factory, strategy=DRW)
     assert out.node == 2 and walk.status == INTERSECTED
@@ -46,7 +46,7 @@ def test_walk_born_at_owned_initiator_makes_no_generator():
 
 def test_walk_born_at_owned_neighbor_makes_no_generator():
     net = H.crossing_network()
-    reg = OverlayRegistry()
+    reg = OverlayRegistry(net.n)
     reg.register(1, 7)
     walk, out = init_walk(net, 0, 1, reg, unused_factory, strategy=DRW)
     assert out.node == 1 and walk.status == INTERSECTED
@@ -61,7 +61,7 @@ def test_walk_that_draws_makes_its_generator_once():
         made.append(1)
         return stream(4, "walk", 0)
 
-    walk, out = init_walk(net, 5, 0, OverlayRegistry(), factory, strategy=DRW)
+    walk, out = init_walk(net, 5, 0, OverlayRegistry(net.n), factory, strategy=DRW)
     assert out is None and len(walk.path) == 2
     assert made == [1] and walk.rng is not None
 
@@ -111,52 +111,68 @@ def test_built_layer_with_unused_factories_pickles():
     assert to_json_dict(pickle.loads(pickle.dumps(result))) == to_json_dict(result)
 
 
-# --- direct owner lookups ----------------------------------------------------
+# --- the ownership record ----------------------------------------------------
 
-class ProbedMembership(dict):
-    """Membership dict that checks each direct read made by init_walk or step."""
-
-    def __init__(self, registry):
-        super().__init__()
-        self.registry = registry
-        self.lookups = 0
-
-    def get(self, node, default=None):
-        caller = sys._getframe(1)
-        if caller.f_code.co_name in ("init_walk", "step"):
-            walk = caller.f_locals["walk"]
-            owners = dict.get(self, node, set())
-            assert walk.id not in owners, (walk.id, node)
-            if caller.f_code.co_name == "step":
-                assert node not in walk.members, (walk.id, node)
-            direct = min(owners) if owners else None
-            assert direct == self.registry.other_walk_at(node, walk.id), (walk.id, node)
-            self.lookups += 1
-        return dict.get(self, node, default)
-
-
-class ProbedRegistry(OverlayRegistry):
+class CapturedRegistry(OverlayRegistry):
     instances: list = []
 
-    def __init__(self):
-        super().__init__()
-        self.membership = ProbedMembership(self)
-        ProbedRegistry.instances.append(self)
+    def __init__(self, n):
+        super().__init__(n)
+        CapturedRegistry.instances.append(self)
 
 
-@settings(max_examples=60, deadline=None)
+def recording(fn, walk_and_outcome, met):
+    """Wrap init_walk or step; append (walk id, node, other_walk) per intersection."""
+    def call(*args, **kw):
+        result = fn(*args, **kw)
+        walk, out = walk_and_outcome(args, result)
+        if out is not None and out.kind == INTERSECTED_STEP:
+            met.append((walk.id, out.node, out.other_walk))
+        return result
+    return call
+
+
+@settings(max_examples=40, deadline=None)
 @given(n=st.integers(8, 60), net_seed=st.integers(0, 2**16),
        share=st.floats(0.05, 1.0), kind=st.sampled_from(STRATEGY_KINDS),
        seed=st.integers(0, 2**16))
-def test_direct_owner_reads_match_other_walk_at(n, net_seed, share, kind, seed):
+def test_owner_list_matches_walk_paths(n, net_seed, share, kind, seed):
+    """owner[v] is the lowest id of a walk whose path holds v (-1 if none),
+    the brokers are the nodes on two or more paths, every walk but the
+    halted partner reports the lowest other owner of the node it met, every
+    walk ends intersected and the layer is connected over its traced edges."""
     net = generate_network(GraphGenConfig(n=n, r=0.45, seed=net_seed))
-    count = max(2, round(share * n))
-    cfg = OverlayBuildConfig(count, parse_strategy(kind), seed=seed)
-    ProbedRegistry.instances = []
-    with mock.patch.object(overlay, "OverlayRegistry", ProbedRegistry):
-        try:
-            build_overlay(net, cfg)
-        except BuildFailed:
-            pass
-    (registry,) = ProbedRegistry.instances
-    assert registry.membership.lookups > 0
+    cfg = OverlayBuildConfig(max(2, round(share * n)), parse_strategy(kind), seed=seed)
+    CapturedRegistry.instances = []
+    met = []
+    stepped = recording(step, lambda a, r: (a[0], r), met)
+    # run_walk_until_stop looks step up in walk_engine, the pair phase in overlay.
+    with mock.patch.object(overlay, "OverlayRegistry", CapturedRegistry), \
+            mock.patch.object(overlay, "init_walk", recording(init_walk, lambda a, r: r, met)), \
+            mock.patch.object(overlay, "step", stepped), \
+            mock.patch.object(walk_engine, "step", stepped):
+        result = build_overlay(net, cfg)
+    (registry,) = CapturedRegistry.instances
+    assert len(met) == cfg.initiator_count - 1
+    for wid, node, other in met:
+        assert other == min(w.id for w in result.walks if w.id != wid and node in w.path)
+    on_paths: dict[int, list[int]] = {}
+    for walk in result.walks:
+        assert walk.status == INTERSECTED, walk.id
+        for v in walk.path:
+            on_paths.setdefault(v, []).append(walk.id)
+    assert registry.owner == [min(on_paths.get(v, [-1])) for v in range(n)]
+    shared = {v for v, ids in on_paths.items() if len(ids) >= 2}
+    assert registry.brokers == result.brokers == shared
+    assert shared <= result.active_path == set(on_paths)
+    adj: dict[int, set[int]] = {v: set() for v in result.active_path}
+    for a, b in result.active_path_edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    seen = {result.initiators[0]}
+    stack = list(seen)
+    while stack:
+        for v in adj[stack.pop()] - seen:
+            seen.add(v)
+            stack.append(v)
+    assert seen == result.active_path

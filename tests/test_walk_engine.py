@@ -36,7 +36,7 @@ PRW = CostStrategy("prw")
 
 
 def fresh(net, initiator, seed=0, walk_id=0, registry=None, **kw):
-    reg = registry if registry is not None else OverlayRegistry()
+    reg = registry if registry is not None else OverlayRegistry(net.n)
     walk, out = init_walk(net, initiator, walk_id, reg, seed, strategy=DRW, **kw)
     return walk, out, reg
 
@@ -104,7 +104,7 @@ def test_cost_weighted_combines_rings():
 def test_fan_guided_step_picks_unique_minimum():
     """From [x, y] the guided walk must take z, the only cost-1 candidate."""
     net = H.fan_network()
-    reg = OverlayRegistry()
+    reg = OverlayRegistry(net.n)
     # steer the uniform first hop onto y (seed probed for this layout)
     walk, out = init_walk(net, H.FAN_X, 0, reg, stream(4, "walk", 0), strategy=DRW)
     assert out is None and walk.path == [H.FAN_X, H.FAN_Y]
@@ -122,8 +122,7 @@ def test_init_records_initiator_and_second_node():
     assert walk.path == [0, 1]          # node 0 has a single neighbor
     assert walk.parents == [-1, 0]
     assert walk.cursor == 2
-    assert walk.members == {0, 1}
-    assert reg.membership[0] == {0} and reg.membership[1] == {0}
+    assert reg.owner[0] == 0 and reg.owner[1] == 0 and not reg.brokers
     assert walk.status == ACTIVE and walk.steps == 0
 
 
@@ -143,7 +142,7 @@ def test_init_second_node_uniform():
 
 def test_init_takes_already_recruited_neighbor():
     net = H.crossing_network()
-    reg = OverlayRegistry()
+    reg = OverlayRegistry(net.n)
     reg.register(1, 7)
     walk, out = init_walk(net, 0, 1, reg, 0, strategy=DRW)
     assert out is not None
@@ -154,18 +153,18 @@ def test_init_takes_already_recruited_neighbor():
 
 def test_init_on_foreign_member_intersects_in_place():
     net = H.crossing_network()
-    reg = OverlayRegistry()
+    reg = OverlayRegistry(net.n)
     reg.register(2, 3)
     walk, out = init_walk(net, 2, 4, reg, 0, strategy=DRW)
     assert out.kind == INTERSECTED_STEP and out.node == 2 and out.other_walk == 3
     assert walk.status == INTERSECTED and walk.broker == 2
     assert walk.path == [2]
-    assert reg.membership[2] == {3, 4}
+    assert reg.owner[2] == 3 and reg.brokers == {2}
 
 
 def test_init_isolated_initiator_raises():
     net = network_from_positions([[0.1, 0.1], [0.2, 0.1], [0.9, 0.9]], r=0.15)
-    reg = OverlayRegistry()
+    reg = OverlayRegistry(net.n)
     with pytest.raises(IsolatedInitiator):
         init_walk(net, 2, 0, reg, 0, strategy=DRW)
 
@@ -184,7 +183,7 @@ def test_forced_chain_steps():
 def test_intersection_beats_cost():
     """An owned candidate wins even when an unowned one scores lower."""
     net = H.crossing_network()
-    reg = OverlayRegistry()
+    reg = OverlayRegistry(net.n)
     reg.register(7, 9)
     walk, _ = init_walk(net, 0, 0, reg, 0, strategy=DRW)
     step(walk, net, reg, DRW)           # -> 2
@@ -192,12 +191,12 @@ def test_intersection_beats_cost():
     assert out.kind == INTERSECTED_STEP and out.node == 7 and out.other_walk == 9
     assert walk.status == INTERSECTED and walk.broker == 7
     assert walk.path == [0, 1, 2, 7]
-    assert reg.membership[7] == {0, 9}
+    assert reg.owner[7] == 0 and reg.brokers == {7}
 
 
 def test_step_after_termination_raises():
     net = H.crossing_network()
-    reg = OverlayRegistry()
+    reg = OverlayRegistry(net.n)
     reg.register(1, 7)
     walk, _ = init_walk(net, 0, 1, reg, 0, strategy=DRW)
     with pytest.raises(WalkNotActive):
@@ -215,7 +214,7 @@ def test_weighted_requires_second_ring_marks():
 
 def test_pocket_full_trace():
     net = H.pocket_network()
-    reg = OverlayRegistry()
+    reg = OverlayRegistry(net.n)
     reg.register(7, 99)                 # terminal node held by a foreign walk
     walk, out = init_walk(net, 0, 0, reg, 1, strategy=DRW)
     assert out is None and walk.path == [0, 1]
@@ -233,12 +232,12 @@ def test_pocket_full_trace():
     assert walk.parents == [-1, 0, 1, 2, 3, 3, 5, 6]
     assert walk.steps == 7 and walk.backtracks == 1
     assert walk.status == INTERSECTED and walk.broker == 7
-    assert walk.members == set(walk.path)
+    assert all(reg.owner[v] == 0 for v in walk.path) and reg.brokers == {7}
 
 
 def test_pocket_backtrack_cursor_arithmetic():
     net = H.pocket_network()
-    reg = OverlayRegistry()
+    reg = OverlayRegistry(net.n)
     reg.register(7, 99)
     walk, _ = init_walk(net, 0, 0, reg, 1, strategy=DRW)
     for _ in range(3):
@@ -274,7 +273,7 @@ def test_weighted_alpha_only_equals_first_neighborhood():
         net = generate_network(GraphGenConfig(n=120, r=0.14, seed=seed))
         paths = []
         for strat in (DRW, weighted):
-            reg = OverlayRegistry()
+            reg = OverlayRegistry(net.n)
             reg.register(net.n - 1, 50)  # give the walk something to hit
             walk, out = init_walk(net, 0, 0, reg, seed, strategy=strat)
             if out is None:
@@ -290,7 +289,7 @@ def test_pure_choice_uniform_over_candidates():
     counts = {3: 0, 7: 0}
     trials = 2000
     for seed in range(trials):
-        reg = OverlayRegistry()
+        reg = OverlayRegistry(net.n)
         walk, _ = init_walk(net, 0, 0, reg, seed, strategy=PRW)
         step(walk, net, reg, PRW)       # forced onto 2
         out = step(walk, net, reg, PRW)
@@ -305,7 +304,7 @@ def test_guided_tie_break_uniform():
     counts = {3: 0, 5: 0}
     trials = 2000
     for seed in range(trials):
-        reg = OverlayRegistry()
+        reg = OverlayRegistry(net.n)
         walk, _ = init_walk(net, 0, 0, reg, seed, strategy=DRW)
         step(walk, net, reg, DRW)
         out = step(walk, net, reg, DRW)
@@ -318,7 +317,7 @@ def test_same_seed_same_walk():
     net = generate_network(GraphGenConfig(n=150, r=0.12, seed=3))
     runs = []
     for _ in range(2):
-        reg = OverlayRegistry()
+        reg = OverlayRegistry(net.n)
         reg.register(net.n - 1, 50)
         walk, out = init_walk(net, 0, 0, reg, 42, strategy=DRW)
         if out is None:
@@ -334,7 +333,7 @@ def test_walk_invariants_random_networks():
     for seed in range(15):
         net = generate_network(GraphGenConfig(n=100, r=0.15, seed=seed))
         for strat in (DRW, PRW, CostStrategy("twohop")):
-            reg = OverlayRegistry()
+            reg = OverlayRegistry(net.n)
             target = net.n // 2
             reg.register(target, 50)
             walk, out = init_walk(net, 0, 0, reg, seed, strategy=strat)
@@ -342,7 +341,6 @@ def test_walk_invariants_random_networks():
                 run_walk_until_stop(walk, net, reg, strat,
                                     default_step_budget(net.n))
             assert len(set(walk.path)) == len(walk.path)
-            assert walk.members == set(walk.path)
             for i, parent in enumerate(walk.parents):
                 if parent == -1:
                     assert i == 0
@@ -351,13 +349,13 @@ def test_walk_invariants_random_networks():
             if strat.kind == "drw" and walk.steps > 0:
                 assert set(net.neighbors(walk.path[0])) <= marked_nodes(walk.marked)
             for node in walk.path:
-                assert 0 in reg.membership[node]
+                assert reg.owner[node] == 0
 
 
 def test_twohop_walk_terminates_and_stays_tabu():
     net = generate_network(GraphGenConfig(n=200, r=0.1, seed=8))
     strat = CostStrategy("twohop")
-    reg = OverlayRegistry()
+    reg = OverlayRegistry(net.n)
     reg.register(100, 50)
     walk, out = init_walk(net, 0, 0, reg, 9, strategy=strat)
     if out is None:
@@ -378,7 +376,7 @@ def test_budget_zero_raises_immediately():
 
 def test_budget_exact_allows_completion():
     net = H.pocket_network()
-    reg = OverlayRegistry()
+    reg = OverlayRegistry(net.n)
     reg.register(7, 99)
     walk, _ = init_walk(net, 0, 0, reg, 1, strategy=DRW)
     run_walk_until_stop(walk, net, reg, DRW, 7)
@@ -387,7 +385,7 @@ def test_budget_exact_allows_completion():
 
 def test_budget_one_short_raises():
     net = H.pocket_network()
-    reg = OverlayRegistry()
+    reg = OverlayRegistry(net.n)
     reg.register(7, 99)
     walk, _ = init_walk(net, 0, 0, reg, 1, strategy=DRW)
     with pytest.raises(StepBudgetExceeded) as err:
