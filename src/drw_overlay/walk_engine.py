@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geom_graph import Network
+from .geom_graph import Network, UnknownNode
 
 # Strategy kinds (also the CLI tokens).
 PURE = "prw"
@@ -81,13 +81,12 @@ class OverlayRegistry:
         self.owner: list[int] = [-1] * n
         self.brokers: set[int] = set()
 
-    def register(self, node: int, walk_id: int) -> bool:
-        """Record that walk_id recruited node; True if node is a broker."""
+    def register(self, node: int, walk_id: int) -> None:
+        """Record that walk_id recruited node; a second walk makes it a broker."""
         o = self.owner[node]
         if 0 <= o != walk_id:
             self.brokers.add(node)
         self.owner[node] = walk_id if o < 0 else min(o, walk_id)
-        return node in self.brokers
 
     # Nothing in the package calls this; it stays because the benchmark's
     # tracer wraps it by name and the tests read owners through it.
@@ -144,7 +143,7 @@ def parse_strategy(token: str, alpha: float = 1.0, beta: float = 1.0) -> CostStr
     return CostStrategy(token)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StepOutcome:
     """What a single step() call did.
 
@@ -170,7 +169,7 @@ class TraceRecord:
     cost: float | None
 
 
-@dataclass
+@dataclass(slots=True)
 class WalkState:
     """One walker. path is in recruitment order and never shrinks.
 
@@ -180,9 +179,12 @@ class WalkState:
     cursor == len(path) except midway through a retreat.
 
     rng is either given or made by make_rng on the walk's first draw, so a
-    walk that never draws never pays for a generator. marked and marked2
-    are bool masks of length n+1 (slot n always False), made on the walk's
-    first mark; a walk that never marks keeps None.
+    walk that never draws never pays for a generator. A walk born
+    intersected keeps neither: both stay None. marked and marked2 are bool
+    masks of length n+1 (slot n always False), made on the walk's first
+    mark; a walk that never marks keeps None. Slots, not a __dict__, hold
+    the fields, so a walk born intersected leaves three containers for the
+    cyclic collector to track: itself, path and parents.
     """
 
     id: int
@@ -316,10 +318,41 @@ def init_walk(net: Network, initiator: int, walk_id: int, registry: OverlayRegis
     (lowest id first). Returns (walk, outcome) where outcome is the
     intersection if one of the shortcuts fired, else None.
 
+    A walk born intersected is built finished, in one constructor call: it
+    never draws, so it keeps neither a generator nor rng_seed. Otherwise
     rng_seed may be an int, a ready np.random.Generator, or a zero-argument
-    factory that the walk calls on its first draw; a walk born intersected
-    never calls it.
+    factory that the walk calls on its first draw.
     """
+    adjacency, owner = net.adjacency, registry.owner
+    if not 0 <= initiator < len(adjacency):
+        raise UnknownNode(f"node {initiator} not in 0..{len(adjacency) - 1}")
+    nbrs = adjacency[initiator]
+    # The new walk owns no node yet and the graph has no self-loops, so
+    # every owner of the initiator or of a neighbor is another walk.
+    path, parents = [initiator], [-1]
+    node, other = initiator, owner[initiator]
+    if other < 0:
+        if not nbrs:
+            raise IsolatedInitiator(f"initiator {initiator} has no neighbors")
+        owner[initiator] = walk_id
+        for node in nbrs:
+            other = owner[node]
+            if other >= 0:
+                path.append(node)
+                parents.append(0)
+                break
+    if other >= 0:
+        # Born intersected: node becomes a broker. Ids ascend within a
+        # build, so the lowest owner only changes for out-of-order ids.
+        registry.brokers.add(node)
+        if walk_id < other:
+            owner[node] = walk_id
+        walk = WalkState(id=walk_id, path=path, parents=parents, cursor=len(path),
+                         status=INTERSECTED, broker=node)
+        out = StepOutcome(INTERSECTED_STEP, node=node, other_walk=other)
+        _trace(trace, walk, out, cost=None)
+        return walk, out
+
     gen, make_rng = None, None
     if isinstance(rng_seed, np.random.Generator):
         gen = rng_seed
@@ -327,30 +360,12 @@ def init_walk(net: Network, initiator: int, walk_id: int, registry: OverlayRegis
         make_rng = rng_seed
     else:
         gen = np.random.default_rng(np.random.SeedSequence(int(rng_seed)))
-    walk = WalkState(id=walk_id, rng=gen, make_rng=make_rng)
-    if strategy is not None:
-        walk.maintain_marks = strategy.needs_marks
-        walk.maintain_second = strategy.needs_second_marks
-    _append(walk, initiator, parent_index=-1)
-
-    # The new walk owns no node yet and the graph has no self-loops, so
-    # every owner of the initiator or of a neighbor is another walk.
-    nbrs = net.neighbors(initiator)  # validates the id before the owner read
-    other = registry.owner[initiator]
-    if other >= 0:
-        return walk, _meet(walk, registry, initiator, other, trace)
-    registry.register(initiator, walk_id)
-
-    if not nbrs:
-        raise IsolatedInitiator(f"initiator {initiator} has no neighbors")
-    for v in nbrs:
-        other = registry.owner[v]
-        if other >= 0:
-            _append(walk, v, parent_index=0)
-            return walk, _meet(walk, registry, v, other, trace)
+    walk = WalkState(id=walk_id, rng=gen, make_rng=make_rng, path=path, parents=parents,
+                     maintain_marks=strategy is None or strategy.needs_marks,
+                     maintain_second=strategy is not None and strategy.needs_second_marks)
     v = _pick(walk, nbrs)
     _append(walk, v, parent_index=0)
-    registry.register(v, walk_id)
+    owner[v] = walk_id
     _trace(trace, walk, StepOutcome(EXTENDED, node=v), cost=None)
     return walk, None
 

@@ -3,6 +3,7 @@
 import pickle
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,6 +22,9 @@ from drw_overlay.walk_engine import (
     INTERSECTED_STEP,
     STRATEGY_KINDS,
     CostStrategy,
+    StepOutcome,
+    TraceRecord,
+    WalkNotActive,
     init_walk,
     parse_strategy,
     step,
@@ -35,22 +39,33 @@ def unused_factory():
 
 # --- lazy generators ---------------------------------------------------------
 
-def test_walk_born_at_owned_initiator_makes_no_generator():
+@pytest.mark.parametrize("initiator, walk_id, owned, other, path, parents, owner", [
+    # born at its owned initiator, ids in build order
+    (2, 4, 2, 3, [2], [-1], [-1, -1, 3, -1, -1, -1, -1, -1]),
+    # born at an owned neighbour; the lower id takes over the owner slot
+    (0, 1, 1, 7, [0, 1], [-1, 0], [1, 1, -1, -1, -1, -1, -1, -1]),
+], ids=["initiator", "neighbor"])
+def test_born_walk_state(initiator, walk_id, owned, other, path, parents, owner):
+    """A walk born intersected is built finished: no generator, no factory,
+    no slot dict, one trace record, and no further step."""
     net = H.crossing_network()
     reg = OverlayRegistry(net.n)
-    reg.register(2, 3)
-    walk, out = init_walk(net, 2, 4, reg, unused_factory, strategy=DRW)
-    assert out.node == 2 and walk.status == INTERSECTED
-    assert walk.rng is None
-
-
-def test_walk_born_at_owned_neighbor_makes_no_generator():
-    net = H.crossing_network()
-    reg = OverlayRegistry(net.n)
-    reg.register(1, 7)
-    walk, out = init_walk(net, 0, 1, reg, unused_factory, strategy=DRW)
-    assert out.node == 1 and walk.status == INTERSECTED
-    assert walk.rng is None
+    reg.register(owned, other)
+    trace = []
+    walk, out = init_walk(net, initiator, walk_id, reg, unused_factory, strategy=DRW,
+                          trace=trace)
+    assert out == StepOutcome(INTERSECTED_STEP, node=owned, other_walk=other)
+    assert walk.id == walk_id and walk.path == path
+    assert walk.parents == parents and walk.cursor == len(path)
+    assert walk.status == INTERSECTED and walk.broker == owned
+    assert walk.steps == walk.backtracks == 0
+    assert walk.rng is None and walk.make_rng is None
+    assert trace == [TraceRecord(walk=walk_id, step=0, outcome="intersected", node=owned,
+                                 cursor=len(path), cost=None)]
+    assert reg.owner == owner and reg.brokers == {owned}
+    with pytest.raises(WalkNotActive):
+        step(walk, net, reg, DRW)
+    assert not hasattr(walk, "__dict__") and not hasattr(out, "__dict__")
 
 
 def test_walk_that_draws_makes_its_generator_once():

@@ -26,10 +26,11 @@ PRW = CostStrategy("prw")
 def test_registry_membership_and_brokers():
     reg = OverlayRegistry(6)
     assert reg.owner[5] == -1
-    assert reg.register(5, 0) is False
-    assert reg.owner[5] == 0
-    assert reg.register(5, 0) is False    # same walk again: no broker
-    assert reg.register(5, 3) is True
+    assert reg.register(5, 0) is None
+    assert reg.owner[5] == 0 and reg.brokers == set()
+    reg.register(5, 0)                    # same walk again: no broker
+    assert reg.owner[5] == 0 and reg.brokers == set()
+    reg.register(5, 3)
     assert reg.owner == [-1, -1, -1, -1, -1, 0]
     assert reg.brokers == {5}
 
