@@ -28,6 +28,9 @@ MAX_RADIUS = math.sqrt(2.0)
 # Hull computation needs at least a handful of points to pay off.
 _HULL_CUTOFF = 16
 
+# Rows per dense block when packing the neighbour bitsets.
+_BITS_ROWS = 256
+
 
 class NotConnected(RuntimeError):
     """No connected placement found within the attempt cap (n/r too sparse)."""
@@ -101,26 +104,33 @@ class Network:
         """The rows as Python lists, built on first use.
 
         The step loop scans a head's candidates in a list, which is faster
-        than slicing the CSR arrays on every step.
+        than slicing the CSR arrays on every step. Every row refers to one
+        shared int object per node id rather than a fresh int per entry.
         """
-        flat, bounds = self.indices.tolist(), self.indptr.tolist()
+        nodes = list(range(self.n))
+        flat = list(map(nodes.__getitem__, self.indices.tolist()))
+        bounds = self.indptr.tolist()
         return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
 
     @cached_property
-    def neighbor_table(self) -> np.ndarray:
-        """Adjacency padded to a rectangle, built on first use.
+    def neighbor_bits(self) -> list[int]:
+        """Each N(v) as a Python int bitset, built on first use.
 
-        An int32 array of shape (n+1, max degree): row v lists N(v) in
-        order and fills the rest with the sentinel n; row n is all sentinel.
-        Indexing a bool mask of length n+1 whose slot n is False with rows
-        of this table counts marked neighbours without a Python loop.
+        Bit u of entry v is set iff u is a neighbour of v, so the overlap of
+        two neighbourhoods is ``(bits[a] & bits[b]).bit_count()``. Rows are
+        packed from dense bool blocks of at most _BITS_ROWS rows, so the
+        n x n matrix is never held whole.
         """
-        n = self.n
-        deg = np.diff(self.indptr)
-        table = np.full((n + 1, int(deg.max(initial=0))), n, dtype=np.int32)
-        cols = np.arange(len(self.indices)) - np.repeat(self.indptr[:-1], deg)
-        table[np.repeat(np.arange(n), deg), cols] = self.indices
-        return table
+        n, indptr, indices = self.n, self.indptr, self.indices
+        bits: list[int] = []
+        for lo in range(0, n, _BITS_ROWS):
+            hi = min(lo + _BITS_ROWS, n)
+            block = np.zeros((hi - lo, n), dtype=bool)
+            rows = np.repeat(np.arange(hi - lo), np.diff(indptr[lo:hi + 1]))
+            block[rows, indices[indptr[lo]:indptr[hi]]] = True
+            packed = np.packbits(block, axis=1, bitorder="little")
+            bits.extend(int.from_bytes(row, "little") for row in packed)
+        return bits
 
     def neighbors(self, v: int) -> list[int]:
         """Sorted neighbor ids of v. Raises UnknownNode for ids outside the graph."""

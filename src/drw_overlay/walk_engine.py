@@ -180,10 +180,10 @@ class WalkState:
 
     rng is either given or made by make_rng on the walk's first draw, so a
     walk that never draws never pays for a generator. A walk born
-    intersected keeps neither: both stay None. marked and marked2 are bool
-    masks of length n+1 (slot n always False), made on the walk's first
-    mark; a walk that never marks keeps None. Slots, not a __dict__, hold
-    the fields, so a walk born intersected leaves three containers for the
+    intersected keeps neither: both stay None. marked and marked2 are node
+    bitsets in the form of ``Network.neighbor_bits`` (bit u set iff u is
+    marked), 0 while nothing is marked. Slots, not a __dict__, hold the
+    fields, so a walk born intersected leaves three containers for the
     cyclic collector to track: itself, path and parents.
     """
 
@@ -192,8 +192,8 @@ class WalkState:
     path: list[int] = field(default_factory=list)
     parents: list[int] = field(default_factory=list)
     cursor: int = 0
-    marked: np.ndarray | None = None
-    marked2: np.ndarray | None = None
+    marked: int = 0
+    marked2: int = 0
     status: str = ACTIVE
     broker: int | None = None
     steps: int = 0
@@ -217,31 +217,25 @@ def candidate_costs(walk: WalkState, net: Network, strategy: CostStrategy,
                     candidates: list[int], src_index: int) -> list:
     """Score each candidate under strategy, in candidate order.
 
-    Counts gather the candidates' rows of ``net.neighbor_table`` from a
-    bool mask; the table's padding indexes slot n, which is always False.
-    The node behind the head is ``walk.path[src_index - 1]`` (none when
+    Each count is the popcount of a candidate's ``net.neighbor_bits``
+    entry ANDed with a bitset: the walk's marks, or N(behind) for
+    "twohop", where behind is ``walk.path[src_index - 1]`` (none when
     src_index is 0). Scores come back as Python numbers: ints, or floats
     for "weighted"; "prw" scores every candidate 0.
     """
-    if strategy.kind == PURE:
+    if strategy.kind == PURE or (strategy.kind == TWO_HOP and src_index == 0):
         return [0] * len(candidates)
-    n = net.n
-    table = net.neighbor_table
-    rows = table.take(candidates, 0)
+    bits = net.neighbor_bits
     if strategy.kind == TWO_HOP:
-        behind = np.zeros(n + 1, dtype=bool)
-        if src_index > 0:
-            behind.put(table[walk.path[src_index - 1]], True)
-            behind[n] = False
-        return behind.take(rows).sum(1).tolist()
-    marked, marked2 = walk.marked, walk.marked2
-    if marked is None:  # nothing marked yet
-        marked = marked2 = np.zeros(n + 1, dtype=bool)
-    first = marked.take(rows).sum(1)
+        behind = bits[walk.path[src_index - 1]]
+        return [(bits[v] & behind).bit_count() for v in candidates]
+    marked = walk.marked
+    first = [(bits[v] & marked).bit_count() for v in candidates]
     if strategy.kind == FIRST_NEIGHBORHOOD:
-        return first.tolist()
-    second = marked2.take(rows).sum(1)
-    return (strategy.alpha * first + strategy.beta * second).tolist()
+        return first
+    marked2, alpha, beta = walk.marked2, strategy.alpha, strategy.beta
+    return [alpha * f + beta * (bits[v] & marked2).bit_count()
+            for f, v in zip(first, candidates)]
 
 
 def cost_first_neighborhood(walk: WalkState, net: Network, v: int) -> int:
@@ -263,22 +257,18 @@ def cost_weighted(walk: WalkState, net: Network, v: int,
 
 
 def _mark_neighborhood(walk: WalkState, net: Network, node: int) -> None:
-    """Fold N(node) into marked and, if kept, N(u) into marked2 for each newly
-    marked u, which keeps marked2 = union of N(u) over marked u."""
+    """OR N(node) into the marked bitset and, if kept, N(u) into marked2 for
+    each u in N(node), which keeps marked2 = union of N(u) over marked u.
+    An already marked u adds nothing to marked2, so none is skipped."""
     if not walk.maintain_marks:
         return
-    n = net.n
-    table = net.neighbor_table
-    if walk.marked is None:
-        walk.marked = np.zeros(n + 1, dtype=bool)
-        if walk.maintain_second:
-            walk.marked2 = np.zeros(n + 1, dtype=bool)
-    row = table[node]
+    bits = net.neighbor_bits
     if walk.maintain_second:
-        walk.marked2.put(table.take(row.compress(~walk.marked.take(row)), 0), True)
-        walk.marked2[n] = False
-    walk.marked.put(row, True)
-    walk.marked[n] = False
+        marked2 = walk.marked2
+        for u in net.adjacency[node]:
+            marked2 |= bits[u]
+        walk.marked2 = marked2
+    walk.marked |= bits[node]
 
 
 def _pick(walk: WalkState, items: list[int]) -> int:
@@ -430,7 +420,7 @@ def step(walk: WalkState, net: Network, registry: OverlayRegistry,
         chosen_cost = low
 
     _append(walk, v, src_index)
-    registry.register(v, walk.id)
+    owner[v] = walk.id
     out = StepOutcome(EXTENDED, node=v)
     _trace(trace, walk, out, cost=chosen_cost)
     return out

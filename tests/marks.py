@@ -1,15 +1,13 @@
-"""Convert between a walk's bool mark masks and plain node sets."""
-
-import numpy as np
+"""Convert between a walk's mark bitsets and plain node sets."""
 
 
-def marked_nodes(mask) -> set[int]:
-    """Nodes set in a mark mask of length n+1; a walk with no marks has None."""
-    return set() if mask is None else set(np.flatnonzero(mask[:-1]).tolist())
+def marked_nodes(bits: int) -> set[int]:
+    """Nodes whose bit is set in a mark bitset; a walk with no marks has 0."""
+    return {u for u in range(bits.bit_length()) if bits >> u & 1}
 
 
-def mask_of(net, nodes) -> np.ndarray:
-    """Mark mask of length n+1 with exactly `nodes` set."""
-    mask = np.zeros(net.n + 1, dtype=bool)
-    mask[list(nodes)] = True
-    return mask
+def mask_of(net, nodes) -> int:
+    """Mark bitset of `net` with exactly `nodes` set."""
+    nodes = set(nodes)
+    assert all(0 <= u < net.n for u in nodes)
+    return sum(1 << u for u in nodes)

@@ -230,6 +230,24 @@ def reaches_all(adjacency):
     return len(seen) == len(adjacency)
 
 
+def bitsets(adjacency):
+    """Row v as an int with bit u set for each neighbour u."""
+    return [sum(1 << u for u in row) for row in adjacency]
+
+
+@pytest.mark.parametrize("n", [300, 513])
+def test_neighbor_bits_across_row_blocks(n):
+    # The bitsets are packed 256 rows at a time; n=300 ends in a partial
+    # second block and n=513 in a one-row third block.
+    net = network_from_positions(np.random.default_rng(n).random((n, 2)), 0.15)
+    adjacency = brute_force_adjacency(net.positions.tolist(), net.radius)
+    assert all(adjacency[v] for v in (0, 255, 256, 257, n - 1))
+    assert net.adjacency == adjacency
+    assert net.neighbor_bits == bitsets(adjacency)
+    # CPython caches only ints up to 256, so larger ids check the sharing.
+    assert len({id(v) for row in net.adjacency for v in row}) <= n
+
+
 # Points on a 1/8 grid are binary-exact, so at r = k/8 some distances equal r
 # exactly; duplicated points are at distance 0.
 GRID_POINT = st.tuples(st.integers(0, 8), st.integers(0, 8)).map(lambda p: [p[0] / 8, p[1] / 8])
@@ -255,10 +273,9 @@ def test_csr_views_match_oracles(placement, seed):
     for u, row in enumerate(net.adjacency):
         assert row == sorted(set(row)) and u not in row
         assert all(u in net.adjacency[v] for v in row)
-    table = net.neighbor_table
-    assert table.shape == (n + 1, max(map(len, adjacency)))
-    assert table.tolist() == [row + [n] * (table.shape[1] - len(row))
-                              for row in adjacency + [[]]]
+    assert len({id(v) for row in net.adjacency for v in row}) <= n
+    assert net.neighbor_bits == bitsets(adjacency)
+    assert all(bits.bit_length() <= n for bits in net.neighbor_bits)
     assert net.m == len(net.edges())
     assert is_connected(net) == reaches_all(adjacency)
     data = json.loads(json.dumps(to_json_dict(net)))

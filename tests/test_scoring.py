@@ -1,4 +1,4 @@
-"""Array scoring and mark masks against brute-force Python sets."""
+"""Bitset scoring and mark bitsets against brute-force Python sets."""
 
 from unittest import mock
 
@@ -24,7 +24,7 @@ from drw_overlay.walk_engine import (
 
 
 def oracle_costs(walk, net, strategy, candidates, src_index):
-    """Set-based scores, with the marks read back from the walk's masks."""
+    """Set-based scores, with the marks read back from the walk's bitsets."""
     rings = [set(net.adjacency[c]) for c in candidates]
     if strategy.kind == PURE:
         return [0] * len(candidates)
@@ -43,30 +43,29 @@ def assert_same_costs(got, want):
     assert [type(c) for c in got] == [type(c) for c in want]
 
 
-def assert_table_matches(net):
-    table = net.neighbor_table
-    assert table.dtype == np.int32 and table.shape[0] == net.n + 1
+def assert_bits_match(net):
+    bits = net.neighbor_bits
+    assert len(bits) == net.n and all(type(b) is int for b in bits)
     for v, nbrs in enumerate(net.adjacency):
-        assert table[v, :len(nbrs)].tolist() == nbrs
-        assert (table[v, len(nbrs):] == net.n).all()
-    assert (table[net.n] == net.n).all()
+        assert marked_nodes(bits[v]) == set(nbrs)
+        assert 0 <= bits[v] and bits[v].bit_length() <= net.n  # no bit >= n
 
 
-def assert_masks_consistent(walk, net):
-    for mask in (walk.marked, walk.marked2):
-        if mask is not None:
-            assert mask.dtype == bool and mask.shape == (net.n + 1,)
-            assert not mask[net.n]
-    if walk.maintain_second and walk.marked is not None:
+def assert_marks_consistent(walk, net):
+    for marks in (walk.marked, walk.marked2):
+        assert type(marks) is int and 0 <= marks and marks.bit_length() <= net.n
+    if walk.maintain_second:
         ring2 = set().union(*(net.adjacency[u] for u in marked_nodes(walk.marked)))
         assert marked_nodes(walk.marked2) == ring2
+    else:
+        assert walk.marked2 == 0
 
 
-def test_neighbor_table_pads_isolated_node():
+def test_neighbor_bits_isolated_node_is_zero():
     net = network_from_positions([[0.1, 0.1], [0.2, 0.1], [0.3, 0.1], [0.9, 0.9]], r=0.15)
     assert net.adjacency == [[1], [0, 2], [1], []]
-    assert net.neighbor_table.tolist() == [[1, 4], [0, 2], [1, 4], [4, 4], [4, 4]]
-    assert_table_matches(net)
+    assert net.neighbor_bits == [0b0010, 0b0101, 0b0010, 0]
+    assert_bits_match(net)
 
 
 @settings(max_examples=80, deadline=None)
@@ -76,7 +75,7 @@ def test_neighbor_table_pads_isolated_node():
 def test_scoring_and_marks_match_set_oracles(n, r, seed, kind, alpha, beta):
     rng = np.random.default_rng(seed)
     net = network_from_positions(rng.random((n, 2)), r)
-    assert_table_matches(net)
+    assert_bits_match(net)
     strategy = CostStrategy(kind, alpha, beta)
     starts = [v for v in range(n) if net.adjacency[v]]
     if len(starts) < 2:
@@ -96,9 +95,9 @@ def test_scoring_and_marks_match_set_oracles(n, r, seed, kind, alpha, beta):
     everyone = list(range(n))
     with mock.patch.object(walk_engine, "candidate_costs", checked):
         while walk.status == ACTIVE and walk.steps < 4 * n:
-            assert_masks_consistent(walk, net)
+            assert_marks_consistent(walk, net)
             step(walk, net, registry, strategy)
-            assert_masks_consistent(walk, net)
+            assert_marks_consistent(walk, net)
             src_index = max(walk.cursor - 2, 0)
             assert_same_costs(candidate_costs(walk, net, strategy, everyone, src_index),
                               oracle_costs(walk, net, strategy, everyone, src_index))
