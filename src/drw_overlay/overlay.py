@@ -1,10 +1,12 @@
 """Overlay construction: intersecting walks into one connected layer.
 
-The first two walks alternate steps until one lands on a node of the other;
-that node becomes the first broker and the partner halts where it stands.
-Every later walk runs alone until it touches any node already recruited by
-an earlier walk. The union of all recruited nodes forms the active path of
-the layer, connected through brokers.
+One driver, run_walk_until_stop, steps a group of walks in turn until one
+lands on a node of another walk; that node becomes a broker and every other
+walk still active halts there. The first two walks run as one group, so the
+partner of the walk that meets halts where it stands. Every later walk runs
+alone until it touches any node already recruited by an earlier walk. The
+union of all recruited nodes forms the active path of the layer, connected
+through brokers.
 """
 
 from __future__ import annotations
@@ -21,11 +23,9 @@ from .walk_engine import (
     INTERSECTED_STEP,
     CostStrategy,
     OverlayRegistry,
-    StepBudgetExceeded,
     WalkState,
     default_step_budget,
     init_walk,
-    run_walk_until_stop,
     step,
 )
 
@@ -94,12 +94,27 @@ def select_initiators(net: Network, count: int, rng) -> tuple[int, ...]:
     return tuple(int(v) for v in rng.choice(net.n, size=count, replace=False))
 
 
-def _finalize_partner(walk: WalkState, broker: int) -> None:
-    """Halt the partner walk where it stands once the pair is bridged."""
-    if walk.status == ACTIVE:
-        walk.status = INTERSECTED
-        walk.broker = broker
-        walk._retreating = False
+def run_walk_until_stop(walks: list[WalkState], net: Network, registry: OverlayRegistry,
+                        strategy: CostStrategy, budget: int,
+                        trace: list | None = None) -> None:
+    """Step the walks in turn until one intersects; every other walk still
+    active then halts at that walk's broker. A walk already intersected on
+    entry (born on another's path) counts as the one that met. Raises
+    BuildFailed on a spent step budget or a walk backtracked past its start."""
+    broker = next((w.broker for w in walks if w.status == INTERSECTED), None)
+    while broker is None:
+        for walk in walks:
+            if walk.steps >= budget:
+                raise BuildFailed(walk.id, f"step budget {budget} spent")
+            out = step(walk, net, registry, strategy, trace)
+            if out.kind == EXHAUSTED_STEP:
+                raise BuildFailed(walk.id, "exhausted: backtracked past its initiator")
+            if out.kind == INTERSECTED_STEP:
+                broker = out.node
+                break
+    for walk in walks:
+        if walk.status == ACTIVE:
+            walk.status, walk.broker, walk._retreating = INTERSECTED, broker, False
 
 
 def build_overlay(net: Network, cfg: OverlayBuildConfig,
@@ -120,8 +135,7 @@ def build_overlay(net: Network, cfg: OverlayBuildConfig,
 
     registry = OverlayRegistry(net.n)
     walks: list[WalkState] = []
-
-    def start(wid: int):
+    for wid in range(cfg.initiator_count):
         # Most walks of a large build are born intersected and never draw,
         # so each walk's stream is only made on its first draw. A partial,
         # unlike a lambda, keeps the walk and its result picklable.
@@ -130,36 +144,11 @@ def build_overlay(net: Network, cfg: OverlayBuildConfig,
             strategy=cfg.strategy, trace=trace,
         )
         walks.append(walk)
-        return walk, out
-
-    try:
-        # First pair, alternating one step at a time.
-        w0, _ = start(0)
-        w1, out1 = start(1)
-        if out1 is not None:
-            _finalize_partner(w0, out1.node)
-        while w0.status == ACTIVE or w1.status == ACTIVE:
-            for walk, partner in ((w0, w1), (w1, w0)):
-                if walk.status != ACTIVE:
-                    continue
-                if walk.steps >= budget:
-                    raise StepBudgetExceeded(walk.id, budget)
-                out = step(walk, net, registry, cfg.strategy, trace)
-                if out.kind == EXHAUSTED_STEP:
-                    raise BuildFailed(walk.id, "exhausted: backtracked past its initiator")
-                if out.kind == INTERSECTED_STEP:
-                    _finalize_partner(partner, out.node)
-
-        # Remaining walks, one after another.
-        for wid in range(2, cfg.initiator_count):
-            walk, out = start(wid)
-            if out is not None:
-                continue
-            run_walk_until_stop(walk, net, registry, cfg.strategy, budget, trace)
-            if walk.status != INTERSECTED:
-                raise BuildFailed(wid, "exhausted: backtracked past its initiator")
-    except StepBudgetExceeded as exc:
-        raise BuildFailed(exc.walk_id, f"step budget {budget} spent") from exc
+        # The first pair is stepped as one group once both exist; a later
+        # walk runs alone unless it was born intersected.
+        if wid == 1 or (wid > 1 and out is None):
+            run_walk_until_stop(walks if wid == 1 else [walk], net, registry,
+                                cfg.strategy, budget, trace)
 
     return _assemble(net, cfg, walks, registry, initiators)
 

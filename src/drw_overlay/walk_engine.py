@@ -54,13 +54,6 @@ class WalkNotActive(RuntimeError):
     """step() called on a walk that already terminated."""
 
 
-class StepBudgetExceeded(RuntimeError):
-    def __init__(self, walk_id: int, budget: int):
-        super().__init__(f"walk {walk_id} did not terminate within {budget} steps")
-        self.walk_id = walk_id
-        self.budget = budget
-
-
 def default_step_budget(n: int) -> int:
     """Per-walk step allowance used when a config leaves the budget unset."""
     return 50 * n
@@ -238,24 +231,6 @@ def candidate_costs(walk: WalkState, net: Network, strategy: CostStrategy,
             for f, v in zip(first, candidates)]
 
 
-def cost_first_neighborhood(walk: WalkState, net: Network, v: int) -> int:
-    """Overlap of v's neighborhood with the walk's marked set."""
-    return candidate_costs(walk, net, CostStrategy(FIRST_NEIGHBORHOOD), [v], 0)[0]
-
-
-def cost_two_hop(net: Network, behind: int, v: int) -> int:
-    """Common neighbors of v and the node behind the head."""
-    # src_index 1 makes path[0] the node behind the head.
-    return candidate_costs(WalkState(id=-1, path=[behind]), net, CostStrategy(TWO_HOP),
-                           [v], 1)[0]
-
-
-def cost_weighted(walk: WalkState, net: Network, v: int,
-                  alpha: float, beta: float) -> float:
-    """alpha * first-ring overlap + beta * second-ring overlap."""
-    return candidate_costs(walk, net, CostStrategy(WEIGHTED, alpha, beta), [v], 0)[0]
-
-
 def _mark_neighborhood(walk: WalkState, net: Network, node: int) -> None:
     """OR N(node) into the marked bitset and, if kept, N(u) into marked2 for
     each u in N(node), which keeps marked2 = union of N(u) over marked u.
@@ -297,7 +272,7 @@ def _append(walk: WalkState, node: int, parent_index: int) -> None:
 
 
 def init_walk(net: Network, initiator: int, walk_id: int, registry: OverlayRegistry,
-              rng_seed, *, strategy: CostStrategy | None = None,
+              make_rng: Callable[[], np.random.Generator], *, strategy: CostStrategy,
               trace: list | None = None) -> tuple[WalkState, StepOutcome | None]:
     """Create a walk and recruit its second node.
 
@@ -309,9 +284,8 @@ def init_walk(net: Network, initiator: int, walk_id: int, registry: OverlayRegis
     intersection if one of the shortcuts fired, else None.
 
     A walk born intersected is built finished, in one constructor call: it
-    never draws, so it keeps neither a generator nor rng_seed. Otherwise
-    rng_seed may be an int, a ready np.random.Generator, or a zero-argument
-    factory that the walk calls on its first draw.
+    never draws, so it keeps neither a generator nor make_rng. Otherwise the
+    walk calls the zero-argument factory make_rng on its first draw.
     """
     adjacency, owner = net.adjacency, registry.owner
     if not 0 <= initiator < len(adjacency):
@@ -343,16 +317,9 @@ def init_walk(net: Network, initiator: int, walk_id: int, registry: OverlayRegis
         _trace(trace, walk, out, cost=None)
         return walk, out
 
-    gen, make_rng = None, None
-    if isinstance(rng_seed, np.random.Generator):
-        gen = rng_seed
-    elif callable(rng_seed):
-        make_rng = rng_seed
-    else:
-        gen = np.random.default_rng(np.random.SeedSequence(int(rng_seed)))
-    walk = WalkState(id=walk_id, rng=gen, make_rng=make_rng, path=path, parents=parents,
-                     maintain_marks=strategy is None or strategy.needs_marks,
-                     maintain_second=strategy is not None and strategy.needs_second_marks)
+    walk = WalkState(id=walk_id, make_rng=make_rng, path=path, parents=parents,
+                     maintain_marks=strategy.needs_marks,
+                     maintain_second=strategy.needs_second_marks)
     v = _pick(walk, nbrs)
     _append(walk, v, parent_index=0)
     owner[v] = walk_id
@@ -424,17 +391,6 @@ def step(walk: WalkState, net: Network, registry: OverlayRegistry,
     out = StepOutcome(EXTENDED, node=v)
     _trace(trace, walk, out, cost=chosen_cost)
     return out
-
-
-def run_walk_until_stop(walk: WalkState, net: Network, registry: OverlayRegistry,
-                        strategy: CostStrategy, step_budget: int,
-                        trace: list | None = None) -> WalkState:
-    """Step the walk until it intersects or exhausts, or raise on budget."""
-    while walk.status == ACTIVE:
-        if walk.steps >= step_budget:
-            raise StepBudgetExceeded(walk.id, step_budget)
-        step(walk, net, registry, strategy, trace)
-    return walk
 
 
 def _trace(trace: list | None, walk: WalkState,

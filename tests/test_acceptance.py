@@ -23,6 +23,7 @@ both walk strategies), so reruns are reproducible bit for bit.
 """
 
 import math
+from functools import partial
 from statistics import median
 
 import numpy as np
@@ -44,10 +45,8 @@ from drw_overlay.walk_engine import (
     ACTIVE,
     CostStrategy,
     INTERSECTED,
-    StepBudgetExceeded,
-    cost_first_neighborhood,
-    cost_two_hop,
-    cost_weighted,
+    WalkState,
+    candidate_costs,
     default_step_budget,
     init_walk,
     step,
@@ -55,6 +54,7 @@ from drw_overlay.walk_engine import (
 
 DRW = CostStrategy("drw")
 PRW = CostStrategy("prw")
+TWOHOP = CostStrategy("twohop")
 
 REPORT_LINES: list[str] = []
 
@@ -126,7 +126,8 @@ def test_cost_functions_match_set_oracles():
         walks = []
         for wid, strat in ((0, CostStrategy("weighted")), (1, DRW)):
             start = int(rng.integers(net.n))
-            w, out = init_walk(net, start, wid, registry, int(rng.integers(2**32)),
+            w, out = init_walk(net, start, wid, registry,
+                               partial(np.random.default_rng, int(rng.integers(2**32))),
                                strategy=strat)
             for _ in range(8):
                 if w.status != ACTIVE:
@@ -136,18 +137,21 @@ def test_cost_functions_match_set_oracles():
         probe, other = walks
         marked, marked2 = marked_nodes(probe.marked), marked_nodes(probe.marked2)
         alpha, beta = float(rng.integers(1, 4)), float(rng.integers(0, 3))
+        weighted = CostStrategy("weighted", alpha, beta)
         for v in rng.integers(0, net.n, size=25):
             v = int(v)
             nv = brute_neighbors(net, v)
-            if cost_first_neighborhood(probe, net, v) != len(nv & marked):
+            if candidate_costs(probe, net, DRW, [v], 0)[0] != len(nv & marked):
                 mismatches += 1
             counts["drw"] += 1
+            # src_index 1 makes path[0] the node behind the head.
             behind = other.path[int(rng.integers(len(other.path)))]
-            if cost_two_hop(net, behind, v) != len(nv & brute_neighbors(net, behind)):
+            two_hop = candidate_costs(WalkState(id=-1, path=[behind]), net, TWOHOP, [v], 1)[0]
+            if two_hop != len(nv & brute_neighbors(net, behind)):
                 mismatches += 1
             counts["twohop"] += 1
             want = alpha * len(nv & marked) + beta * len(nv & marked2)
-            if cost_weighted(probe, net, v, alpha, beta) != want:
+            if candidate_costs(probe, net, weighted, [v], 0)[0] != want:
                 mismatches += 1
             counts["weighted"] += 1
     ok = mismatches == 0 and all(c >= 1000 for c in counts.values())
@@ -161,9 +165,10 @@ def test_hand_built_graphs_trace_exactly():
     problems = []
 
     net = H.fan_network()
-    walk, _ = init_walk(net, H.FAN_X, 0, OverlayRegistry(net.n), 0, strategy=DRW)
+    walk, _ = init_walk(net, H.FAN_X, 0, OverlayRegistry(net.n),
+                        partial(np.random.default_rng, 0), strategy=DRW)
     walk.marked = mask_of(net, net.neighbors(H.FAN_X))
-    pattern = {node: cost_first_neighborhood(walk, net, node)
+    pattern = {node: candidate_costs(walk, net, DRW, [node], 0)[0]
                for node in H.FAN_COSTS}
     if pattern != H.FAN_COSTS:
         problems.append(f"fan costs {pattern}")
@@ -238,6 +243,8 @@ def check_build(net, res):
         return "initiator outside layer"
     if not layer_is_connected(res):
         return "layer disconnected"
+    if len(res.active_path_edges) != len(res.active_path) - 1:
+        return "layer is not a tree"
     return None
 
 
@@ -424,7 +431,7 @@ def test_default_step_budget_suffices():
                     build_overlay(net, OverlayBuildConfig(
                         initiator_count=count, strategy=strategy,
                         seed=1000 * net_seed + k))
-                except (StepBudgetExceeded, BuildFailed) as exc:
+                except BuildFailed as exc:
                     if "budget" in str(exc):
                         budget_hits += 1
                     else:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import handnets as H
-from drw_overlay import overlay, walk_engine
+from drw_overlay import overlay
 from drw_overlay.geom_graph import GraphGenConfig, generate_network
 from drw_overlay.overlay import (
     OverlayBuildConfig,
@@ -83,9 +83,9 @@ def test_walk_that_draws_makes_its_generator_once():
 
 def eager_init_walk(seed):
     """Reference init_walk: the walk's stream is made up front."""
-    def init(net, initiator, walk_id, registry, rng_seed, **kw):
-        return init_walk(net, initiator, walk_id, registry,
-                         stream(seed, "walk", walk_id), **kw)
+    def init(net, initiator, walk_id, registry, make_rng, **kw):
+        gen = stream(seed, "walk", walk_id)
+        return init_walk(net, initiator, walk_id, registry, lambda: gen, **kw)
     return init
 
 
@@ -161,11 +161,9 @@ def test_owner_list_matches_walk_paths(n, net_seed, share, kind, seed):
     CapturedRegistry.instances = []
     met = []
     stepped = recording(step, lambda a, r: (a[0], r), met)
-    # run_walk_until_stop looks step up in walk_engine, the pair phase in overlay.
     with mock.patch.object(overlay, "OverlayRegistry", CapturedRegistry), \
             mock.patch.object(overlay, "init_walk", recording(init_walk, lambda a, r: r, met)), \
-            mock.patch.object(overlay, "step", stepped), \
-            mock.patch.object(walk_engine, "step", stepped):
+            mock.patch.object(overlay, "step", stepped):
         result = build_overlay(net, cfg)
     (registry,) = CapturedRegistry.instances
     assert len(met) == cfg.initiator_count - 1

@@ -148,16 +148,25 @@ def test_star_trace_records():
     assert all(t.node == 0 for t in hits) and len(hits) == 4
 
 
-def test_pair_walk_halts_where_it_stands():
-    """The partner stops as soon as the pair is bridged."""
+@pytest.mark.parametrize("initiators, seed, halted, path, steps, broker", [
+    # walk 0 meets walk 1 at 7 on its second step; walk 1 has taken one
+    ((0, 5), 0, 1, [5, 6, 7], 1, 7),
+    # walk 0 takes 2 (seed probed); walk 1 is born on its initiator 1
+    ((1, 0), 3, 0, [1, 2], 0, 1),
+    # walk 0 takes 0 (seed probed); walk 1 is born on its second node 0
+    ((1, 0), 0, 0, [1, 0], 0, 0),
+], ids=["met-while-stepping", "born-on-initiator", "born-on-second-node"])
+def test_pair_walk_halts_where_it_stands(initiators, seed, halted, path, steps, broker):
+    """The partner stops as soon as the pair is bridged, also when the
+    second walk is born on the first one's path."""
     net = H.crossing_network()
     cfg = OverlayBuildConfig(initiator_count=2, strategy=DRW,
-                             seed=0, initiators=(0, 5))
+                             seed=seed, initiators=initiators)
     res = build_overlay(net, cfg)
-    w1 = res.walks[1]
-    assert w1.path[-1] == 7 and len(w1.path) == 3
-    # node 7's candidate 6->... walk 1 never took a third step
-    assert w1.steps == 1
+    walk = res.walks[halted]
+    assert walk.path == path and walk.steps == steps
+    assert walk.status == "intersected"
+    assert [w.broker for w in res.walks] == [broker, broker]
 
 
 def test_initiator_already_member_immediate_broker():
@@ -198,7 +207,8 @@ def test_build_failed_on_tiny_budget():
     ((0, 1, 9), 3, 2),   # walk 1 is born on walk 0's path; walk 2 needs 7 steps
 ], ids=["pair-phase", "later-walk"])
 def test_budget_hit_fails_with_one_reason(initiators, budget, walk_id):
-    """A budget hit in either phase names the walk and the spent budget."""
+    """A budget hit, in the first pair or in a later walk, names the walk
+    and the spent budget."""
     from drw_overlay.geom_graph import network_from_positions
     line = network_from_positions([[0.05 + 0.1 * i, 0.5] for i in range(10)], r=0.11)
     cfg = OverlayBuildConfig(initiator_count=len(initiators), strategy=DRW, seed=0,

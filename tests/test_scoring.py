@@ -1,5 +1,6 @@
 """Bitset scoring and mark bitsets against brute-force Python sets."""
 
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -91,7 +92,8 @@ def test_scoring_and_marks_match_set_oracles(n, r, seed, kind, alpha, beta):
         scored.append(len(candidates))
         return got
 
-    walk, _ = init_walk(net, initiator, 0, registry, seed, strategy=strategy)
+    walk, _ = init_walk(net, initiator, 0, registry, partial(np.random.default_rng, seed),
+                        strategy=strategy)
     everyone = list(range(n))
     with mock.patch.object(walk_engine, "candidate_costs", checked):
         while walk.status == ACTIVE and walk.steps < 4 * n:

@@ -1,12 +1,14 @@
 """Walk engine behavior on hand-built networks and random graphs."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
 import handnets as H
 from marks import mask_of, marked_nodes
 from drw_overlay.geom_graph import GraphGenConfig, generate_network, network_from_positions
-from drw_overlay.overlay import OverlayRegistry
+from drw_overlay.overlay import BuildFailed, OverlayRegistry, run_walk_until_stop
 from drw_overlay.rng import stream
 from drw_overlay.walk_engine import (
     ACTIVE,
@@ -18,26 +20,29 @@ from drw_overlay.walk_engine import (
     INTERSECTED_STEP,
     CostStrategy,
     IsolatedInitiator,
-    StepBudgetExceeded,
     WalkNotActive,
     WalkState,
-    cost_first_neighborhood,
-    cost_two_hop,
-    cost_weighted,
+    candidate_costs,
     default_step_budget,
     init_walk,
     parse_strategy,
-    run_walk_until_stop,
     step,
 )
 
 DRW = CostStrategy("drw")
 PRW = CostStrategy("prw")
+TWOHOP = CostStrategy("twohop")
+WEIGHTED = CostStrategy("weighted", alpha=2.0, beta=0.5)
+
+
+def seeded(seed):
+    """Generator factory for init_walk: draws np.random.default_rng(seed)'s stream."""
+    return partial(np.random.default_rng, seed)
 
 
 def fresh(net, initiator, seed=0, walk_id=0, registry=None, **kw):
     reg = registry if registry is not None else OverlayRegistry(net.n)
-    walk, out = init_walk(net, initiator, walk_id, reg, seed, strategy=DRW, **kw)
+    walk, out = init_walk(net, initiator, walk_id, reg, seeded(seed), strategy=DRW, **kw)
     return walk, out, reg
 
 
@@ -69,7 +74,7 @@ def test_fan_costs_first_neighborhood():
     walk = WalkState(id=0, rng=np.random.default_rng(0))
     walk.marked = mask_of(net, net.neighbors(H.FAN_X))
     for node, expected in H.FAN_COSTS.items():
-        assert cost_first_neighborhood(walk, net, node) == expected
+        assert candidate_costs(walk, net, DRW, [node], 0)[0] == expected
 
 
 def test_fan_costs_match_naive_set_intersection():
@@ -79,7 +84,7 @@ def test_fan_costs_match_naive_set_intersection():
     walk.marked = mask_of(net, marked)
     for v in range(net.n):
         naive = len(set(net.neighbors(v)) & marked)
-        assert cost_first_neighborhood(walk, net, v) == naive
+        assert candidate_costs(walk, net, DRW, [v], 0)[0] == naive
 
 
 def test_cost_two_hop_counts_common_neighbors():
@@ -87,7 +92,7 @@ def test_cost_two_hop_counts_common_neighbors():
     for a in range(net.n):
         for b in range(net.n):
             naive = len(set(net.neighbors(a)) & set(net.neighbors(b)))
-            assert cost_two_hop(net, a, b) == naive
+            assert candidate_costs(WalkState(id=-1, path=[a]), net, TWOHOP, [b], 1)[0] == naive
 
 
 def test_cost_weighted_combines_rings():
@@ -98,7 +103,7 @@ def test_cost_weighted_combines_rings():
     for v in range(net.n):
         first = len(set(net.neighbors(v)) & marked)
         second = len(set(net.neighbors(v)) & marked2)
-        assert cost_weighted(walk, net, v, 2.0, 0.5) == 2.0 * first + 0.5 * second
+        assert candidate_costs(walk, net, WEIGHTED, [v], 0)[0] == 2.0 * first + 0.5 * second
 
 
 def test_fan_guided_step_picks_unique_minimum():
@@ -106,7 +111,7 @@ def test_fan_guided_step_picks_unique_minimum():
     net = H.fan_network()
     reg = OverlayRegistry(net.n)
     # steer the uniform first hop onto y (seed probed for this layout)
-    walk, out = init_walk(net, H.FAN_X, 0, reg, stream(4, "walk", 0), strategy=DRW)
+    walk, out = init_walk(net, H.FAN_X, 0, reg, partial(stream, 4, "walk", 0), strategy=DRW)
     assert out is None and walk.path == [H.FAN_X, H.FAN_Y]
     result = step(walk, net, reg, DRW)
     assert result.kind == EXTENDED and result.node == H.FAN_SCORED["z"]
@@ -144,7 +149,7 @@ def test_init_takes_already_recruited_neighbor():
     net = H.crossing_network()
     reg = OverlayRegistry(net.n)
     reg.register(1, 7)
-    walk, out = init_walk(net, 0, 1, reg, 0, strategy=DRW)
+    walk, out = init_walk(net, 0, 1, reg, seeded(0), strategy=DRW)
     assert out is not None
     assert out.kind == INTERSECTED_STEP and out.node == 1 and out.other_walk == 7
     assert walk.status == INTERSECTED and walk.broker == 1
@@ -155,7 +160,7 @@ def test_init_on_foreign_member_intersects_in_place():
     net = H.crossing_network()
     reg = OverlayRegistry(net.n)
     reg.register(2, 3)
-    walk, out = init_walk(net, 2, 4, reg, 0, strategy=DRW)
+    walk, out = init_walk(net, 2, 4, reg, seeded(0), strategy=DRW)
     assert out.kind == INTERSECTED_STEP and out.node == 2 and out.other_walk == 3
     assert walk.status == INTERSECTED and walk.broker == 2
     assert walk.path == [2]
@@ -166,7 +171,7 @@ def test_init_isolated_initiator_raises():
     net = network_from_positions([[0.1, 0.1], [0.2, 0.1], [0.9, 0.9]], r=0.15)
     reg = OverlayRegistry(net.n)
     with pytest.raises(IsolatedInitiator):
-        init_walk(net, 2, 0, reg, 0, strategy=DRW)
+        init_walk(net, 2, 0, reg, seeded(0), strategy=DRW)
 
 
 # --- stepping, forced moves, precedence -------------------------------------
@@ -185,7 +190,7 @@ def test_intersection_beats_cost():
     net = H.crossing_network()
     reg = OverlayRegistry(net.n)
     reg.register(7, 9)
-    walk, _ = init_walk(net, 0, 0, reg, 0, strategy=DRW)
+    walk, _ = init_walk(net, 0, 0, reg, seeded(0), strategy=DRW)
     step(walk, net, reg, DRW)           # -> 2
     out = step(walk, net, reg, DRW)     # candidates {3, 7}: 7 owned
     assert out.kind == INTERSECTED_STEP and out.node == 7 and out.other_walk == 9
@@ -198,7 +203,7 @@ def test_step_after_termination_raises():
     net = H.crossing_network()
     reg = OverlayRegistry(net.n)
     reg.register(1, 7)
-    walk, _ = init_walk(net, 0, 1, reg, 0, strategy=DRW)
+    walk, _ = init_walk(net, 0, 1, reg, seeded(0), strategy=DRW)
     with pytest.raises(WalkNotActive):
         step(walk, net, reg, DRW)
 
@@ -216,7 +221,7 @@ def test_pocket_full_trace():
     net = H.pocket_network()
     reg = OverlayRegistry(net.n)
     reg.register(7, 99)                 # terminal node held by a foreign walk
-    walk, out = init_walk(net, 0, 0, reg, 1, strategy=DRW)
+    walk, out = init_walk(net, 0, 0, reg, seeded(1), strategy=DRW)
     assert out is None and walk.path == [0, 1]
 
     kinds, nodes = [], []
@@ -239,7 +244,7 @@ def test_pocket_backtrack_cursor_arithmetic():
     net = H.pocket_network()
     reg = OverlayRegistry(net.n)
     reg.register(7, 99)
-    walk, _ = init_walk(net, 0, 0, reg, 1, strategy=DRW)
+    walk, _ = init_walk(net, 0, 0, reg, seeded(1), strategy=DRW)
     for _ in range(3):
         step(walk, net, reg, DRW)
     assert walk.path == [0, 1, 2, 3, 4] and walk.cursor == 5
@@ -275,9 +280,9 @@ def test_weighted_alpha_only_equals_first_neighborhood():
         for strat in (DRW, weighted):
             reg = OverlayRegistry(net.n)
             reg.register(net.n - 1, 50)  # give the walk something to hit
-            walk, out = init_walk(net, 0, 0, reg, seed, strategy=strat)
+            walk, out = init_walk(net, 0, 0, reg, seeded(seed), strategy=strat)
             if out is None:
-                run_walk_until_stop(walk, net, reg, strat,
+                run_walk_until_stop([walk], net, reg, strat,
                                     default_step_budget(net.n))
             paths.append(list(walk.path))
         assert paths[0] == paths[1]
@@ -290,7 +295,7 @@ def test_pure_choice_uniform_over_candidates():
     trials = 2000
     for seed in range(trials):
         reg = OverlayRegistry(net.n)
-        walk, _ = init_walk(net, 0, 0, reg, seed, strategy=PRW)
+        walk, _ = init_walk(net, 0, 0, reg, seeded(seed), strategy=PRW)
         step(walk, net, reg, PRW)       # forced onto 2
         out = step(walk, net, reg, PRW)
         counts[out.node] += 1
@@ -305,7 +310,7 @@ def test_guided_tie_break_uniform():
     trials = 2000
     for seed in range(trials):
         reg = OverlayRegistry(net.n)
-        walk, _ = init_walk(net, 0, 0, reg, seed, strategy=DRW)
+        walk, _ = init_walk(net, 0, 0, reg, seeded(seed), strategy=DRW)
         step(walk, net, reg, DRW)
         out = step(walk, net, reg, DRW)
         counts[out.node] += 1
@@ -319,9 +324,9 @@ def test_same_seed_same_walk():
     for _ in range(2):
         reg = OverlayRegistry(net.n)
         reg.register(net.n - 1, 50)
-        walk, out = init_walk(net, 0, 0, reg, 42, strategy=DRW)
+        walk, out = init_walk(net, 0, 0, reg, seeded(42), strategy=DRW)
         if out is None:
-            run_walk_until_stop(walk, net, reg, DRW, default_step_budget(net.n))
+            run_walk_until_stop([walk], net, reg, DRW, default_step_budget(net.n))
         runs.append((list(walk.path), walk.steps, walk.backtracks, walk.status))
     assert runs[0] == runs[1]
 
@@ -336,9 +341,9 @@ def test_walk_invariants_random_networks():
             reg = OverlayRegistry(net.n)
             target = net.n // 2
             reg.register(target, 50)
-            walk, out = init_walk(net, 0, 0, reg, seed, strategy=strat)
+            walk, out = init_walk(net, 0, 0, reg, seeded(seed), strategy=strat)
             if out is None:
-                run_walk_until_stop(walk, net, reg, strat,
+                run_walk_until_stop([walk], net, reg, strat,
                                     default_step_budget(net.n))
             assert len(set(walk.path)) == len(walk.path)
             for i, parent in enumerate(walk.parents):
@@ -357,9 +362,9 @@ def test_twohop_walk_terminates_and_stays_tabu():
     strat = CostStrategy("twohop")
     reg = OverlayRegistry(net.n)
     reg.register(100, 50)
-    walk, out = init_walk(net, 0, 0, reg, 9, strategy=strat)
+    walk, out = init_walk(net, 0, 0, reg, seeded(9), strategy=strat)
     if out is None:
-        run_walk_until_stop(walk, net, reg, strat, default_step_budget(net.n))
+        run_walk_until_stop([walk], net, reg, strat, default_step_budget(net.n))
     assert walk.status == INTERSECTED
     assert marked_nodes(walk.marked) == set()   # twohop never maintains marks
 
@@ -369,8 +374,9 @@ def test_twohop_walk_terminates_and_stays_tabu():
 def test_budget_zero_raises_immediately():
     net = H.crossing_network()
     walk, _, reg = fresh(net, 0)
-    with pytest.raises(StepBudgetExceeded):
-        run_walk_until_stop(walk, net, reg, DRW, 0)
+    with pytest.raises(BuildFailed) as err:
+        run_walk_until_stop([walk], net, reg, DRW, 0)
+    assert err.value.walk_id == 0 and err.value.reason == "step budget 0 spent"
     assert walk.steps == 0
 
 
@@ -378,8 +384,8 @@ def test_budget_exact_allows_completion():
     net = H.pocket_network()
     reg = OverlayRegistry(net.n)
     reg.register(7, 99)
-    walk, _ = init_walk(net, 0, 0, reg, 1, strategy=DRW)
-    run_walk_until_stop(walk, net, reg, DRW, 7)
+    walk, _ = init_walk(net, 0, 0, reg, seeded(1), strategy=DRW)
+    run_walk_until_stop([walk], net, reg, DRW, 7)
     assert walk.status == INTERSECTED and walk.steps == 7
 
 
@@ -387,10 +393,10 @@ def test_budget_one_short_raises():
     net = H.pocket_network()
     reg = OverlayRegistry(net.n)
     reg.register(7, 99)
-    walk, _ = init_walk(net, 0, 0, reg, 1, strategy=DRW)
-    with pytest.raises(StepBudgetExceeded) as err:
-        run_walk_until_stop(walk, net, reg, DRW, 6)
-    assert err.value.walk_id == 0 and err.value.budget == 6
+    walk, _ = init_walk(net, 0, 0, reg, seeded(1), strategy=DRW)
+    with pytest.raises(BuildFailed) as err:
+        run_walk_until_stop([walk], net, reg, DRW, 6)
+    assert err.value.walk_id == 0 and err.value.reason == "step budget 6 spent"
 
 
 def test_default_step_budget_scales_with_n():
