@@ -136,9 +136,11 @@ def parse_strategy(token: str, alpha: float = 1.0, beta: float = 1.0) -> CostStr
     return CostStrategy(token)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class StepOutcome:
-    """What a single step() call did.
+    """What a single step() call did, as a plain value: nothing changes or
+    hashes an outcome once made, so it is not frozen, which would cost
+    about 1 µs more per step to construct.
 
     kind "extended"    : node appended, walk still active
     kind "intersected" : node appended, it already belonged to other_walk
@@ -173,7 +175,9 @@ class WalkState:
 
     rng is either given or made by make_rng on the walk's first draw, so a
     walk that never draws never pays for a generator. A walk born
-    intersected keeps neither: both stay None. marked and marked2 are node
+    intersected keeps neither: both stay None. words holds the 32-bit words
+    of rng's raw output not yet drawn, last to be used first; it stays None
+    until the first draw that needs one. marked and marked2 are node
     bitsets in the form of ``Network.neighbor_bits`` (bit u set iff u is
     marked), 0 while nothing is marked. Slots, not a __dict__, hold the
     fields, so a walk born intersected leaves three containers for the
@@ -194,6 +198,7 @@ class WalkState:
     maintain_marks: bool = True
     maintain_second: bool = False
     make_rng: Callable[[], np.random.Generator] | None = field(default=None, repr=False)
+    words: list[int] | None = field(default=None, repr=False)
     _retreating: bool = field(default=False, repr=False)
 
     @property
@@ -246,11 +251,35 @@ def _mark_neighborhood(walk: WalkState, net: Network, node: int) -> None:
     walk.marked |= bits[node]
 
 
+# 64-bit raw outputs fetched per refill of a walk's word buffer.
+_RAW_BATCH = 8
+
+
 def _pick(walk: WalkState, items: list[int]) -> int:
-    """Uniform draw from items with the walk's generator, made on first use."""
+    """Uniform draw from items with the walk's generator, made on first use.
+
+    Returns ``items[walk.rng.integers(len(items))]`` value for value, as a
+    fresh generator draws it, without a numpy call per draw. numpy draws an
+    integer below k < 2**32 by Lemire's multiply-and-reject method
+    (arXiv:1805.10941) over 32-bit words, the low then the high half of each
+    raw 64-bit output, and draws nothing for k == 1. This does the same over
+    the walk's buffer of raw words, refilled _RAW_BATCH outputs at a time.
+    """
     if walk.rng is None:
         walk.rng = walk.make_rng()
-    return items[int(walk.rng.integers(len(items)))]
+    k = len(items)
+    if k == 1:
+        return items[0]
+    words = walk.words
+    while True:
+        if not words:
+            raw = walk.rng.bit_generator.random_raw(_RAW_BATCH)
+            # Viewed as little-endian halves, each output gives its low
+            # word, then its high word; reversed, so pop() takes them in turn.
+            words = walk.words = raw.astype("<u8", copy=False).view("<u4")[::-1].tolist()
+        m = words.pop() * k
+        if m & 0xFFFFFFFF >= (1 << 32) % k:
+            return items[m >> 32]
 
 
 def _meet(walk: WalkState, registry: OverlayRegistry, node: int, other: int,

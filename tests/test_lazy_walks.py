@@ -59,7 +59,7 @@ def test_born_walk_state(initiator, walk_id, owned, other, path, parents, owner)
     assert walk.parents == parents and walk.cursor == len(path)
     assert walk.status == INTERSECTED and walk.broker == owned
     assert walk.steps == walk.backtracks == 0
-    assert walk.rng is None and walk.make_rng is None
+    assert walk.rng is None and walk.make_rng is None and walk.words is None
     assert trace == [TraceRecord(walk=walk_id, step=0, outcome="intersected", node=owned,
                                  cursor=len(path), cost=None)]
     assert reg.owner == owner and reg.brokers == {owned}

@@ -1,14 +1,25 @@
 """Walk engine behavior on hand-built networks and random graphs."""
 
 from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import handnets as H
 from marks import mask_of, marked_nodes
+from drw_overlay import walk_engine
 from drw_overlay.geom_graph import GraphGenConfig, generate_network, network_from_positions
-from drw_overlay.overlay import BuildFailed, OverlayRegistry, run_walk_until_stop
+from drw_overlay.overlay import (
+    BuildFailed,
+    OverlayBuildConfig,
+    OverlayRegistry,
+    build_overlay,
+    run_walk_until_stop,
+    to_json_dict,
+)
 from drw_overlay.rng import stream
 from drw_overlay.walk_engine import (
     ACTIVE,
@@ -18,10 +29,12 @@ from drw_overlay.walk_engine import (
     EXTENDED,
     INTERSECTED,
     INTERSECTED_STEP,
+    STRATEGY_KINDS,
     CostStrategy,
     IsolatedInitiator,
     WalkNotActive,
     WalkState,
+    _pick,
     candidate_costs,
     default_step_budget,
     init_walk,
@@ -402,3 +415,78 @@ def test_budget_one_short_raises():
 def test_default_step_budget_scales_with_n():
     assert default_step_budget(1000) == 50000
     assert default_step_budget(200) == 10000
+
+
+# --- draws: _pick equals Generator.integers ---------------------------------
+
+# Item counts: 1 draws nothing; small counts as in a step; 3*2**30 rejects
+# about a quarter of its words, so it runs the rejection loop; 2**32 - 1 is
+# the largest count numpy draws by that method from 32-bit words.
+PICK_COUNTS = st.one_of(st.just(1), st.integers(2, 40), st.sampled_from([3 * 2**30, 2**32 - 1]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), counts=st.lists(PICK_COUNTS, min_size=1, max_size=80),
+       given_rng=st.booleans())
+def test_pick_equals_generator_integers(seed, counts, given_rng):
+    """A walk's picks are default_rng(seed).integers(k)'s values, draw for
+    draw, for a generator made on the first pick or given up front; a
+    one-item pick makes the generator but takes no word."""
+    if given_rng:
+        walk = WalkState(id=0, rng=np.random.default_rng(seed))
+    else:
+        walk = WalkState(id=0, make_rng=seeded(seed))
+    ref = np.random.default_rng(seed)
+    for i, k in enumerate(counts):
+        items = list(range(100, 100 + k)) if k <= 40 else range(k)
+        assert _pick(walk, items) == items[int(ref.integers(k))], (i, k)
+        assert walk.rng is not None
+        assert (walk.words is None) == all(c == 1 for c in counts[:i + 1])
+
+
+def numpy_pick(walk, items):
+    """The draw as one Generator.integers call per pick."""
+    if walk.rng is None:
+        walk.rng = walk.make_rng()
+    return items[int(walk.rng.integers(len(items)))]
+
+
+def build_outcome(net, cfg):
+    """A build's layer JSON, or its BuildFailed walk and reason, with its trace."""
+    trace = []
+    try:
+        layer = to_json_dict(build_overlay(net, cfg, trace))
+    except BuildFailed as err:
+        layer = (err.walk_id, err.reason)
+    return layer, trace
+
+
+def assert_same_build(net, cfg):
+    with mock.patch.object(walk_engine, "_pick", numpy_pick):
+        ref = build_outcome(net, cfg)
+    assert build_outcome(net, cfg) == ref
+    return ref
+
+
+@pytest.mark.parametrize("make_net", [
+    partial(generate_network, GraphGenConfig(n=300, r=0.1, seed=7)),
+    H.fan_network, H.crossing_network, H.star_network, H.pocket_network,
+], ids=["n300", "fan", "crossing", "star", "pocket"])
+def test_builds_equal_generator_integers_builds(make_net):
+    """Whole builds drawn by _pick and by Generator.integers give the same
+    layer and the same step trace, for every strategy and I in {2, 10, 150}
+    (at most n)."""
+    net = make_net()
+    for kind in STRATEGY_KINDS:
+        for count in sorted({min(c, net.n) for c in (2, 10, 150)}):
+            for seed in (1, 2):
+                assert_same_build(net, OverlayBuildConfig(count, parse_strategy(kind), seed=seed))
+
+
+def test_budget_failure_equals_generator_integers_build():
+    """Walk 5 of this build needs 25 steps (probed), so a budget of 20
+    fails it after walks 0-4 have drawn; both draws fail it the same way."""
+    net = generate_network(GraphGenConfig(n=300, r=0.1, seed=7))
+    layer, trace = assert_same_build(net, OverlayBuildConfig(150, DRW, seed=1, step_budget=20))
+    assert layer == (5, "step budget 20 spent")
+    assert {r.walk for r in trace} >= set(range(6))
