@@ -74,9 +74,10 @@ class Network:
 
     Row v of the graph is ``indices[indptr[v]:indptr[v + 1]]`` (both int32),
     sorted ascending. Every other form of the graph is a view derived from
-    these two arrays on first use. Instances are safe to share across
-    workers; nothing mutates them after construction. `attempts` records how
-    many placements the generator tried (1 for hand-built networks).
+    these two arrays (and the positions, for the bit order) on first use.
+    Instances are safe to share across workers; nothing mutates them after
+    construction. `attempts` records how many placements the generator
+    tried (1 for hand-built networks).
     """
 
     positions: np.ndarray
@@ -113,21 +114,37 @@ class Network:
         return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
 
     @cached_property
+    def bit_rank(self) -> np.ndarray:
+        """Each node's rank by y coordinate, ties in id order, built on first use.
+
+        Node u stands for bit ``bit_rank[u]`` in ``neighbor_bits`` and in a
+        walk's marks. Neighbours lie within r of each other in y, so their
+        ranks, and the bits of one neighbourhood, sit close together.
+        """
+        rank = np.empty(self.n, dtype=np.intp)
+        rank[np.argsort(self.positions[:, 1], kind="stable")] = np.arange(self.n)
+        return rank
+
+    @cached_property
     def neighbor_bits(self) -> list[int]:
         """Each N(v) as a Python int bitset, built on first use.
 
-        Bit u of entry v is set iff u is a neighbour of v, so the overlap of
-        two neighbourhoods is ``(bits[a] & bits[b]).bit_count()``. Rows are
-        packed from dense bool blocks of at most _BITS_ROWS rows, so the
-        n x n matrix is never held whole.
+        Bit ``bit_rank[u]`` of entry v is set iff u is a neighbour of v.
+        Ids are random in space, so with bits at ids nearly every row's top
+        bit would sit near n; at y ranks it sits near v's own rank, and an
+        AND and popcount walk about half as many digits. Counts do not
+        depend on the labels: the overlap of two neighbourhoods is still
+        ``(bits[a] & bits[b]).bit_count()``. Rows are packed from dense
+        bool blocks of at most _BITS_ROWS rows, so the n x n matrix is
+        never held whole.
         """
-        n, indptr, indices = self.n, self.indptr, self.indices
+        n, indptr, indices, rank = self.n, self.indptr, self.indices, self.bit_rank
         bits: list[int] = []
         for lo in range(0, n, _BITS_ROWS):
             hi = min(lo + _BITS_ROWS, n)
             block = np.zeros((hi - lo, n), dtype=bool)
             rows = np.repeat(np.arange(hi - lo), np.diff(indptr[lo:hi + 1]))
-            block[rows, indices[indptr[lo]:indptr[hi]]] = True
+            block[rows, rank[indices[indptr[lo]:indptr[hi]]]] = True
             packed = np.packbits(block, axis=1, bitorder="little")
             bits.extend(int.from_bytes(row, "little") for row in packed)
         return bits

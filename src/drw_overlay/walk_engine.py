@@ -178,10 +178,11 @@ class WalkState:
     intersected keeps neither: both stay None. words holds the 32-bit words
     of rng's raw output not yet drawn, last to be used first; it stays None
     until the first draw that needs one. marked and marked2 are node
-    bitsets in the form of ``Network.neighbor_bits`` (bit u set iff u is
-    marked), 0 while nothing is marked. Slots, not a __dict__, hold the
-    fields, so a walk born intersected leaves three containers for the
-    cyclic collector to track: itself, path and parents.
+    bitsets in the form of ``Network.neighbor_bits``: bit
+    ``net.bit_rank[u]`` is set iff u is marked, and both are 0 while
+    nothing is marked. Slots, not a __dict__, hold the fields, so a walk
+    born intersected leaves three containers for the cyclic collector to
+    track: itself, path and parents.
     """
 
     id: int
@@ -218,8 +219,11 @@ def candidate_costs(walk: WalkState, net: Network, strategy: CostStrategy,
     Each count is the popcount of a candidate's ``net.neighbor_bits``
     entry ANDed with a bitset: the walk's marks, or N(behind) for
     "twohop", where behind is ``walk.path[src_index - 1]`` (none when
-    src_index is 0). Scores come back as Python numbers: ints, or floats
-    for "weighted"; "prw" scores every candidate 0.
+    src_index is 0). Both sides place node u at bit ``net.bit_rank[u]``,
+    and a popcount does not depend on which bit stands for which node, so
+    the counts are plain set overlaps. Scores come back as Python numbers,
+    in candidate (id) order: ints, or floats for "weighted"; "prw" scores
+    every candidate 0.
     """
     if strategy.kind == PURE or (strategy.kind == TWO_HOP and src_index == 0):
         return [0] * len(candidates)
@@ -239,9 +243,8 @@ def candidate_costs(walk: WalkState, net: Network, strategy: CostStrategy,
 def _mark_neighborhood(walk: WalkState, net: Network, node: int) -> None:
     """OR N(node) into the marked bitset and, if kept, N(u) into marked2 for
     each u in N(node), which keeps marked2 = union of N(u) over marked u.
-    An already marked u adds nothing to marked2, so none is skipped."""
-    if not walk.maintain_marks:
-        return
+    An already marked u adds nothing to marked2, so none is skipped. Only
+    called for a walk that keeps marks."""
     bits = net.neighbor_bits
     if walk.maintain_second:
         marked2 = walk.marked2
@@ -364,61 +367,70 @@ def step(walk: WalkState, net: Network, registry: OverlayRegistry,
     scores the head's unowned neighbors. A step that finds no candidate
     only retreats the cursor; the next call resumes from the new head
     without marking again. Ties (and the pure strategy) use the walk's rng.
+    Raises ValueError for a guided strategy whose marks the walk does not
+    keep, which would otherwise score every candidate 0.
     """
     if walk.status != ACTIVE:
         raise WalkNotActive(f"walk {walk.id} is {walk.status}")
-    if strategy.needs_second_marks and not walk.maintain_second:
-        raise ValueError("walk was initialized without second-ring marks")
+    kind = strategy.kind
+    if ((kind == FIRST_NEIGHBORHOOD and not walk.maintain_marks)
+            or (kind == WEIGHTED and not (walk.maintain_marks and walk.maintain_second))):
+        raise ValueError(f"walk was initialized without the marks {kind!r} scores")
     walk.steps += 1
+    path, cursor, wid = walk.path, walk.cursor, walk.id
 
     if not walk._retreating:
         # Lagged discipline: fold in the neighborhood one position behind
         # the head.
-        _mark_neighborhood(walk, net, walk.path[walk.cursor - 2])
-        walk.cursor += 1
+        if walk.maintain_marks:
+            _mark_neighborhood(walk, net, path[cursor - 2])
+        cursor += 1
 
-    src_index = walk.cursor - 2
-    src = walk.path[src_index]
+    src_index = cursor - 2
     # One owner read per neighbor, in id order: the first neighbor owned by
     # another walk wins outright, and the unowned ones are the candidates.
     owner = registry.owner
     candidates = []
-    for v in net.adjacency[src]:
+    for v in net.adjacency[path[src_index]]:
         o = owner[v]
         if o < 0:
             candidates.append(v)
-        elif o != walk.id:
+        elif o != wid:
             _append(walk, v, src_index)
             return _meet(walk, registry, v, o, trace)
 
     if not candidates:
-        if walk.cursor == 2:
+        if cursor == 2:
             walk.status = EXHAUSTED
             walk._retreating = False
             out = StepOutcome(EXHAUSTED_STEP)
+        else:
+            cursor -= 1
+            walk.backtracks += 1
+            walk._retreating = True
+            out = StepOutcome(BACKTRACKED, new_cursor=cursor)
+        walk.cursor = cursor
+        if trace is not None:
             _trace(trace, walk, out, cost=None)
-            return out
-        walk.cursor -= 1
-        walk.backtracks += 1
-        walk._retreating = True
-        out = StepOutcome(BACKTRACKED, new_cursor=walk.cursor)
-        _trace(trace, walk, out, cost=None)
         return out
 
     chosen_cost: float | None = None
-    if strategy.kind == PURE:
+    if kind == PURE:
         v = _pick(walk, candidates)
     else:
         costs = candidate_costs(walk, net, strategy, candidates, src_index)
         low = min(costs)
-        best = [c for c, cost in zip(candidates, costs) if cost == low]
-        v = _pick(walk, best)
+        v = _pick(walk, [c for c, cost in zip(candidates, costs) if cost == low])
         chosen_cost = low
 
-    _append(walk, v, src_index)
-    owner[v] = walk.id
+    path.append(v)
+    walk.parents.append(src_index)
+    walk.cursor = len(path)
+    walk._retreating = False
+    owner[v] = wid
     out = StepOutcome(EXTENDED, node=v)
-    _trace(trace, walk, out, cost=chosen_cost)
+    if trace is not None:
+        _trace(trace, walk, out, cost=chosen_cost)
     return out
 
 

@@ -135,7 +135,7 @@ def test_cost_functions_match_set_oracles():
                 step(w, net, registry, strat)
             walks.append(w)
         probe, other = walks
-        marked, marked2 = marked_nodes(probe.marked), marked_nodes(probe.marked2)
+        marked, marked2 = marked_nodes(net, probe.marked), marked_nodes(net, probe.marked2)
         alpha, beta = float(rng.integers(1, 4)), float(rng.integers(0, 3))
         weighted = CostStrategy("weighted", alpha, beta)
         for v in rng.integers(0, net.n, size=25):

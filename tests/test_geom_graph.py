@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import handnets as H
 from drw_overlay.geom_graph import (
     MAX_RADIUS,
     GraphGenConfig,
@@ -230,9 +231,39 @@ def reaches_all(adjacency):
     return len(seen) == len(adjacency)
 
 
-def bitsets(adjacency):
-    """Row v as an int with bit u set for each neighbour u."""
-    return [sum(1 << u for u in row) for row in adjacency]
+def y_ranks(positions):
+    """Each node's place in the (y, id) order of the points."""
+    order = sorted(range(len(positions)), key=lambda u: (positions[u][1], u))
+    rank = [0] * len(order)
+    for i, u in enumerate(order):
+        rank[u] = i
+    return rank
+
+
+def bitsets(adjacency, rank):
+    """Row v as an int with bit rank[u] set for each neighbour u."""
+    return [sum(1 << rank[u] for u in row) for row in adjacency]
+
+
+def assert_bit_rank_orders_by_y(net):
+    """bit_rank is a permutation of range(n), non-decreasing in y, and
+    nodes of equal y keep their id order."""
+    rank = net.bit_rank.tolist()
+    assert sorted(rank) == list(range(net.n))
+    by_rank = sorted(range(net.n), key=rank.__getitem__)
+    ys = net.positions[:, 1].tolist()
+    for a, b in zip(by_rank, by_rank[1:]):
+        assert ys[a] < ys[b] or (ys[a] == ys[b] and a < b)
+
+
+def test_bit_rank_ties_keep_id_order():
+    # Crossing nodes 0-4 share y = 0.5; 7, 6 and 5 sit above them in that order.
+    net = H.crossing_network()
+    assert net.bit_rank.tolist() == [0, 1, 2, 3, 4, 7, 6, 5]
+    assert_bit_rank_orders_by_y(net)
+    assert net.neighbor_bits == bitsets(net.adjacency, net.bit_rank.tolist())
+    # Node 2's neighbours 1, 3 and 7 sit at bits 1, 3 and 5.
+    assert net.neighbor_bits[2] == 0b101010
 
 
 @pytest.mark.parametrize("n", [300, 513])
@@ -243,7 +274,9 @@ def test_neighbor_bits_across_row_blocks(n):
     adjacency = brute_force_adjacency(net.positions.tolist(), net.radius)
     assert all(adjacency[v] for v in (0, 255, 256, 257, n - 1))
     assert net.adjacency == adjacency
-    assert net.neighbor_bits == bitsets(adjacency)
+    rank = y_ranks(net.positions.tolist())
+    assert net.bit_rank.tolist() == rank
+    assert net.neighbor_bits == bitsets(adjacency, rank)
     # CPython caches only ints up to 256, so larger ids check the sharing.
     assert len({id(v) for row in net.adjacency for v in row}) <= n
 
@@ -274,7 +307,10 @@ def test_csr_views_match_oracles(placement, seed):
         assert row == sorted(set(row)) and u not in row
         assert all(u in net.adjacency[v] for v in row)
     assert len({id(v) for row in net.adjacency for v in row}) <= n
-    assert net.neighbor_bits == bitsets(adjacency)
+    rank = y_ranks(net.positions.tolist())
+    assert net.bit_rank.tolist() == rank
+    assert_bit_rank_orders_by_y(net)
+    assert net.neighbor_bits == bitsets(adjacency, rank)
     assert all(bits.bit_length() <= n for bits in net.neighbor_bits)
     assert net.m == len(net.edges())
     assert is_connected(net) == reaches_all(adjacency)

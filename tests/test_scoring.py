@@ -32,7 +32,7 @@ def oracle_costs(walk, net, strategy, candidates, src_index):
     if strategy.kind == TWO_HOP:
         behind = set(net.adjacency[walk.path[src_index - 1]]) if src_index > 0 else set()
         return [len(ring & behind) for ring in rings]
-    marked, marked2 = marked_nodes(walk.marked), marked_nodes(walk.marked2)
+    marked, marked2 = marked_nodes(net, walk.marked), marked_nodes(net, walk.marked2)
     if strategy.kind == FIRST_NEIGHBORHOOD:
         return [len(ring & marked) for ring in rings]
     return [strategy.alpha * len(ring & marked) + strategy.beta * len(ring & marked2)
@@ -48,7 +48,7 @@ def assert_bits_match(net):
     bits = net.neighbor_bits
     assert len(bits) == net.n and all(type(b) is int for b in bits)
     for v, nbrs in enumerate(net.adjacency):
-        assert marked_nodes(bits[v]) == set(nbrs)
+        assert marked_nodes(net, bits[v]) == set(nbrs)
         assert 0 <= bits[v] and bits[v].bit_length() <= net.n  # no bit >= n
 
 
@@ -56,8 +56,8 @@ def assert_marks_consistent(walk, net):
     for marks in (walk.marked, walk.marked2):
         assert type(marks) is int and 0 <= marks and marks.bit_length() <= net.n
     if walk.maintain_second:
-        ring2 = set().union(*(net.adjacency[u] for u in marked_nodes(walk.marked)))
-        assert marked_nodes(walk.marked2) == ring2
+        ring2 = set().union(*(net.adjacency[u] for u in marked_nodes(net, walk.marked)))
+        assert marked_nodes(net, walk.marked2) == ring2
     else:
         assert walk.marked2 == 0
 
@@ -65,6 +65,7 @@ def assert_marks_consistent(walk, net):
 def test_neighbor_bits_isolated_node_is_zero():
     net = network_from_positions([[0.1, 0.1], [0.2, 0.1], [0.3, 0.1], [0.9, 0.9]], r=0.15)
     assert net.adjacency == [[1], [0, 2], [1], []]
+    assert net.bit_rank.tolist() == [0, 1, 2, 3]  # ties at y = 0.1 keep id order
     assert net.neighbor_bits == [0b0010, 0b0101, 0b0010, 0]
     assert_bits_match(net)
 

@@ -128,7 +128,7 @@ def test_fan_guided_step_picks_unique_minimum():
     assert out is None and walk.path == [H.FAN_X, H.FAN_Y]
     result = step(walk, net, reg, DRW)
     assert result.kind == EXTENDED and result.node == H.FAN_SCORED["z"]
-    assert marked_nodes(walk.marked) == set(net.neighbors(H.FAN_X))
+    assert marked_nodes(net, walk.marked) == set(net.neighbors(H.FAN_X))
 
 
 # --- init behavior ----------------------------------------------------------
@@ -195,7 +195,7 @@ def test_forced_chain_steps():
     out = step(walk, net, reg, DRW)
     assert out.kind == EXTENDED and out.node == 2
     assert walk.path == [0, 1, 2] and walk.cursor == 3
-    assert marked_nodes(walk.marked) == {1}   # N(initiator) marked on the first step
+    assert marked_nodes(net, walk.marked) == {1}   # N(initiator) marked on the first step
 
 
 def test_intersection_beats_cost():
@@ -226,6 +226,27 @@ def test_weighted_requires_second_ring_marks():
     walk, _, reg = fresh(net, 0)        # initialized for plain drw
     with pytest.raises(ValueError):
         step(walk, net, reg, CostStrategy("weighted"))
+
+
+@pytest.mark.parametrize("init_kind", [PRW.kind, TWOHOP.kind])
+def test_drw_requires_marks(init_kind):
+    """A walk that keeps no marks would score every drw candidate 0."""
+    net = H.crossing_network()
+    reg = OverlayRegistry(net.n)
+    walk, _ = init_walk(net, 0, 0, reg, seeded(0), strategy=parse_strategy(init_kind))
+    with pytest.raises(ValueError):
+        step(walk, net, reg, DRW)
+    assert walk.steps == 0 and walk.path == [0, 1] and walk.marked == 0
+
+
+@pytest.mark.parametrize("init_kind", STRATEGY_KINDS)
+@pytest.mark.parametrize("strategy", [PRW, TWOHOP], ids=["prw", "twohop"])
+def test_unmarked_strategies_step_any_walk(strategy, init_kind):
+    net = H.crossing_network()
+    reg = OverlayRegistry(net.n)
+    walk, _ = init_walk(net, 0, 0, reg, seeded(0), strategy=parse_strategy(init_kind))
+    out = step(walk, net, reg, strategy)
+    assert out.kind == EXTENDED and out.node == 2 and walk.path == [0, 1, 2]
 
 
 # --- the pocket walk: dead end, backtrack, resume ---------------------------
@@ -365,7 +386,7 @@ def test_walk_invariants_random_networks():
                 else:
                     assert walk.path[i] in net.neighbors(walk.path[parent])
             if strat.kind == "drw" and walk.steps > 0:
-                assert set(net.neighbors(walk.path[0])) <= marked_nodes(walk.marked)
+                assert set(net.neighbors(walk.path[0])) <= marked_nodes(net, walk.marked)
             for node in walk.path:
                 assert reg.owner[node] == 0
 
@@ -379,7 +400,7 @@ def test_twohop_walk_terminates_and_stays_tabu():
     if out is None:
         run_walk_until_stop([walk], net, reg, strat, default_step_budget(net.n))
     assert walk.status == INTERSECTED
-    assert marked_nodes(walk.marked) == set()   # twohop never maintains marks
+    assert marked_nodes(net, walk.marked) == set()   # twohop never maintains marks
 
 
 # --- budget -------------------------------------------------------------------
@@ -468,19 +489,27 @@ def assert_same_build(net, cfg):
     return ref
 
 
-@pytest.mark.parametrize("make_net", [
-    partial(generate_network, GraphGenConfig(n=300, r=0.1, seed=7)),
-    H.fan_network, H.crossing_network, H.star_network, H.pocket_network,
-], ids=["n300", "fan", "crossing", "star", "pocket"])
-def test_builds_equal_generator_integers_builds(make_net):
-    """Whole builds drawn by _pick and by Generator.integers give the same
-    layer and the same step trace, for every strategy and I in {2, 10, 150}
-    (at most n)."""
-    net = make_net()
+def build_configs(net):
+    """Every strategy, I in {2, 10, 150} (at most n), build seeds 1 and 2."""
     for kind in STRATEGY_KINDS:
         for count in sorted({min(c, net.n) for c in (2, 10, 150)}):
             for seed in (1, 2):
-                assert_same_build(net, OverlayBuildConfig(count, parse_strategy(kind), seed=seed))
+                yield OverlayBuildConfig(count, parse_strategy(kind), seed=seed)
+
+
+BUILD_NETS = pytest.mark.parametrize("make_net", [
+    partial(generate_network, GraphGenConfig(n=300, r=0.1, seed=7)),
+    H.fan_network, H.crossing_network, H.star_network, H.pocket_network,
+], ids=["n300", "fan", "crossing", "star", "pocket"])
+
+
+@BUILD_NETS
+def test_builds_equal_generator_integers_builds(make_net):
+    """Whole builds drawn by _pick and by Generator.integers give the same
+    layer and the same step trace."""
+    net = make_net()
+    for cfg in build_configs(net):
+        assert_same_build(net, cfg)
 
 
 def test_budget_failure_equals_generator_integers_build():
@@ -490,3 +519,33 @@ def test_budget_failure_equals_generator_integers_build():
     layer, trace = assert_same_build(net, OverlayBuildConfig(150, DRW, seed=1, step_budget=20))
     assert layer == (5, "step budget 20 spent")
     assert {r.walk for r in trace} >= set(range(6))
+
+
+# --- bit layout: y ranks against node ids -----------------------------------
+
+def id_layout(net):
+    """net with node u at bit u of its bitsets and marks, not at its y rank."""
+    net.__dict__["bit_rank"] = np.arange(net.n)
+    net.__dict__["neighbor_bits"] = [sum(1 << u for u in row) for row in net.adjacency]
+    return net
+
+
+@BUILD_NETS
+def test_builds_do_not_depend_on_bit_layout(make_net):
+    """Overlap counts do not depend on which bit stands for which node, so
+    builds on y-ranked and on id-placed bitsets give the same layer and the
+    same step trace."""
+    net, ref = make_net(), id_layout(make_net())
+    assert net.bit_rank.tolist() != list(range(net.n))
+    for cfg in build_configs(net):
+        assert build_outcome(net, cfg) == build_outcome(ref, cfg)
+
+
+@pytest.mark.parametrize("strategy", [DRW, WEIGHTED], ids=["drw", "weighted"])
+def test_budget_failure_does_not_depend_on_bit_layout(strategy):
+    net = generate_network(GraphGenConfig(n=300, r=0.1, seed=7))
+    ref = id_layout(generate_network(GraphGenConfig(n=300, r=0.1, seed=7)))
+    cfg = OverlayBuildConfig(150, strategy, seed=1, step_budget=20)
+    failed, trace = build_outcome(net, cfg)
+    assert isinstance(failed, tuple) and failed[1] == "step budget 20 spent"
+    assert (failed, trace) == build_outcome(ref, cfg)
