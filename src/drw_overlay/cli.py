@@ -142,6 +142,8 @@ def _cmd_build(args) -> int:
         return _usage("provide exactly one of --net or --n/--r")
     if args.n is not None and args.r is None:
         return _usage("--r is required with --n")
+    if args.net is not None and args.r is not None:
+        return _usage("--r is only used with --n; --net gives the radius")
     if args.step_budget is not None and args.step_budget < 1:
         return _usage("--step-budget must be at least 1")
     try:

@@ -12,7 +12,7 @@ through brokers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 from .geom_graph import Network
 from .rng import stream
@@ -66,9 +66,16 @@ class OverlayBuildConfig:
 
 @dataclass
 class OverlayResult:
-    """Finished layer: every walk Intersected, active path connected."""
+    """Finished layer: every walk Intersected, active path connected.
 
-    walks: list[WalkState]
+    stepped holds the walks that stepped, in id order; born maps the id of
+    each walk born intersected to its broker. Most walks of a large build
+    are born, and their paths, parents and status follow from the initiator
+    and the broker, so they are kept as this one dict of ints.
+    """
+
+    stepped: list[WalkState]
+    born: dict[int, int]
     active_path: set[int]
     active_path_edges: set[tuple[int, int]]
     brokers: set[int]
@@ -76,13 +83,31 @@ class OverlayResult:
     strategy_label: str
     seed: int
 
+    @cached_property
+    def walks(self) -> list[WalkState]:
+        """Every walk in id order. A walk born intersected gets its finished
+        WalkState here, once: later accesses return the same list."""
+        stepped = iter(self.stepped)
+        walks = []
+        for wid, initiator in enumerate(self.initiators):
+            broker = self.born.get(wid)
+            if broker is None:
+                walks.append(next(stepped))
+                continue
+            path, parents = (([initiator], [-1]) if broker == initiator
+                             else ([initiator, broker], [-1, 0]))
+            walks.append(WalkState(id=wid, path=path, parents=parents, cursor=len(path),
+                                   status=INTERSECTED, broker=broker))
+        return walks
+
+    # A walk born intersected takes no step and no backtrack.
     @property
     def total_steps(self) -> int:
-        return sum(w.steps for w in self.walks)
+        return sum(w.steps for w in self.stepped)
 
     @property
     def total_backtracks(self) -> int:
-        return sum(w.backtracks for w in self.walks)
+        return sum(w.backtracks for w in self.stepped)
 
 
 def select_initiators(net: Network, count: int, rng) -> tuple[int, ...]:
@@ -98,10 +123,9 @@ def run_walk_until_stop(walks: list[WalkState], net: Network, registry: OverlayR
                         strategy: CostStrategy, budget: int,
                         trace: list | None = None) -> None:
     """Step the walks in turn until one intersects; every other walk still
-    active then halts at that walk's broker. A walk already intersected on
-    entry (born on another's path) counts as the one that met. Raises
-    BuildFailed on a spent step budget or a walk backtracked past its start."""
-    broker = next((w.broker for w in walks if w.status == INTERSECTED), None)
+    active then halts at that walk's broker. Raises BuildFailed on a spent
+    step budget or a walk backtracked past its start."""
+    broker = None
     while broker is None:
         for walk in walks:
             if walk.steps >= budget:
@@ -135,25 +159,32 @@ def build_overlay(net: Network, cfg: OverlayBuildConfig,
 
     registry = OverlayRegistry(net.n)
     walks: list[WalkState] = []
+    born: dict[int, int] = {}
     for wid in range(cfg.initiator_count):
         # Most walks of a large build are born intersected and never draw,
         # so each walk's stream is only made on its first draw. A partial,
         # unlike a lambda, keeps the walk and its result picklable.
-        walk, out = init_walk(
+        walk, broker = init_walk(
             net, initiators[wid], wid, registry, partial(stream, cfg.seed, "walk", wid),
             strategy=cfg.strategy, trace=trace,
         )
+        if walk is None:
+            born[wid] = broker
+            if wid == 1:
+                # Walk 1 was born on walk 0's path: walk 0 halts there.
+                walks[0].status, walks[0].broker = INTERSECTED, broker
+            continue
         walks.append(walk)
         # The first pair is stepped as one group once both exist; a later
-        # walk runs alone unless it was born intersected.
-        if wid == 1 or (wid > 1 and out is None):
+        # walk runs alone.
+        if wid > 0:
             run_walk_until_stop(walks if wid == 1 else [walk], net, registry,
                                 cfg.strategy, budget, trace)
 
-    return _assemble(net, cfg, walks, registry, initiators)
+    return _assemble(cfg, walks, born, registry, initiators)
 
 
-def _assemble(net, cfg, walks, registry, initiators) -> OverlayResult:
+def _assemble(cfg, walks, born, registry, initiators) -> OverlayResult:
     active, edges = set(), set()
     for w in walks:
         active.update(w.path)
@@ -161,8 +192,16 @@ def _assemble(net, cfg, walks, registry, initiators) -> OverlayResult:
             if parent >= 0:
                 a, b = w.path[i], w.path[parent]
                 edges.add((a, b) if a < b else (b, a))
+    # A born walk adds at most its initiator and one edge to its broker,
+    # which lies on an earlier walk's path.
+    for wid, b in born.items():
+        a = initiators[wid]
+        if a != b:
+            active.add(a)
+            edges.add((a, b) if a < b else (b, a))
     result = OverlayResult(
-        walks=walks,
+        stepped=walks,
+        born=born,
         active_path=active,
         active_path_edges=edges,
         brokers=registry.brokers,

@@ -174,15 +174,16 @@ class WalkState:
     cursor == len(path) except midway through a retreat.
 
     rng is either given or made by make_rng on the walk's first draw, so a
-    walk that never draws never pays for a generator. A walk born
-    intersected keeps neither: both stay None. words holds the 32-bit words
-    of rng's raw output not yet drawn, last to be used first; it stays None
-    until the first draw that needs one. marked and marked2 are node
+    walk that never draws never pays for a generator. words holds the
+    32-bit words of rng's raw output not yet drawn, last to be used first;
+    it stays None until the first draw that needs one. marked and marked2 are node
     bitsets in the form of ``Network.neighbor_bits``: bit
     ``net.bit_rank[u]`` is set iff u is marked, and both are 0 while
-    nothing is marked. Slots, not a __dict__, hold the fields, so a walk
-    born intersected leaves three containers for the cyclic collector to
-    track: itself, path and parents.
+    nothing is marked. Slots, not a __dict__, hold the fields. A walk born
+    intersected is no WalkState while its layer is built (see
+    ``init_walk``); ``OverlayResult.walks`` makes one for it on first
+    access, with rng and make_rng None, which leaves three containers for
+    the cyclic collector to track: itself, path and parents.
     """
 
     id: int
@@ -305,19 +306,19 @@ def _append(walk: WalkState, node: int, parent_index: int) -> None:
 
 def init_walk(net: Network, initiator: int, walk_id: int, registry: OverlayRegistry,
               make_rng: Callable[[], np.random.Generator], *, strategy: CostStrategy,
-              trace: list | None = None) -> tuple[WalkState, StepOutcome | None]:
-    """Create a walk and recruit its second node.
+              trace: list | None = None) -> tuple[WalkState | None, int | None]:
+    """Start a walk and recruit its second node.
 
     The second node is drawn uniformly from the initiator's neighbors. Two
     shortcuts apply first: if the initiator already belongs to another walk
     the new walk is born intersected at the initiator itself, and if some
     neighbor already belongs to another walk the walk takes it immediately
-    (lowest id first). Returns (walk, outcome) where outcome is the
-    intersection if one of the shortcuts fired, else None.
-
-    A walk born intersected is built finished, in one constructor call: it
-    never draws, so it keeps neither a generator nor make_rng. Otherwise the
-    walk calls the zero-argument factory make_rng on its first draw.
+    (lowest id first). Returns (walk, None) for a walk that goes on to step,
+    and (None, broker) for a walk born intersected: its path is [initiator]
+    when broker is the initiator, else [initiator, broker], and it never
+    draws, so no WalkState, generator or make_rng call is spent on it.
+    Either way the registry and the trace record the walk as usual. A walk
+    that steps calls the zero-argument factory make_rng on its first draw.
     """
     adjacency, owner = net.adjacency, registry.owner
     if not 0 <= initiator < len(adjacency):
@@ -325,7 +326,6 @@ def init_walk(net: Network, initiator: int, walk_id: int, registry: OverlayRegis
     nbrs = adjacency[initiator]
     # The new walk owns no node yet and the graph has no self-loops, so
     # every owner of the initiator or of a neighbor is another walk.
-    path, parents = [initiator], [-1]
     node, other = initiator, owner[initiator]
     if other < 0:
         if not nbrs:
@@ -334,8 +334,6 @@ def init_walk(net: Network, initiator: int, walk_id: int, registry: OverlayRegis
         for node in nbrs:
             other = owner[node]
             if other >= 0:
-                path.append(node)
-                parents.append(0)
                 break
     if other >= 0:
         # Born intersected: node becomes a broker. Ids ascend within a
@@ -343,19 +341,19 @@ def init_walk(net: Network, initiator: int, walk_id: int, registry: OverlayRegis
         registry.brokers.add(node)
         if walk_id < other:
             owner[node] = walk_id
-        walk = WalkState(id=walk_id, path=path, parents=parents, cursor=len(path),
-                         status=INTERSECTED, broker=node)
-        out = StepOutcome(INTERSECTED_STEP, node=node, other_walk=other)
-        _trace(trace, walk, out, cost=None)
-        return walk, out
+        if trace is not None:
+            trace.append(TraceRecord(walk=walk_id, step=0, outcome=INTERSECTED_STEP, node=node,
+                                     cursor=1 if node == initiator else 2, cost=None))
+        return None, node
 
-    walk = WalkState(id=walk_id, make_rng=make_rng, path=path, parents=parents,
+    walk = WalkState(id=walk_id, make_rng=make_rng, path=[initiator], parents=[-1],
                      maintain_marks=strategy.needs_marks,
                      maintain_second=strategy.needs_second_marks)
     v = _pick(walk, nbrs)
     _append(walk, v, parent_index=0)
     owner[v] = walk_id
-    _trace(trace, walk, StepOutcome(EXTENDED, node=v), cost=None)
+    if trace is not None:
+        _trace(trace, walk, StepOutcome(EXTENDED, node=v), cost=None)
     return walk, None
 
 

@@ -126,9 +126,13 @@ def test_cost_functions_match_set_oracles():
         walks = []
         for wid, strat in ((0, CostStrategy("weighted")), (1, DRW)):
             start = int(rng.integers(net.n))
-            w, out = init_walk(net, start, wid, registry,
-                               partial(np.random.default_rng, int(rng.integers(2**32))),
-                               strategy=strat)
+            w, broker = init_walk(net, start, wid, registry,
+                                  partial(np.random.default_rng, int(rng.integers(2**32))),
+                                  strategy=strat)
+            if w is None:
+                # Walk 1 was born on walk 0's path; only its path is read.
+                w = WalkState(id=wid, path=[start] if broker == start else [start, broker],
+                              status=INTERSECTED)
             for _ in range(8):
                 if w.status != ACTIVE:
                     break
@@ -224,7 +228,7 @@ def layer_is_connected(res):
 
 
 def check_build(net, res):
-    reg = {}
+    reg, edges = {}, set()
     for walk in res.walks:
         if walk.status != INTERSECTED:
             return "walk not intersected"
@@ -235,12 +239,17 @@ def check_build(net, res):
                 continue
             if walk.path[parent] not in net.neighbors(walk.path[i]):
                 return "non-adjacent recruitment edge"
+            edges.add(tuple(sorted((walk.path[i], walk.path[parent]))))
         for v in walk.path:
             reg.setdefault(v, set()).add(walk.id)
     if res.brokers != {v for v, owners in reg.items() if len(owners) >= 2}:
         return "broker set mismatch"
     if not set(res.initiators) <= res.active_path:
         return "initiator outside layer"
+    if res.active_path != set(reg):
+        return "active path is not the union of the walk paths"
+    if res.active_path_edges != edges:
+        return "traced edges are not the walks' recruitment edges"
     if not layer_is_connected(res):
         return "layer disconnected"
     if len(res.active_path_edges) != len(res.active_path) - 1:
@@ -254,7 +263,7 @@ def test_structural_invariants_hold():
     builds = failures = 0
     for seed in range(34):
         net = generate_network(GraphGenConfig(n=200, r=r200, seed=seed))
-        for count in (2, 5, 10):
+        for count in (2, 5, 10, 100, 200):
             for strategy in (DRW, PRW):
                 res = build_overlay(net, OverlayBuildConfig(
                     initiator_count=count, strategy=strategy, seed=seed))
@@ -265,7 +274,7 @@ def test_structural_invariants_hold():
                     problem = f"depth {d}"
                 if problem:
                     failures += 1
-    ok = failures == 0 and builds >= 200
+    ok = failures == 0 and builds >= 340
     assert record("structural invariants", ok,
                   f"{builds} builds, {failures} violations")
 

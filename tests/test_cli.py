@@ -160,6 +160,17 @@ def test_build_requires_net_or_n(capsys):
     assert code == 1
 
 
+def test_build_net_with_r_usage_error(tmp_path, capsys):
+    """--net fixes the radius, so --r with it is rejected, as --n is."""
+    net_path = tmp_path / "net.json"
+    run(capsys, "gen", "--n", "150", "--r", "0.15", "--seed", "2", "--out", str(net_path))
+    for extra in (["--r", "0.01"], ["--n", "150"], ["--n", "150", "--r", "0.15"]):
+        code, stdout, err = run(capsys, "build", "--net", str(net_path), *extra,
+                                "--initiators", "3")
+        assert code == 1 and stdout == "", extra
+        assert err.startswith("drw-overlay: error: ") and len(err.splitlines()) == 1, extra
+
+
 def test_build_unknown_strategy_usage_error(capsys):
     code, _, _ = run(capsys, "build", "--n", "100", "--r", "0.2",
                      "--initiators", "3", "--strategy", "bfs")

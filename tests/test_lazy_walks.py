@@ -13,6 +13,7 @@ from drw_overlay.geom_graph import GraphGenConfig, generate_network
 from drw_overlay.overlay import (
     OverlayBuildConfig,
     OverlayRegistry,
+    OverlayResult,
     build_overlay,
     to_json_dict,
 )
@@ -22,9 +23,9 @@ from drw_overlay.walk_engine import (
     INTERSECTED_STEP,
     STRATEGY_KINDS,
     CostStrategy,
-    StepOutcome,
     TraceRecord,
     WalkNotActive,
+    WalkState,
     init_walk,
     parse_strategy,
     step,
@@ -37,6 +38,16 @@ def unused_factory():
     raise AssertionError("a walk born intersected made its generator")
 
 
+def counting_walk_states(made):
+    """Patch WalkState construction to append each new walk's id to made."""
+    original = WalkState.__init__
+
+    def counted(self, *args, **kw):
+        made.append(kw.get("id"))
+        original(self, *args, **kw)
+    return mock.patch.object(WalkState, "__init__", counted)
+
+
 # --- lazy generators ---------------------------------------------------------
 
 @pytest.mark.parametrize("initiator, walk_id, owned, other, path, parents, owner", [
@@ -46,26 +57,38 @@ def unused_factory():
     (0, 1, 1, 7, [0, 1], [-1, 0], [1, 1, -1, -1, -1, -1, -1, -1]),
 ], ids=["initiator", "neighbor"])
 def test_born_walk_state(initiator, walk_id, owned, other, path, parents, owner):
-    """A walk born intersected is built finished: no generator, no factory,
-    no slot dict, one trace record, and no further step."""
+    """A walk born intersected gets no WalkState from init_walk: no generator,
+    no factory call, one trace record and its broker back. The layer makes
+    its finished WalkState, with no slot dict, which takes no further step."""
     net = H.crossing_network()
     reg = OverlayRegistry(net.n)
     reg.register(owned, other)
     trace = []
-    walk, out = init_walk(net, initiator, walk_id, reg, unused_factory, strategy=DRW,
-                          trace=trace)
-    assert out == StepOutcome(INTERSECTED_STEP, node=owned, other_walk=other)
+    made = []
+    with counting_walk_states(made):
+        walk, broker = init_walk(net, initiator, walk_id, reg, unused_factory, strategy=DRW,
+                                 trace=trace)
+    assert walk is None and broker == owned and made == []
+    assert trace == [TraceRecord(walk=walk_id, step=0, outcome="intersected", node=owned,
+                                 cursor=len(path), cost=None)]
+    assert reg.owner == owner and reg.brokers == {owned}
+
+    # Walks 0..walk_id-1 stepped; the layer makes walk walk_id from its record.
+    layer = OverlayResult(stepped=[WalkState(id=k) for k in range(walk_id)],
+                          born={walk_id: broker}, active_path=set(path),
+                          active_path_edges=set(), brokers=reg.brokers,
+                          initiators=tuple(range(10, 10 + walk_id)) + (initiator,),
+                          strategy_label="drw", seed=0)
+    walk = layer.walks[walk_id]
     assert walk.id == walk_id and walk.path == path
     assert walk.parents == parents and walk.cursor == len(path)
     assert walk.status == INTERSECTED and walk.broker == owned
     assert walk.steps == walk.backtracks == 0
     assert walk.rng is None and walk.make_rng is None and walk.words is None
-    assert trace == [TraceRecord(walk=walk_id, step=0, outcome="intersected", node=owned,
-                                 cursor=len(path), cost=None)]
-    assert reg.owner == owner and reg.brokers == {owned}
+    assert all(a is b for a, b in zip(layer.walks, layer.stepped))
     with pytest.raises(WalkNotActive):
         step(walk, net, reg, DRW)
-    assert not hasattr(walk, "__dict__") and not hasattr(out, "__dict__")
+    assert not hasattr(walk, "__dict__")
 
 
 def test_walk_that_draws_makes_its_generator_once():
@@ -76,9 +99,13 @@ def test_walk_that_draws_makes_its_generator_once():
         made.append(1)
         return stream(4, "walk", 0)
 
-    walk, out = init_walk(net, 5, 0, OverlayRegistry(net.n), factory, strategy=DRW)
-    assert out is None and len(walk.path) == 2
+    reg = OverlayRegistry(net.n)
+    walk, broker = init_walk(net, 5, 0, reg, factory, strategy=DRW)
+    assert broker is None and len(walk.path) == 2
     assert made == [1] and walk.rng is not None
+    out = step(walk, net, reg, DRW)
+    assert made == [1]
+    assert not hasattr(walk, "__dict__") and not hasattr(out, "__dict__")
 
 
 def eager_init_walk(seed):
@@ -119,6 +146,27 @@ def test_streams_only_for_initiators_and_walks_that_drew():
     assert all((w.rng is None) == (w.id in born) for w in result.walks)
 
 
+def test_born_walks_are_made_once_on_first_access():
+    """A build makes a WalkState only for the walks that drew; the layer
+    makes the others once, on first access, in id order, and its step and
+    backtrack totals need none of them."""
+    net = H.star_network()
+    made = []
+    with counting_walk_states(made):
+        result = build_overlay(net, OverlayBuildConfig(net.n, DRW, seed=5))
+        totals = (result.total_steps, result.total_backtracks)
+        drew = [w.id for w in result.stepped]
+        assert made == drew
+        walks = result.walks
+    assert len(drew) < net.n and len(made) == net.n
+    assert drew == [w.id for w in walks if w.rng is not None]
+    assert walks is result.walks
+    assert [w.id for w in walks] == list(range(net.n))
+    assert [w.path[0] for w in walks] == list(result.initiators)
+    assert totals == (sum(w.steps for w in walks), sum(w.backtracks for w in walks))
+    assert to_json_dict(pickle.loads(pickle.dumps(result))) == to_json_dict(result)
+
+
 def test_built_layer_with_unused_factories_pickles():
     net = H.star_network()
     result = build_overlay(net, OverlayBuildConfig(net.n, DRW, seed=5))
@@ -136,15 +184,23 @@ class CapturedRegistry(OverlayRegistry):
         CapturedRegistry.instances.append(self)
 
 
-def recording(fn, walk_and_outcome, met):
-    """Wrap init_walk or step; append (walk id, node, other_walk) per intersection."""
-    def call(*args, **kw):
-        result = fn(*args, **kw)
-        walk, out = walk_and_outcome(args, result)
-        if out is not None and out.kind == INTERSECTED_STEP:
+def recording(met):
+    """Wrap init_walk and step; append (walk id, node, other walk) per
+    intersection. A walk born intersected met the owner its broker had
+    before init_walk ran."""
+    def initialized(net, initiator, walk_id, registry, *args, **kw):
+        before = list(registry.owner)
+        walk, broker = init_walk(net, initiator, walk_id, registry, *args, **kw)
+        if walk is None:
+            met.append((walk_id, broker, before[broker]))
+        return walk, broker
+
+    def stepped(walk, *args, **kw):
+        out = step(walk, *args, **kw)
+        if out.kind == INTERSECTED_STEP:
             met.append((walk.id, out.node, out.other_walk))
-        return result
-    return call
+        return out
+    return initialized, stepped
 
 
 @settings(max_examples=40, deadline=None)
@@ -160,9 +216,9 @@ def test_owner_list_matches_walk_paths(n, net_seed, share, kind, seed):
     cfg = OverlayBuildConfig(max(2, round(share * n)), parse_strategy(kind), seed=seed)
     CapturedRegistry.instances = []
     met = []
-    stepped = recording(step, lambda a, r: (a[0], r), met)
+    initialized, stepped = recording(met)
     with mock.patch.object(overlay, "OverlayRegistry", CapturedRegistry), \
-            mock.patch.object(overlay, "init_walk", recording(init_walk, lambda a, r: r, met)), \
+            mock.patch.object(overlay, "init_walk", initialized), \
             mock.patch.object(overlay, "step", stepped):
         result = build_overlay(net, cfg)
     (registry,) = CapturedRegistry.instances

@@ -20,7 +20,7 @@ from drw_overlay.walk_engine import CostStrategy
 
 
 def tiny_result(active):
-    return OverlayResult(walks=[], active_path=set(active),
+    return OverlayResult(stepped=[], born={}, active_path=set(active),
                          active_path_edges=set(), brokers=set(),
                          initiators=(), strategy_label="drw", seed=0)
 

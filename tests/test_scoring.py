@@ -93,8 +93,12 @@ def test_scoring_and_marks_match_set_oracles(n, r, seed, kind, alpha, beta):
         scored.append(len(candidates))
         return got
 
-    walk, _ = init_walk(net, initiator, 0, registry, partial(np.random.default_rng, seed),
-                        strategy=strategy)
+    walk, broker = init_walk(net, initiator, 0, registry, partial(np.random.default_rng, seed),
+                             strategy=strategy)
+    if walk is None:
+        # Born on target, a neighbour of the initiator: nothing is scored.
+        assert broker == target and target in net.adjacency[initiator]
+        return
     everyone = list(range(n))
     with mock.patch.object(walk_engine, "candidate_costs", checked):
         while walk.status == ACTIVE and walk.steps < 4 * n:

@@ -32,6 +32,7 @@ from drw_overlay.walk_engine import (
     STRATEGY_KINDS,
     CostStrategy,
     IsolatedInitiator,
+    TraceRecord,
     WalkNotActive,
     WalkState,
     _pick,
@@ -159,25 +160,30 @@ def test_init_second_node_uniform():
 
 
 def test_init_takes_already_recruited_neighbor():
+    """Born at node 1, which walk 7 owns: path [0, 1], so the trace's cursor
+    is 2, and the lower id 1 takes over node 1's owner slot."""
     net = H.crossing_network()
     reg = OverlayRegistry(net.n)
     reg.register(1, 7)
-    walk, out = init_walk(net, 0, 1, reg, seeded(0), strategy=DRW)
-    assert out is not None
-    assert out.kind == INTERSECTED_STEP and out.node == 1 and out.other_walk == 7
-    assert walk.status == INTERSECTED and walk.broker == 1
-    assert walk.path == [0, 1]
+    trace = []
+    walk, broker = init_walk(net, 0, 1, reg, seeded(0), strategy=DRW, trace=trace)
+    assert walk is None and broker == 1
+    assert trace == [TraceRecord(walk=1, step=0, outcome=INTERSECTED_STEP, node=1,
+                                 cursor=2, cost=None)]
+    assert reg.owner[:2] == [1, 1] and reg.brokers == {1}
 
 
 def test_init_on_foreign_member_intersects_in_place():
+    """Born on its initiator 2, which walk 3 owns: path [2], cursor 1."""
     net = H.crossing_network()
     reg = OverlayRegistry(net.n)
     reg.register(2, 3)
-    walk, out = init_walk(net, 2, 4, reg, seeded(0), strategy=DRW)
-    assert out.kind == INTERSECTED_STEP and out.node == 2 and out.other_walk == 3
-    assert walk.status == INTERSECTED and walk.broker == 2
-    assert walk.path == [2]
-    assert reg.owner[2] == 3 and reg.brokers == {2}
+    trace = []
+    walk, broker = init_walk(net, 2, 4, reg, seeded(0), strategy=DRW, trace=trace)
+    assert walk is None and broker == 2
+    assert trace == [TraceRecord(walk=4, step=0, outcome=INTERSECTED_STEP, node=2,
+                                 cursor=1, cost=None)]
+    assert reg.owner == [-1, -1, 3] + [-1] * (net.n - 3) and reg.brokers == {2}
 
 
 def test_init_isolated_initiator_raises():
@@ -213,12 +219,16 @@ def test_intersection_beats_cost():
 
 
 def test_step_after_termination_raises():
+    """A walk that met another takes no further step; born walks: see
+    test_lazy_walks.test_born_walk_state."""
     net = H.crossing_network()
     reg = OverlayRegistry(net.n)
-    reg.register(1, 7)
+    reg.register(2, 7)
     walk, _ = init_walk(net, 0, 1, reg, seeded(0), strategy=DRW)
+    assert step(walk, net, reg, DRW).kind == INTERSECTED_STEP
     with pytest.raises(WalkNotActive):
         step(walk, net, reg, DRW)
+    assert walk.steps == 1 and walk.path == [0, 1, 2]
 
 
 def test_weighted_requires_second_ring_marks():
