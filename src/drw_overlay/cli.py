@@ -192,9 +192,10 @@ def _cmd_experiment(args) -> int:
     if args.step_budget is not None:
         cfg.step_budget = args.step_budget
 
-    records = run_scenario(cfg, jobs=args.jobs)
+    # Made before the sweep, so an unusable --out-dir fails at once.
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    records = run_scenario(cfg, jobs=args.jobs)
     meta = scenario_metadata(cfg)
     records_path = out_dir / "records.csv"
     summary_path = out_dir / "summary.csv"
@@ -204,7 +205,7 @@ def _cmd_experiment(args) -> int:
     # is a pure function of records.csv and `stats` reproduces it exactly.
     try:
         rows = summarize(read_records_csv(records_path))
-        write_summary_csv(rows, out=summary_path, metadata=meta)
+        write_summary_csv(rows, summary_path, metadata=meta)
     except EmptyGroup:
         summary_path = None
     print(f"cells={cfg.cell_count}")
@@ -229,7 +230,7 @@ def _cmd_stats(args) -> int:
             return _usage(f"unknown group column {key!r}")
     records = read_records_csv(args.infile)
     rows = summarize(records, group_keys=group)
-    sys.stdout.write(write_summary_csv(rows, group))
+    write_summary_csv(rows, sys.stdout, group)
     return 0
 
 
@@ -242,11 +243,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (NotConnected, BuildFailed, TooManyInitiators, EmptyGroup,
-            IsolatedInitiator) as exc:
-        print(f"drw-overlay: {exc}", file=sys.stderr)
-        return RUNTIME_EXIT
-    except (OSError, ValueError) as exc:
-        print(f"drw-overlay: {exc}", file=sys.stderr)
+            IsolatedInitiator, OSError, ValueError) as exc:
+        # One line, even when the message quotes an input cell with a newline.
+        print("drw-overlay:", " ".join(str(exc).splitlines()), file=sys.stderr)
         return RUNTIME_EXIT
 
 

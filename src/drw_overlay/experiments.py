@@ -12,7 +12,6 @@ many worker processes computed it (wall-clock columns aside).
 from __future__ import annotations
 
 import csv
-import io
 import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -63,8 +62,7 @@ class EmptyGroup(ValueError):
 class ScenarioConfig:
     """One sweep definition.
 
-    initiator_counts maps each node count to its sweep list; a flat list is
-    accepted and applied to every n (values above n dropped). When
+    initiator_counts maps each node count to its sweep list. When
     r_rescale_ref is set, the radius used for node count n is
     r * sqrt(r_rescale_ref / n), keeping the expected degree level when the
     sweep runs on smaller networks than the reference.
@@ -83,10 +81,6 @@ class ScenarioConfig:
 
     def __post_init__(self):
         self.n_values = tuple(int(n) for n in self.n_values)
-        if isinstance(self.initiator_counts, (list, tuple)):
-            flat = tuple(int(i) for i in self.initiator_counts)
-            self.initiator_counts = {n: tuple(i for i in flat if i <= n)
-                                     for n in self.n_values}
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
         for n in self.n_values:
@@ -101,13 +95,6 @@ class ScenarioConfig:
         if self.r_rescale_ref is None:
             return self.r
         return self.r * math.sqrt(self.r_rescale_ref / n)
-
-    def cells(self):
-        """Yield (n, initiator_count, strategy) in emission order."""
-        for n in self.n_values:
-            for count in self.initiator_counts[n]:
-                for strategy in self.strategies:
-                    yield n, count, strategy
 
     @property
     def cell_count(self) -> int:
@@ -306,8 +293,11 @@ def write_records_csv(records, out, metadata=()) -> None:
 def read_records_csv(source) -> list[ExperimentRecord]:
     """Read records back; accepts a path or a text file object."""
     with _text_file(source, "r") as fh:
-        rows = [row for row in csv.reader(line for line in fh
-                                          if not line.startswith("#")) if row]
+        try:
+            rows = [row for row in csv.reader(line for line in fh
+                                              if not line.startswith("#")) if row]
+        except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+            raise ValueError(f"unreadable CSV: {exc}") from None
     if not rows:
         raise ValueError("no header row found")
     header = tuple(rows[0])
@@ -334,10 +324,14 @@ def _record_problem(rec: ExperimentRecord) -> str | None:
     """What makes a parsed record impossible, or None if nothing does."""
     if rec.failed not in (0, 1):
         return "failed must be 0 or 1"
-    for name in ("n", "initiators", "rep", "active_path_size", "total_steps",
-                 "total_backtracks"):
+    for name in ("n", "rep", "active_path_size", "total_steps", "total_backtracks"):
         if getattr(rec, name) < 0:
             return f"{name} must be >= 0"
+    if not 2 <= rec.initiators <= rec.n:
+        return "initiators must be in [2, n]"
+    # Every initiator lies on its layer's active path.
+    if not rec.failed and not rec.initiators <= rec.active_path_size <= rec.n:
+        return "active_path_size must be in [initiators, n]"
     if not (math.isfinite(rec.r) and rec.r > 0):
         return "r must be positive"
     if not 0 <= rec.depth <= 1:
@@ -352,9 +346,9 @@ class SummaryRow:
     stats: object
 
 
-def summarize(records, group_keys=DEFAULT_GROUP_KEYS,
-              metrics=SUMMARY_METRICS) -> list[SummaryRow]:
-    """Box statistics per group for each metric, over non-failed records."""
+def summarize(records, group_keys=DEFAULT_GROUP_KEYS) -> list[SummaryRow]:
+    """Box statistics per group for each SUMMARY_METRICS column, over
+    non-failed records."""
     for key in group_keys:
         if key not in RECORD_COLUMNS:
             raise ValueError(f"unknown group key {key!r}")
@@ -367,20 +361,15 @@ def summarize(records, group_keys=DEFAULT_GROUP_KEYS,
                           []).append(rec)
     rows = []
     for key in sorted(groups):
-        for metric in metrics:
+        for metric in SUMMARY_METRICS:
             values = [getattr(rec, metric) for rec in groups[key]]
             rows.append(SummaryRow(group=key, metric=metric,
                                    stats=box_stats(values)))
     return rows
 
 
-def write_summary_csv(rows, group_keys=DEFAULT_GROUP_KEYS, out=None,
-                      metadata=()) -> str | None:
-    """Write the summary table; with out=None, return it as a string."""
-    if out is None:
-        buf = io.StringIO()
-        write_summary_csv(rows, group_keys, buf, metadata)
-        return buf.getvalue()
+def write_summary_csv(rows, out, group_keys=DEFAULT_GROUP_KEYS, metadata=()) -> None:
+    """Write the summary table; `out` is a path or a text file object."""
     with _text_file(out, "w") as fh:
         for line in metadata:
             fh.write(f"# {line}\n")
@@ -392,7 +381,6 @@ def write_summary_csv(rows, group_keys=DEFAULT_GROUP_KEYS, out=None,
                 f"{s.minimum:.6f}", f"{s.q1:.6f}", f"{s.median:.6f}",
                 f"{s.q3:.6f}", f"{s.maximum:.6f}", f"{s.lower_whisker:.6f}",
                 f"{s.upper_whisker:.6f}", str(s.outlier_count), str(s.count)])
-    return None
 
 
 def failed_cells(records) -> list[tuple]:

@@ -31,14 +31,17 @@ _HULL_CUTOFF = 16
 # Rows per dense block when packing the neighbour bitsets.
 _BITS_ROWS = 256
 
+# Placements generate_network tries before it gives up.
+MAX_ATTEMPTS = 1000
+
 
 class NotConnected(RuntimeError):
-    """No connected placement found within the attempt cap (n/r too sparse)."""
+    """No connected placement in MAX_ATTEMPTS tries (n/r too sparse)."""
 
     def __init__(self, attempts: int):
         super().__init__(
             f"no connected placement after {attempts} attempts; "
-            "increase the radius, the node count or max_attempts"
+            "increase the radius or the node count"
         )
         self.attempts = attempts
 
@@ -49,20 +52,18 @@ class UnknownNode(IndexError):
 
 @dataclass
 class GraphGenConfig:
-    """Parameters for one network generation."""
+    """Parameters for one network generation: n nodes, radius r (clamped
+    to sqrt 2) and the seed of the placement streams."""
 
     n: int
     r: float
     seed: int = 0
-    max_attempts: int = 1000
 
     def __post_init__(self):
         if self.n < 2:
             raise ValueError(f"n must be >= 2, got {self.n}")
         if not self.r > 0:
             raise ValueError(f"r must be positive, got {self.r}")
-        if self.max_attempts < 1:
-            raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
         # Anything above the unit-square diagonal is equivalent to sqrt(2).
         if self.r > MAX_RADIUS:
             self.r = MAX_RADIUS
@@ -204,14 +205,15 @@ def generate_network(cfg: GraphGenConfig) -> Network:
     Attempt k draws its positions from a sub-stream derived from (seed, k),
     so a fixed config reproduces positions and adjacency bit-exactly. A
     rejected placement costs its pair search and one connectivity test.
+    Raises NotConnected after MAX_ATTEMPTS rejected placements.
     """
-    for attempt in range(cfg.max_attempts):
+    for attempt in range(MAX_ATTEMPTS):
         gen = stream(cfg.seed, "placement", attempt)
         positions = gen.random((cfg.n, 2))
         pairs = _unit_disk_pairs(positions, cfg.r)
         if _connected(cfg.n, pairs):
             return _network(positions, pairs, cfg.r, cfg.seed, attempts=attempt + 1)
-    raise NotConnected(cfg.max_attempts)
+    raise NotConnected(MAX_ATTEMPTS)
 
 
 def is_connected(net: Network) -> bool:
@@ -325,4 +327,8 @@ def save_network(net: Network, path) -> None:
 
 def load_network(path) -> Network:
     with open(path, "r", encoding="utf-8") as fh:
-        return from_json_dict(json.load(fh))
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError("network JSON is nested too deeply") from None
+    return from_json_dict(data)

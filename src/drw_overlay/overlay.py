@@ -160,14 +160,11 @@ def build_overlay(net: Network, cfg: OverlayBuildConfig,
     registry = OverlayRegistry(net.n)
     walks: list[WalkState] = []
     born: dict[int, int] = {}
+    # init_walk calls this only for a walk that steps; most walks of a large
+    # build are born intersected and never make their stream.
+    walk_stream = partial(stream, cfg.seed, "walk")
     for wid in range(cfg.initiator_count):
-        # Most walks of a large build are born intersected and never draw,
-        # so each walk's stream is only made on its first draw. A partial,
-        # unlike a lambda, keeps the walk and its result picklable.
-        walk, broker = init_walk(
-            net, initiators[wid], wid, registry, partial(stream, cfg.seed, "walk", wid),
-            strategy=cfg.strategy, trace=trace,
-        )
+        walk, broker = init_walk(net, initiators[wid], wid, registry, walk_stream, trace=trace)
         if walk is None:
             born[wid] = broker
             if wid == 1:

@@ -112,14 +112,6 @@ class CostStrategy:
             raise ValueError("alpha and beta must be finite and non-negative")
 
     @property
-    def needs_marks(self) -> bool:
-        return self.kind in (FIRST_NEIGHBORHOOD, WEIGHTED)
-
-    @property
-    def needs_second_marks(self) -> bool:
-        return self.kind == WEIGHTED
-
-    @property
     def label(self) -> str:
         if self.kind == WEIGHTED and (self.alpha, self.beta) != (1.0, 1.0):
             return f"weighted-a{self.alpha:g}-b{self.beta:g}"
@@ -144,14 +136,13 @@ class StepOutcome:
 
     kind "extended"    : node appended, walk still active
     kind "intersected" : node appended, it already belonged to other_walk
-    kind "backtracked" : no candidates, head moved back to 1-based new_cursor
+    kind "backtracked" : no candidates, head moved back to walk.cursor
     kind "exhausted"   : no candidates at the initiator, walk dead
     """
 
     kind: str
     node: int | None = None
     other_walk: int | None = None
-    new_cursor: int | None = None
 
 
 @dataclass(frozen=True)
@@ -173,17 +164,17 @@ class WalkState:
     backtracking. cursor is the 1-based position of the current head;
     cursor == len(path) except midway through a retreat.
 
-    rng is either given or made by make_rng on the walk's first draw, so a
-    walk that never draws never pays for a generator. words holds the
-    32-bit words of rng's raw output not yet drawn, last to be used first;
-    it stays None until the first draw that needs one. marked and marked2 are node
-    bitsets in the form of ``Network.neighbor_bits``: bit
-    ``net.bit_rank[u]`` is set iff u is marked, and both are 0 while
-    nothing is marked. Slots, not a __dict__, hold the fields. A walk born
+    rng is the walk's generator. words holds the 32-bit words of rng's raw
+    output not yet drawn, last to be used first; it stays None until the
+    first draw that needs one. marked and marked2 are node bitsets in the
+    form of ``Network.neighbor_bits``: bit ``net.bit_rank[u]`` is set iff
+    u is marked, and both are 0 while nothing is marked. step keeps them
+    as its strategy asks: drw and weighted mark, weighted also keeps
+    marked2. Slots, not a __dict__, hold the fields. A walk born
     intersected is no WalkState while its layer is built (see
     ``init_walk``); ``OverlayResult.walks`` makes one for it on first
-    access, with rng and make_rng None, which leaves three containers for
-    the cyclic collector to track: itself, path and parents.
+    access, with rng None, which leaves three containers for the cyclic
+    collector to track: itself, path and parents.
     """
 
     id: int
@@ -197,9 +188,6 @@ class WalkState:
     broker: int | None = None
     steps: int = 0
     backtracks: int = 0
-    maintain_marks: bool = True
-    maintain_second: bool = False
-    make_rng: Callable[[], np.random.Generator] | None = field(default=None, repr=False)
     words: list[int] | None = field(default=None, repr=False)
     _retreating: bool = field(default=False, repr=False)
 
@@ -241,17 +229,15 @@ def candidate_costs(walk: WalkState, net: Network, strategy: CostStrategy,
             for f, v in zip(first, candidates)]
 
 
-def _mark_neighborhood(walk: WalkState, net: Network, node: int) -> None:
-    """OR N(node) into the marked bitset and, if kept, N(u) into marked2 for
-    each u in N(node), which keeps marked2 = union of N(u) over marked u.
-    An already marked u adds nothing to marked2, so none is skipped. Only
-    called for a walk that keeps marks."""
+def _mark_two_rings(walk: WalkState, net: Network, node: int) -> None:
+    """The weighted marking: OR N(node) into marked and N(u) into marked2
+    for each u in N(node), which keeps marked2 = union of N(u) over marked
+    u. An already marked u adds nothing to marked2, so none is skipped."""
     bits = net.neighbor_bits
-    if walk.maintain_second:
-        marked2 = walk.marked2
-        for u in net.adjacency[node]:
-            marked2 |= bits[u]
-        walk.marked2 = marked2
+    marked2 = walk.marked2
+    for u in net.adjacency[node]:
+        marked2 |= bits[u]
+    walk.marked2 = marked2
     walk.marked |= bits[node]
 
 
@@ -260,7 +246,7 @@ _RAW_BATCH = 8
 
 
 def _pick(walk: WalkState, items: list[int]) -> int:
-    """Uniform draw from items with the walk's generator, made on first use.
+    """Uniform draw from items with the walk's generator.
 
     Returns ``items[walk.rng.integers(len(items))]`` value for value, as a
     fresh generator draws it, without a numpy call per draw. numpy draws an
@@ -269,8 +255,6 @@ def _pick(walk: WalkState, items: list[int]) -> int:
     raw 64-bit output, and draws nothing for k == 1. This does the same over
     the walk's buffer of raw words, refilled _RAW_BATCH outputs at a time.
     """
-    if walk.rng is None:
-        walk.rng = walk.make_rng()
     k = len(items)
     if k == 1:
         return items[0]
@@ -305,7 +289,7 @@ def _append(walk: WalkState, node: int, parent_index: int) -> None:
 
 
 def init_walk(net: Network, initiator: int, walk_id: int, registry: OverlayRegistry,
-              make_rng: Callable[[], np.random.Generator], *, strategy: CostStrategy,
+              walk_stream: Callable[[int], np.random.Generator],
               trace: list | None = None) -> tuple[WalkState | None, int | None]:
     """Start a walk and recruit its second node.
 
@@ -316,9 +300,9 @@ def init_walk(net: Network, initiator: int, walk_id: int, registry: OverlayRegis
     (lowest id first). Returns (walk, None) for a walk that goes on to step,
     and (None, broker) for a walk born intersected: its path is [initiator]
     when broker is the initiator, else [initiator, broker], and it never
-    draws, so no WalkState, generator or make_rng call is spent on it.
-    Either way the registry and the trace record the walk as usual. A walk
-    that steps calls the zero-argument factory make_rng on its first draw.
+    draws, so no WalkState or generator is spent on it. Either way the
+    registry and the trace record the walk as usual. A walk that steps
+    gets walk_stream(walk_id) as its generator and marks nothing yet.
     """
     adjacency, owner = net.adjacency, registry.owner
     if not 0 <= initiator < len(adjacency):
@@ -346,9 +330,7 @@ def init_walk(net: Network, initiator: int, walk_id: int, registry: OverlayRegis
                                      cursor=1 if node == initiator else 2, cost=None))
         return None, node
 
-    walk = WalkState(id=walk_id, make_rng=make_rng, path=[initiator], parents=[-1],
-                     maintain_marks=strategy.needs_marks,
-                     maintain_second=strategy.needs_second_marks)
+    walk = WalkState(id=walk_id, rng=walk_stream(walk_id), path=[initiator], parents=[-1])
     v = _pick(walk, nbrs)
     _append(walk, v, parent_index=0)
     owner[v] = walk_id
@@ -365,23 +347,22 @@ def step(walk: WalkState, net: Network, registry: OverlayRegistry,
     scores the head's unowned neighbors. A step that finds no candidate
     only retreats the cursor; the next call resumes from the new head
     without marking again. Ties (and the pure strategy) use the walk's rng.
-    Raises ValueError for a guided strategy whose marks the walk does not
-    keep, which would otherwise score every candidate 0.
+    Only drw and weighted mark; a walk is meant to take every step under
+    one strategy.
     """
     if walk.status != ACTIVE:
         raise WalkNotActive(f"walk {walk.id} is {walk.status}")
     kind = strategy.kind
-    if ((kind == FIRST_NEIGHBORHOOD and not walk.maintain_marks)
-            or (kind == WEIGHTED and not (walk.maintain_marks and walk.maintain_second))):
-        raise ValueError(f"walk was initialized without the marks {kind!r} scores")
     walk.steps += 1
     path, cursor, wid = walk.path, walk.cursor, walk.id
 
     if not walk._retreating:
         # Lagged discipline: fold in the neighborhood one position behind
         # the head.
-        if walk.maintain_marks:
-            _mark_neighborhood(walk, net, path[cursor - 2])
+        if kind == FIRST_NEIGHBORHOOD:
+            walk.marked |= net.neighbor_bits[path[cursor - 2]]
+        elif kind == WEIGHTED:
+            _mark_two_rings(walk, net, path[cursor - 2])
         cursor += 1
 
     src_index = cursor - 2
@@ -406,7 +387,7 @@ def step(walk: WalkState, net: Network, registry: OverlayRegistry,
             cursor -= 1
             walk.backtracks += 1
             walk._retreating = True
-            out = StepOutcome(BACKTRACKED, new_cursor=cursor)
+            out = StepOutcome(BACKTRACKED)
         walk.cursor = cursor
         if trace is not None:
             _trace(trace, walk, out, cost=None)

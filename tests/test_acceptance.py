@@ -23,7 +23,6 @@ both walk strategies), so reruns are reproducible bit for bit.
 """
 
 import math
-from functools import partial
 from statistics import median
 
 import numpy as np
@@ -125,10 +124,9 @@ def test_cost_functions_match_set_oracles():
         # grow two real walks so marked / marked2 states are non-trivial
         walks = []
         for wid, strat in ((0, CostStrategy("weighted")), (1, DRW)):
-            start = int(rng.integers(net.n))
+            start, seed = int(rng.integers(net.n)), int(rng.integers(2**32))
             w, broker = init_walk(net, start, wid, registry,
-                                  partial(np.random.default_rng, int(rng.integers(2**32))),
-                                  strategy=strat)
+                                  lambda _: np.random.default_rng(seed))
             if w is None:
                 # Walk 1 was born on walk 0's path; only its path is read.
                 w = WalkState(id=wid, path=[start] if broker == start else [start, broker],
@@ -170,7 +168,7 @@ def test_hand_built_graphs_trace_exactly():
 
     net = H.fan_network()
     walk, _ = init_walk(net, H.FAN_X, 0, OverlayRegistry(net.n),
-                        partial(np.random.default_rng, 0), strategy=DRW)
+                        lambda _: np.random.default_rng(0))
     walk.marked = mask_of(net, net.neighbors(H.FAN_X))
     pattern = {node: candidate_costs(walk, net, DRW, [node], 0)[0]
                for node in H.FAN_COSTS}

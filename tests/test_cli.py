@@ -1,12 +1,19 @@
 """Command-line behavior: exit codes, file outputs, reproducibility."""
 
+import csv
+import io
 import json
 import math
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from drw_overlay import cli
 from drw_overlay.cli import main
-from drw_overlay.experiments import read_records_csv
+from drw_overlay.experiments import RECORD_COLUMNS, read_records_csv
 from drw_overlay.geom_graph import load_network, network_from_positions, to_json_dict
 
 
@@ -352,6 +359,17 @@ def test_experiment_step_budget_below_one_usage_error(capsys):
         assert "--step-budget" in capsys.readouterr().err
 
 
+def test_experiment_out_dir_file_exit_2(tmp_path, capsys):
+    """--out-dir is made before the sweep, so a path naming a file fails at once."""
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    with mock.patch.object(cli, "run_scenario") as sweep:
+        code, out, err = run(capsys, "experiment", "--desk", "--scale", "0.02",
+                             "--out-dir", str(taken))
+    assert code == 2 and out == "" and not sweep.called
+    assert err.startswith("drw-overlay: ") and len(err.splitlines()) == 1
+
+
 def test_experiment_jobs_invariance(tmp_path, capsys):
     outs = []
     for jobs, sub in (("1", "j1"), ("4", "j4")):
@@ -425,8 +443,14 @@ GOOD_ROW = dict(n="1000", r="0.05", strategy="drw", initiators="10", rep="0",
     dict(depth="nan"),
     dict(depth="1.5"),
     dict(r="0"),
+    dict(initiators="1"),
+    dict(initiators="1001"),
+    dict(active_path_size="9"),
+    dict(active_path_size="1001"),
+    dict(strategy='"a\nb"', failed="7"),  # a quoted cell holding a line break
 ], ids=["all-four", "failed", "size", "steps", "backtracks", "depth-nan",
-        "depth-above-1", "r-zero"])
+        "depth-above-1", "r-zero", "initiators-one", "initiators-above-n",
+        "size-below-initiators", "size-above-n", "strategy-newline"])
 def test_stats_impossible_row_exit_2(tmp_path, capsys, bad):
     p = tmp_path / "bad.csv"
     row = {**GOOD_ROW, **bad}
@@ -443,6 +467,116 @@ def test_stats_good_row_accepted(tmp_path, capsys):
     assert code == 0
 
 
+def test_stats_failed_row_with_empty_layer_accepted(tmp_path, capsys):
+    """A failed build writes size 0, below its initiator count."""
+    failed = {**GOOD_ROW, "rep": "1", "active_path_size": "0", "depth": "0.000000",
+              "total_steps": "0", "total_backtracks": "0", "failed": "1"}
+    p = tmp_path / "mixed.csv"
+    p.write_text("\n".join(",".join(row) for row in (GOOD_ROW, GOOD_ROW.values(),
+                                                      failed.values())) + "\n")
+    code, _, err = run(capsys, "stats", "--in", str(p))
+    assert (code, err) == (0, "")
+
+
 def test_stats_missing_file_exit_2(capsys):
     code, _, _ = run(capsys, "stats", "--in", "/nonexistent/records.csv")
     assert code == 2
+
+
+# --- fuzzed input files ---------------------------------------------------------------
+
+def run_captured(*argv):
+    """main(argv) without capsys, which a hypothesis example may not share."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+CELLS = st.one_of(
+    st.integers(-3, 3000).map(str),
+    st.floats().map(repr),
+    # The long cell is over csv.field_size_limit().
+    st.sampled_from(["", "drw", "a\nb", "nan", "-inf", "1e400", "1_0", "0x1", " 7 ", "10" * 20,
+                     "9" * 140_000]),
+    st.text(max_size=4),
+)
+GOOD_CELLS = list(GOOD_ROW.values())
+
+
+@st.composite
+def records_text(draw):
+    """A records CSV: the real header or a garbled one, then rows that are
+    GOOD_ROW with some cells replaced, some rows cut short or extended."""
+    header = draw(st.one_of(st.just(list(RECORD_COLUMNS)),
+                            st.lists(st.sampled_from(RECORD_COLUMNS + ("x",)), max_size=13)))
+    rows = [header]
+    for cells in draw(st.lists(st.lists(st.none() | CELLS, min_size=11, max_size=13),
+                               max_size=4)):
+        rows.append([good if cell is None else cell
+                     for cell, good in zip(cells, GOOD_CELLS + ["1"])])
+    if draw(st.booleans()):
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(rows)
+        text = buf.getvalue()
+    else:
+        text = "".join(",".join(row) + "\n" for row in rows)
+    noise = draw(st.sampled_from(["", "# comment\n", "\n", "\0", "\ufeff"]))
+    return noise + text if draw(st.booleans()) else text + noise
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-5, 2**70) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner,
+                                                               max_size=3),
+    max_leaves=8)
+NET_KEYS = ("n", "r", "seed", "positions", "edges")
+
+
+@st.composite
+def network_text(draw):
+    """path_json() with one key dropped or replaced, one pair or coordinate
+    replaced, or its text cut short or nested past the parser's recursion limit."""
+    data = path_json()
+    key = draw(st.sampled_from(NET_KEYS))
+    how = draw(st.sampled_from(["drop", "replace", "pair", "coordinate", "cut", "nest"]))
+    if how == "drop":
+        del data[key]
+    elif how == "replace":
+        data[key] = draw(JSON_VALUES)
+    elif how in ("pair", "coordinate"):
+        rows = data[draw(st.sampled_from(("positions", "edges")))]
+        i = draw(st.integers(0, len(rows) - 1))
+        if how == "pair":
+            rows[i] = draw(JSON_VALUES)
+        else:
+            rows[i][draw(st.integers(0, 1))] = draw(JSON_VALUES)
+    text = json.dumps(data)
+    if how == "cut":
+        text = text[:draw(st.integers(0, len(text) - 1))]
+    elif how == "nest":
+        text = text.replace(f'"{key}": ', f'"{key}": ' + "[" * 100_000, 1)
+    return text
+
+
+def assert_one_line_exit(code, err):
+    assert code in (0, 1, 2)
+    assert len(err.splitlines()) <= 1 and "Traceback" not in err
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=records_text())
+def test_stats_fuzzed_records_one_line_exit(tmp_path_factory, text):
+    p = tmp_path_factory.getbasetemp() / "fuzzed-records.csv"
+    p.write_text(text, encoding="utf-8")
+    code, _, err = run_captured("stats", "--in", str(p))
+    assert_one_line_exit(code, err)
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=network_text(), initiators=st.integers(2, 5))
+def test_build_fuzzed_net_one_line_exit(tmp_path_factory, text, initiators):
+    p = tmp_path_factory.getbasetemp() / "fuzzed-net.json"
+    p.write_text(text, encoding="utf-8")
+    code, _, err = run_captured("build", "--net", str(p), "--initiators", str(initiators))
+    assert_one_line_exit(code, err)

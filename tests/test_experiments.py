@@ -42,6 +42,12 @@ def small_config(**overrides):
     return ScenarioConfig(**base)
 
 
+def summary_text(rows) -> str:
+    buf = io.StringIO()
+    write_summary_csv(rows, buf)
+    return buf.getvalue()
+
+
 def mask_wall_time(text: str) -> str:
     """Zero the hardware-dependent last column for byte comparisons."""
     out = []
@@ -104,13 +110,6 @@ def test_desk_scenario_rescales_radius():
     assert cfg.effective_radius(250) == pytest.approx(0.1)
     assert cfg.effective_radius(200) == pytest.approx(0.05 * (5 ** 0.5))
     assert cfg.initiator_counts[200] == (2, 3, 4, 5, 6, 7, 8, 9, 10, 20)
-
-
-def test_flat_initiator_list_normalized():
-    cfg = ScenarioConfig(n_values=(50, 100), r=0.2,
-                         initiator_counts=[2, 5, 80],
-                         strategies=(DRW,), replications=1)
-    assert cfg.initiator_counts == {50: (2, 5), 100: (2, 5, 80)}
 
 
 def test_config_validation():
@@ -310,9 +309,9 @@ def test_summarize_single_record_degenerate():
                            seed=1, active_path_size=5, depth=0.4,
                            total_steps=7, total_backtracks=0, failed=0,
                            wall_time_ms=1.0)
-    rows = summarize([rec], metrics=("depth",))
-    assert len(rows) == 1
-    s = rows[0].stats
+    rows = summarize([rec])
+    assert [r.metric for r in rows] == list(SUMMARY_METRICS)
+    s = rows[1].stats
     assert s.minimum == s.q1 == s.median == s.q3 == s.maximum == 0.4
 
 
@@ -325,8 +324,8 @@ def test_summarize_skips_failed_and_raises_when_all_failed():
                            seed=2, active_path_size=0, depth=0.0,
                            total_steps=0, total_backtracks=0, failed=1,
                            wall_time_ms=1.0)
-    rows = summarize([ok, bad], metrics=("active_path_size",))
-    assert rows[0].stats.count == 1
+    rows = summarize([ok, bad])
+    assert [r.stats.count for r in rows] == [1] * len(SUMMARY_METRICS)
     with pytest.raises(EmptyGroup):
         summarize([bad])
 
@@ -338,7 +337,7 @@ def test_summarize_rejects_unknown_group_key():
 
 def test_summary_csv_shape():
     rows = run_scenario(small_config())
-    text = write_summary_csv(summarize(rows))
+    text = summary_text(summarize(rows))
     lines = text.splitlines()
     expect_header = ",".join(DEFAULT_GROUP_KEYS) + \
         ",metric,min,q1,median,q3,max,lo_whisker,hi_whisker,outlier_count,count"
@@ -349,4 +348,4 @@ def test_summary_csv_shape():
 
 def test_summary_csv_deterministic():
     rows = run_scenario(small_config())
-    assert write_summary_csv(summarize(rows)) == write_summary_csv(summarize(rows))
+    assert summary_text(summarize(rows)) == summary_text(summarize(rows))

@@ -2,6 +2,7 @@
 
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import handnets as H
+from drw_overlay import geom_graph
 from drw_overlay.geom_graph import (
     MAX_RADIUS,
     GraphGenConfig,
@@ -117,16 +119,18 @@ def test_positions_inside_unit_square():
 def test_rejection_resamples_until_connected():
     """A sparse setting should need more than one placement attempt."""
     hits = [
-        generate_network(GraphGenConfig(n=40, r=0.22, seed=s, max_attempts=500)).attempts
+        generate_network(GraphGenConfig(n=40, r=0.22, seed=s)).attempts
         for s in range(30)
     ]
     assert max(hits) > 1
 
 
 def test_not_connected_raises_with_attempt_cap():
-    with pytest.raises(NotConnected) as err:
-        generate_network(GraphGenConfig(n=100, r=0.001, seed=0, max_attempts=5))
+    with mock.patch.object(geom_graph, "MAX_ATTEMPTS", 5), pytest.raises(NotConnected) as err:
+        generate_network(GraphGenConfig(n=100, r=0.001, seed=0))
     assert err.value.attempts == 5
+    assert str(err.value) == ("no connected placement after 5 attempts; "
+                              "increase the radius or the node count")
 
 
 def test_radius_sqrt2_is_complete_graph():
@@ -184,8 +188,6 @@ def test_invalid_configs_rejected():
         GraphGenConfig(n=1, r=0.5)
     with pytest.raises(ValueError):
         GraphGenConfig(n=10, r=0.0)
-    with pytest.raises(ValueError):
-        GraphGenConfig(n=10, r=0.5, max_attempts=0)
 
 
 def test_json_round_trip_bit_exact(tmp_path):

@@ -1,4 +1,4 @@
-"""Per-walk set-up: generators made on first draw; the ownership record."""
+"""Per-walk set-up: generators only for walks that step; the ownership record."""
 
 import pickle
 from unittest import mock
@@ -34,7 +34,7 @@ from drw_overlay.walk_engine import (
 DRW = CostStrategy("drw")
 
 
-def unused_factory():
+def unused_factory(walk_id):
     raise AssertionError("a walk born intersected made its generator")
 
 
@@ -48,7 +48,7 @@ def counting_walk_states(made):
     return mock.patch.object(WalkState, "__init__", counted)
 
 
-# --- lazy generators ---------------------------------------------------------
+# --- generators only for walks that step -------------------------------------
 
 @pytest.mark.parametrize("initiator, walk_id, owned, other, path, parents, owner", [
     # born at its owned initiator, ids in build order
@@ -66,8 +66,7 @@ def test_born_walk_state(initiator, walk_id, owned, other, path, parents, owner)
     trace = []
     made = []
     with counting_walk_states(made):
-        walk, broker = init_walk(net, initiator, walk_id, reg, unused_factory, strategy=DRW,
-                                 trace=trace)
+        walk, broker = init_walk(net, initiator, walk_id, reg, unused_factory, trace=trace)
     assert walk is None and broker == owned and made == []
     assert trace == [TraceRecord(walk=walk_id, step=0, outcome="intersected", node=owned,
                                  cursor=len(path), cost=None)]
@@ -84,7 +83,7 @@ def test_born_walk_state(initiator, walk_id, owned, other, path, parents, owner)
     assert walk.parents == parents and walk.cursor == len(path)
     assert walk.status == INTERSECTED and walk.broker == owned
     assert walk.steps == walk.backtracks == 0
-    assert walk.rng is None and walk.make_rng is None and walk.words is None
+    assert walk.rng is None and walk.words is None
     assert all(a is b for a, b in zip(layer.walks, layer.stepped))
     with pytest.raises(WalkNotActive):
         step(walk, net, reg, DRW)
@@ -95,24 +94,24 @@ def test_walk_that_draws_makes_its_generator_once():
     net = H.crossing_network()
     made = []
 
-    def factory():
-        made.append(1)
-        return stream(4, "walk", 0)
+    def factory(walk_id):
+        made.append(walk_id)
+        return stream(4, "walk", walk_id)
 
     reg = OverlayRegistry(net.n)
-    walk, broker = init_walk(net, 5, 0, reg, factory, strategy=DRW)
+    walk, broker = init_walk(net, 5, 3, reg, factory)
     assert broker is None and len(walk.path) == 2
-    assert made == [1] and walk.rng is not None
+    assert made == [3] and walk.rng is not None
     out = step(walk, net, reg, DRW)
-    assert made == [1]
+    assert made == [3]
     assert not hasattr(walk, "__dict__") and not hasattr(out, "__dict__")
 
 
 def eager_init_walk(seed):
-    """Reference init_walk: the walk's stream is made up front."""
-    def init(net, initiator, walk_id, registry, make_rng, **kw):
+    """Reference init_walk: every walk's stream is made up front, a born walk's too."""
+    def init(net, initiator, walk_id, registry, walk_stream, **kw):
         gen = stream(seed, "walk", walk_id)
-        return init_walk(net, initiator, walk_id, registry, lambda: gen, **kw)
+        return init_walk(net, initiator, walk_id, registry, lambda _: gen, **kw)
     return init
 
 

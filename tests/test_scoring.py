@@ -1,6 +1,5 @@
 """Bitset scoring and mark bitsets against brute-force Python sets."""
 
-from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -17,6 +16,7 @@ from drw_overlay.walk_engine import (
     PURE,
     STRATEGY_KINDS,
     TWO_HOP,
+    WEIGHTED,
     CostStrategy,
     candidate_costs,
     init_walk,
@@ -52,14 +52,17 @@ def assert_bits_match(net):
         assert 0 <= bits[v] and bits[v].bit_length() <= net.n  # no bit >= n
 
 
-def assert_marks_consistent(walk, net):
+def assert_marks_consistent(walk, net, strategy):
+    """Only drw and weighted mark; only weighted keeps marked2."""
     for marks in (walk.marked, walk.marked2):
         assert type(marks) is int and 0 <= marks and marks.bit_length() <= net.n
-    if walk.maintain_second:
+    if strategy.kind == WEIGHTED:
         ring2 = set().union(*(net.adjacency[u] for u in marked_nodes(net, walk.marked)))
         assert marked_nodes(net, walk.marked2) == ring2
     else:
         assert walk.marked2 == 0
+    if strategy.kind in (PURE, TWO_HOP):
+        assert walk.marked == 0
 
 
 def test_neighbor_bits_isolated_node_is_zero():
@@ -93,8 +96,7 @@ def test_scoring_and_marks_match_set_oracles(n, r, seed, kind, alpha, beta):
         scored.append(len(candidates))
         return got
 
-    walk, broker = init_walk(net, initiator, 0, registry, partial(np.random.default_rng, seed),
-                             strategy=strategy)
+    walk, broker = init_walk(net, initiator, 0, registry, lambda _: np.random.default_rng(seed))
     if walk is None:
         # Born on target, a neighbour of the initiator: nothing is scored.
         assert broker == target and target in net.adjacency[initiator]
@@ -102,9 +104,9 @@ def test_scoring_and_marks_match_set_oracles(n, r, seed, kind, alpha, beta):
     everyone = list(range(n))
     with mock.patch.object(walk_engine, "candidate_costs", checked):
         while walk.status == ACTIVE and walk.steps < 4 * n:
-            assert_marks_consistent(walk, net)
+            assert_marks_consistent(walk, net, strategy)
             step(walk, net, registry, strategy)
-            assert_marks_consistent(walk, net)
+            assert_marks_consistent(walk, net, strategy)
             src_index = max(walk.cursor - 2, 0)
             assert_same_costs(candidate_costs(walk, net, strategy, everyone, src_index),
                               oracle_costs(walk, net, strategy, everyone, src_index))

@@ -50,13 +50,13 @@ WEIGHTED = CostStrategy("weighted", alpha=2.0, beta=0.5)
 
 
 def seeded(seed):
-    """Generator factory for init_walk: draws np.random.default_rng(seed)'s stream."""
-    return partial(np.random.default_rng, seed)
+    """Stream factory for init_walk: any walk draws np.random.default_rng(seed)'s stream."""
+    return lambda walk_id: np.random.default_rng(seed)
 
 
 def fresh(net, initiator, seed=0, walk_id=0, registry=None, **kw):
     reg = registry if registry is not None else OverlayRegistry(net.n)
-    walk, out = init_walk(net, initiator, walk_id, reg, seeded(seed), strategy=DRW, **kw)
+    walk, out = init_walk(net, initiator, walk_id, reg, seeded(seed), **kw)
     return walk, out, reg
 
 
@@ -125,7 +125,7 @@ def test_fan_guided_step_picks_unique_minimum():
     net = H.fan_network()
     reg = OverlayRegistry(net.n)
     # steer the uniform first hop onto y (seed probed for this layout)
-    walk, out = init_walk(net, H.FAN_X, 0, reg, partial(stream, 4, "walk", 0), strategy=DRW)
+    walk, out = init_walk(net, H.FAN_X, 0, reg, partial(stream, 4, "walk"))
     assert out is None and walk.path == [H.FAN_X, H.FAN_Y]
     result = step(walk, net, reg, DRW)
     assert result.kind == EXTENDED and result.node == H.FAN_SCORED["z"]
@@ -166,7 +166,7 @@ def test_init_takes_already_recruited_neighbor():
     reg = OverlayRegistry(net.n)
     reg.register(1, 7)
     trace = []
-    walk, broker = init_walk(net, 0, 1, reg, seeded(0), strategy=DRW, trace=trace)
+    walk, broker = init_walk(net, 0, 1, reg, seeded(0), trace=trace)
     assert walk is None and broker == 1
     assert trace == [TraceRecord(walk=1, step=0, outcome=INTERSECTED_STEP, node=1,
                                  cursor=2, cost=None)]
@@ -179,7 +179,7 @@ def test_init_on_foreign_member_intersects_in_place():
     reg = OverlayRegistry(net.n)
     reg.register(2, 3)
     trace = []
-    walk, broker = init_walk(net, 2, 4, reg, seeded(0), strategy=DRW, trace=trace)
+    walk, broker = init_walk(net, 2, 4, reg, seeded(0), trace=trace)
     assert walk is None and broker == 2
     assert trace == [TraceRecord(walk=4, step=0, outcome=INTERSECTED_STEP, node=2,
                                  cursor=1, cost=None)]
@@ -190,7 +190,7 @@ def test_init_isolated_initiator_raises():
     net = network_from_positions([[0.1, 0.1], [0.2, 0.1], [0.9, 0.9]], r=0.15)
     reg = OverlayRegistry(net.n)
     with pytest.raises(IsolatedInitiator):
-        init_walk(net, 2, 0, reg, seeded(0), strategy=DRW)
+        init_walk(net, 2, 0, reg, seeded(0))
 
 
 # --- stepping, forced moves, precedence -------------------------------------
@@ -209,7 +209,7 @@ def test_intersection_beats_cost():
     net = H.crossing_network()
     reg = OverlayRegistry(net.n)
     reg.register(7, 9)
-    walk, _ = init_walk(net, 0, 0, reg, seeded(0), strategy=DRW)
+    walk, _ = init_walk(net, 0, 0, reg, seeded(0))
     step(walk, net, reg, DRW)           # -> 2
     out = step(walk, net, reg, DRW)     # candidates {3, 7}: 7 owned
     assert out.kind == INTERSECTED_STEP and out.node == 7 and out.other_walk == 9
@@ -224,39 +224,47 @@ def test_step_after_termination_raises():
     net = H.crossing_network()
     reg = OverlayRegistry(net.n)
     reg.register(2, 7)
-    walk, _ = init_walk(net, 0, 1, reg, seeded(0), strategy=DRW)
+    walk, _ = init_walk(net, 0, 1, reg, seeded(0))
     assert step(walk, net, reg, DRW).kind == INTERSECTED_STEP
     with pytest.raises(WalkNotActive):
         step(walk, net, reg, DRW)
     assert walk.steps == 1 and walk.path == [0, 1, 2]
 
 
-def test_weighted_requires_second_ring_marks():
-    net = H.crossing_network()
-    walk, _, reg = fresh(net, 0)        # initialized for plain drw
-    with pytest.raises(ValueError):
-        step(walk, net, reg, CostStrategy("weighted"))
-
-
-@pytest.mark.parametrize("init_kind", [PRW.kind, TWOHOP.kind])
-def test_drw_requires_marks(init_kind):
-    """A walk that keeps no marks would score every drw candidate 0."""
-    net = H.crossing_network()
-    reg = OverlayRegistry(net.n)
-    walk, _ = init_walk(net, 0, 0, reg, seeded(0), strategy=parse_strategy(init_kind))
-    with pytest.raises(ValueError):
-        step(walk, net, reg, DRW)
-    assert walk.steps == 0 and walk.path == [0, 1] and walk.marked == 0
+@pytest.mark.parametrize("strategy", [DRW, WEIGHTED], ids=["drw", "weighted"])
+def test_init_walk_steps_like_build_overlay(strategy):
+    """init_walk marks nothing and step keeps the marks its strategy scores,
+    so a pair of walks stepped by hand traces the same steps and costs as
+    build_overlay's pair."""
+    net = generate_network(GraphGenConfig(n=300, r=0.1, seed=7))
+    far = int(np.argmax(((net.positions - net.positions[0]) ** 2).sum(axis=1)))
+    cfg = OverlayBuildConfig(2, strategy, seed=3, initiators=(0, far))
+    want = []
+    build_overlay(net, cfg, want)
+    reg, got = OverlayRegistry(net.n), []
+    walks = [init_walk(net, v, wid, reg, partial(stream, cfg.seed, "walk"), trace=got)[0]
+             for wid, v in enumerate(cfg.initiators)]
+    assert all(w.marked == w.marked2 == 0 for w in walks)
+    while all(w.status == ACTIVE for w in walks):
+        for w in walks:
+            if step(w, net, reg, strategy, got).kind == INTERSECTED_STEP:
+                break
+    assert got == want and any(r.cost for r in got)
+    for w in walks:
+        assert w.marked != 0 and (w.marked2 != 0) == (strategy is WEIGHTED)
 
 
 @pytest.mark.parametrize("init_kind", STRATEGY_KINDS)
 @pytest.mark.parametrize("strategy", [PRW, TWOHOP], ids=["prw", "twohop"])
 def test_unmarked_strategies_step_any_walk(strategy, init_kind):
+    """prw and twohop read no marks, so they step a walk whose first step
+    ran under any strategy."""
     net = H.crossing_network()
     reg = OverlayRegistry(net.n)
-    walk, _ = init_walk(net, 0, 0, reg, seeded(0), strategy=parse_strategy(init_kind))
+    walk, _ = init_walk(net, 0, 0, reg, seeded(0))
+    assert step(walk, net, reg, parse_strategy(init_kind)).node == 2
     out = step(walk, net, reg, strategy)
-    assert out.kind == EXTENDED and out.node == 2 and walk.path == [0, 1, 2]
+    assert out.kind == EXTENDED and out.node in (3, 7) and walk.path[:3] == [0, 1, 2]
 
 
 # --- the pocket walk: dead end, backtrack, resume ---------------------------
@@ -265,7 +273,7 @@ def test_pocket_full_trace():
     net = H.pocket_network()
     reg = OverlayRegistry(net.n)
     reg.register(7, 99)                 # terminal node held by a foreign walk
-    walk, out = init_walk(net, 0, 0, reg, seeded(1), strategy=DRW)
+    walk, out = init_walk(net, 0, 0, reg, seeded(1))
     assert out is None and walk.path == [0, 1]
 
     kinds, nodes = [], []
@@ -288,12 +296,12 @@ def test_pocket_backtrack_cursor_arithmetic():
     net = H.pocket_network()
     reg = OverlayRegistry(net.n)
     reg.register(7, 99)
-    walk, _ = init_walk(net, 0, 0, reg, seeded(1), strategy=DRW)
+    walk, _ = init_walk(net, 0, 0, reg, seeded(1))
     for _ in range(3):
         step(walk, net, reg, DRW)
     assert walk.path == [0, 1, 2, 3, 4] and walk.cursor == 5
     out = step(walk, net, reg, DRW)
-    assert out.kind == BACKTRACKED and out.new_cursor == 5
+    assert out.kind == BACKTRACKED
     assert walk.cursor == 5 and len(walk.path) == 5
     out = step(walk, net, reg, DRW)     # resumes from node 3, takes bypass 5
     assert out.kind == EXTENDED and out.node == 5
@@ -306,7 +314,7 @@ def test_exhaustion_after_retreat_past_initiator():
     walk, _, reg = fresh(net, 0)
     assert walk.path == [0, 1]
     out = step(walk, net, reg, DRW)     # head 1 has no unvisited neighbors
-    assert out.kind == BACKTRACKED and out.new_cursor == 2
+    assert out.kind == BACKTRACKED and walk.cursor == 2
     out = step(walk, net, reg, DRW)     # initiator has none either
     assert out.kind == EXHAUSTED_STEP
     assert walk.status == EXHAUSTED
@@ -324,7 +332,7 @@ def test_weighted_alpha_only_equals_first_neighborhood():
         for strat in (DRW, weighted):
             reg = OverlayRegistry(net.n)
             reg.register(net.n - 1, 50)  # give the walk something to hit
-            walk, out = init_walk(net, 0, 0, reg, seeded(seed), strategy=strat)
+            walk, out = init_walk(net, 0, 0, reg, seeded(seed))
             if out is None:
                 run_walk_until_stop([walk], net, reg, strat,
                                     default_step_budget(net.n))
@@ -339,7 +347,7 @@ def test_pure_choice_uniform_over_candidates():
     trials = 2000
     for seed in range(trials):
         reg = OverlayRegistry(net.n)
-        walk, _ = init_walk(net, 0, 0, reg, seeded(seed), strategy=PRW)
+        walk, _ = init_walk(net, 0, 0, reg, seeded(seed))
         step(walk, net, reg, PRW)       # forced onto 2
         out = step(walk, net, reg, PRW)
         counts[out.node] += 1
@@ -354,7 +362,7 @@ def test_guided_tie_break_uniform():
     trials = 2000
     for seed in range(trials):
         reg = OverlayRegistry(net.n)
-        walk, _ = init_walk(net, 0, 0, reg, seeded(seed), strategy=DRW)
+        walk, _ = init_walk(net, 0, 0, reg, seeded(seed))
         step(walk, net, reg, DRW)
         out = step(walk, net, reg, DRW)
         counts[out.node] += 1
@@ -368,7 +376,7 @@ def test_same_seed_same_walk():
     for _ in range(2):
         reg = OverlayRegistry(net.n)
         reg.register(net.n - 1, 50)
-        walk, out = init_walk(net, 0, 0, reg, seeded(42), strategy=DRW)
+        walk, out = init_walk(net, 0, 0, reg, seeded(42))
         if out is None:
             run_walk_until_stop([walk], net, reg, DRW, default_step_budget(net.n))
         runs.append((list(walk.path), walk.steps, walk.backtracks, walk.status))
@@ -385,7 +393,7 @@ def test_walk_invariants_random_networks():
             reg = OverlayRegistry(net.n)
             target = net.n // 2
             reg.register(target, 50)
-            walk, out = init_walk(net, 0, 0, reg, seeded(seed), strategy=strat)
+            walk, out = init_walk(net, 0, 0, reg, seeded(seed))
             if out is None:
                 run_walk_until_stop([walk], net, reg, strat,
                                     default_step_budget(net.n))
@@ -406,7 +414,7 @@ def test_twohop_walk_terminates_and_stays_tabu():
     strat = CostStrategy("twohop")
     reg = OverlayRegistry(net.n)
     reg.register(100, 50)
-    walk, out = init_walk(net, 0, 0, reg, seeded(9), strategy=strat)
+    walk, out = init_walk(net, 0, 0, reg, seeded(9))
     if out is None:
         run_walk_until_stop([walk], net, reg, strat, default_step_budget(net.n))
     assert walk.status == INTERSECTED
@@ -428,7 +436,7 @@ def test_budget_exact_allows_completion():
     net = H.pocket_network()
     reg = OverlayRegistry(net.n)
     reg.register(7, 99)
-    walk, _ = init_walk(net, 0, 0, reg, seeded(1), strategy=DRW)
+    walk, _ = init_walk(net, 0, 0, reg, seeded(1))
     run_walk_until_stop([walk], net, reg, DRW, 7)
     assert walk.status == INTERSECTED and walk.steps == 7
 
@@ -437,7 +445,7 @@ def test_budget_one_short_raises():
     net = H.pocket_network()
     reg = OverlayRegistry(net.n)
     reg.register(7, 99)
-    walk, _ = init_walk(net, 0, 0, reg, seeded(1), strategy=DRW)
+    walk, _ = init_walk(net, 0, 0, reg, seeded(1))
     with pytest.raises(BuildFailed) as err:
         run_walk_until_stop([walk], net, reg, DRW, 6)
     assert err.value.walk_id == 0 and err.value.reason == "step budget 6 spent"
@@ -457,28 +465,20 @@ PICK_COUNTS = st.one_of(st.just(1), st.integers(2, 40), st.sampled_from([3 * 2**
 
 
 @settings(max_examples=300, deadline=None)
-@given(seed=st.integers(0, 2**64 - 1), counts=st.lists(PICK_COUNTS, min_size=1, max_size=80),
-       given_rng=st.booleans())
-def test_pick_equals_generator_integers(seed, counts, given_rng):
+@given(seed=st.integers(0, 2**64 - 1), counts=st.lists(PICK_COUNTS, min_size=1, max_size=80))
+def test_pick_equals_generator_integers(seed, counts):
     """A walk's picks are default_rng(seed).integers(k)'s values, draw for
-    draw, for a generator made on the first pick or given up front; a
-    one-item pick makes the generator but takes no word."""
-    if given_rng:
-        walk = WalkState(id=0, rng=np.random.default_rng(seed))
-    else:
-        walk = WalkState(id=0, make_rng=seeded(seed))
+    draw; a one-item pick takes no word."""
+    walk = WalkState(id=0, rng=np.random.default_rng(seed))
     ref = np.random.default_rng(seed)
     for i, k in enumerate(counts):
         items = list(range(100, 100 + k)) if k <= 40 else range(k)
         assert _pick(walk, items) == items[int(ref.integers(k))], (i, k)
-        assert walk.rng is not None
         assert (walk.words is None) == all(c == 1 for c in counts[:i + 1])
 
 
 def numpy_pick(walk, items):
     """The draw as one Generator.integers call per pick."""
-    if walk.rng is None:
-        walk.rng = walk.make_rng()
     return items[int(walk.rng.integers(len(items)))]
 
 
