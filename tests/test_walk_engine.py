@@ -254,6 +254,25 @@ def test_init_walk_steps_like_build_overlay(strategy):
         assert w.marked != 0 and (w.marked2 != 0) == (strategy is WEIGHTED)
 
 
+@pytest.mark.parametrize("init_kind", [PRW.kind, TWOHOP.kind])
+def test_drw_requires_marks(init_kind):
+    """drw scores against the marks that its own steps fold in. A walk whose
+    first step ran under prw or twohop comes to drw with none, and drw marks
+    the neighborhood behind the head before it scores, so no candidate is
+    scored against an empty set; the neighborhood the unmarked step passed
+    is not marked after the fact."""
+    net = H.crossing_network()
+    reg = OverlayRegistry(net.n)
+    walk, _ = init_walk(net, 0, 0, reg, seeded(0))
+    assert step(walk, net, reg, parse_strategy(init_kind)).node == 2
+    assert walk.steps == 1 and walk.path == [0, 1, 2] and walk.marked == 0
+    trace = []
+    out = step(walk, net, reg, DRW, trace)
+    assert out.kind == EXTENDED and out.node in (3, 7)
+    assert marked_nodes(net, walk.marked) == {0, 2}        # N(1) only, not N(0)
+    assert trace[-1].cost == 1                             # |N(3) & {0,2}| = |N(7) & {0,2}|
+
+
 @pytest.mark.parametrize("init_kind", STRATEGY_KINDS)
 @pytest.mark.parametrize("strategy", [PRW, TWOHOP], ids=["prw", "twohop"])
 def test_unmarked_strategies_step_any_walk(strategy, init_kind):
