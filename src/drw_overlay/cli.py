@@ -170,8 +170,6 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    if not 0 < args.scale <= 1:
-        return _usage("--scale must be in (0, 1]")
     if args.jobs < 1:
         return _usage("--jobs must be at least 1")
     if args.step_budget is not None and args.step_budget < 1:
@@ -187,7 +185,7 @@ def _cmd_experiment(args) -> int:
     maker = desk_scenario if args.desk else full_scenario
     try:
         cfg = maker(args.scale, strategies=strategies, base_seed=args.seed)
-    except ValueError as exc:  # e.g. a scale too small for any initiator count
+    except ValueError as exc:  # a scale outside (0, 1] or too small, a strategy twice
         return _usage(str(exc))
     if args.step_budget is not None:
         cfg.step_budget = args.step_budget

@@ -42,9 +42,23 @@ FULL_INITIATORS: dict[int, tuple[int, ...]] = {
 
 DESK_N = (200, 500, 1000)
 
-RECORD_COLUMNS = ("n", "r", "strategy", "initiators", "rep", "seed",
-                  "active_path_size", "depth", "total_steps",
-                  "total_backtracks", "failed", "wall_time_ms")
+# records.csv: each column in file (and ExperimentRecord field) order, with
+# its (parser, formatter).
+_COLUMNS = {
+    "n": (int, str),
+    "r": (float, repr),
+    "strategy": (str, str),
+    "initiators": (int, str),
+    "rep": (int, str),
+    "seed": (int, str),
+    "active_path_size": (int, str),
+    "depth": (float, "{:.6f}".format),
+    "total_steps": (int, str),
+    "total_backtracks": (int, str),
+    "failed": (int, str),
+    "wall_time_ms": (float, "{:.3f}".format),
+}
+RECORD_COLUMNS = tuple(_COLUMNS)
 
 SUMMARY_METRICS = ("active_path_size", "depth", "total_steps", "total_backtracks")
 
@@ -65,7 +79,8 @@ class ScenarioConfig:
     initiator_counts maps each node count to its sweep list. When
     r_rescale_ref is set, the radius used for node count n is
     r * sqrt(r_rescale_ref / n), keeping the expected degree level when the
-    sweep runs on smaller networks than the reference.
+    sweep runs on smaller networks than the reference. No two strategies
+    may share a label, since a label names a strategy's records.
     """
 
     n_values: tuple[int, ...]
@@ -90,6 +105,9 @@ class ScenarioConfig:
             for i in counts:
                 if i < 2 or i > n:
                     raise ValueError(f"initiator count {i} invalid for n={n}")
+        labels = [s.label for s in self.strategies]
+        if len(set(labels)) < len(labels):
+            raise ValueError(f"a strategy is listed twice in {','.join(labels)}")
 
     def effective_radius(self, n: int) -> float:
         if self.r_rescale_ref is None:
@@ -102,12 +120,22 @@ class ScenarioConfig:
         return sum(len(self.initiator_counts[n]) for n in self.n_values)
 
 
-def _scaled_replications(scale: float) -> int:
-    return max(10, round(FULL_REPLICATIONS * scale))
+def _protocol(label, n_values, lists, scale, strategies, base_seed,
+              r_rescale_ref=None) -> ScenarioConfig:
+    """The protocol's scaling rule, shared by both scenario makers.
 
-
-def _default_strategies() -> tuple[CostStrategy, ...]:
-    return (CostStrategy("drw"), CostStrategy("prw"))
+    scale must lie in (0, 1]. Node count n keeps the counts of lists[n] up
+    to scale*n, replications shrink to scale*100 with a floor of 10, and
+    the strategies default to drw and prw.
+    """
+    if not 0 < scale <= 1:
+        raise ValueError(f"scale must be in (0, 1], got {scale}")
+    return ScenarioConfig(
+        n_values=n_values, r=FULL_R,
+        initiator_counts={n: tuple(i for i in lists[n] if i <= scale * n) for n in n_values},
+        strategies=tuple(strategies or (CostStrategy("drw"), CostStrategy("prw"))),
+        replications=max(10, round(FULL_REPLICATIONS * scale)), base_seed=base_seed,
+        r_rescale_ref=r_rescale_ref, scale=scale, label=label)
 
 
 def full_scenario(scale: float = 1.0, *, strategies=None,
@@ -115,47 +143,22 @@ def full_scenario(scale: float = 1.0, *, strategies=None,
     """The full sweep protocol, optionally shrunk by a factor in (0, 1].
 
     At scale 1: n in {1000, 2000, 3000}, r = 0.05, the full initiator lists
-    and 100 replications per cell. Below 1, replications shrink
-    proportionally (floor 10) and initiator counts above scale*n drop out.
+    and 100 replications per cell; ``_protocol`` says how a smaller scale
+    shrinks it.
     """
-    if not 0 < scale <= 1:
-        raise ValueError(f"scale must be in (0, 1], got {scale}")
-    counts = {n: tuple(i for i in FULL_INITIATORS[n] if i <= scale * n)
-              for n in FULL_N}
-    return ScenarioConfig(
-        n_values=FULL_N,
-        r=FULL_R,
-        initiator_counts=counts,
-        strategies=tuple(strategies) if strategies else _default_strategies(),
-        replications=_scaled_replications(scale),
-        base_seed=base_seed,
-        scale=scale,
-        label="full",
-    )
+    return _protocol("full", FULL_N, FULL_INITIATORS, scale, strategies, base_seed)
 
 
 def desk_scenario(scale: float = 0.1, *, strategies=None,
                   base_seed: int = 0) -> ScenarioConfig:
     """Small-network variant: n in {200, 500, 1000} with a rescaled radius.
 
+    Every n sweeps the n = 1000 initiator list, scaled as in ``_protocol``.
     The radius grows as sqrt(1000/n) so the mean degree stays at the
     reference level; connected placements at small n are rare otherwise.
     """
-    if not 0 < scale <= 1:
-        raise ValueError(f"scale must be in (0, 1], got {scale}")
-    base = FULL_INITIATORS[1000]
-    counts = {n: tuple(i for i in base if i <= scale * n) for n in DESK_N}
-    return ScenarioConfig(
-        n_values=DESK_N,
-        r=FULL_R,
-        initiator_counts=counts,
-        strategies=tuple(strategies) if strategies else _default_strategies(),
-        replications=_scaled_replications(scale),
-        base_seed=base_seed,
-        r_rescale_ref=1000,
-        scale=scale,
-        label="desk",
-    )
+    return _protocol("desk", DESK_N, dict.fromkeys(DESK_N, FULL_INITIATORS[1000]),
+                     scale, strategies, base_seed, r_rescale_ref=1000)
 
 
 @dataclass(frozen=True)
@@ -196,11 +199,7 @@ def _run_rep_group(cfg: ScenarioConfig, n: int, rep: int) -> list[ExperimentReco
         b_seed = build_seed(cfg, n, count, rep)
         for strategy in cfg.strategies:
             t0 = perf_counter()
-            size = 0
-            reach = 0.0
-            steps = 0
-            backtracks = 0
-            failed = 1
+            size, reach, steps, backtracks, failed = 0, 0.0, 0, 0, 1
             if net is not None:
                 try:
                     res = build_overlay(net, OverlayBuildConfig(
@@ -259,15 +258,6 @@ def scenario_metadata(cfg: ScenarioConfig) -> list[str]:
     return lines
 
 
-def _format_record(rec: ExperimentRecord) -> list[str]:
-    return [
-        str(rec.n), repr(rec.r), rec.strategy, str(rec.initiators),
-        str(rec.rep), str(rec.seed), str(rec.active_path_size),
-        f"{rec.depth:.6f}", str(rec.total_steps), str(rec.total_backtracks),
-        str(rec.failed), f"{rec.wall_time_ms:.3f}",
-    ]
-
-
 @contextmanager
 def _text_file(target, mode: str):
     """Yield target as a text file: a path is opened here and closed on
@@ -287,7 +277,7 @@ def write_records_csv(records, out, metadata=()) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(RECORD_COLUMNS)
         for rec in records:
-            writer.writerow(_format_record(rec))
+            writer.writerow([fmt(getattr(rec, name)) for name, (_, fmt) in _COLUMNS.items()])
 
 
 def read_records_csv(source) -> list[ExperimentRecord]:
@@ -307,12 +297,8 @@ def read_records_csv(source) -> list[ExperimentRecord]:
     for row in rows[1:]:
         if len(row) != len(RECORD_COLUMNS):
             raise ValueError(f"malformed row: {row!r}")
-        rec = ExperimentRecord(
-            n=int(row[0]), r=float(row[1]), strategy=row[2],
-            initiators=int(row[3]), rep=int(row[4]), seed=int(row[5]),
-            active_path_size=int(row[6]), depth=float(row[7]),
-            total_steps=int(row[8]), total_backtracks=int(row[9]),
-            failed=int(row[10]), wall_time_ms=float(row[11]))
+        rec = ExperimentRecord(**{name: parse(cell) for (name, (parse, _)), cell
+                                  in zip(_COLUMNS.items(), row)})
         problem = _record_problem(rec)
         if problem:
             raise ValueError(f"bad row {','.join(row)}: {problem}")

@@ -18,9 +18,8 @@ from .geom_graph import Network
 from .rng import stream
 from .walk_engine import (
     ACTIVE,
-    EXHAUSTED_STEP,
+    EXHAUSTED,
     INTERSECTED,
-    INTERSECTED_STEP,
     CostStrategy,
     OverlayRegistry,
     WalkState,
@@ -131,9 +130,9 @@ def run_walk_until_stop(walks: list[WalkState], net: Network, registry: OverlayR
             if walk.steps >= budget:
                 raise BuildFailed(walk.id, f"step budget {budget} spent")
             out = step(walk, net, registry, strategy, trace)
-            if out.kind == EXHAUSTED_STEP:
+            if out.kind == EXHAUSTED:
                 raise BuildFailed(walk.id, "exhausted: backtracked past its initiator")
-            if out.kind == INTERSECTED_STEP:
+            if out.kind == INTERSECTED:
                 broker = out.node
                 break
     for walk in walks:

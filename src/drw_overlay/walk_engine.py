@@ -34,16 +34,13 @@ TWO_HOP = "twohop"
 WEIGHTED = "weighted"
 STRATEGY_KINDS = (FIRST_NEIGHBORHOOD, PURE, TWO_HOP, WEIGHTED)
 
-# Walk statuses.
+# Walk statuses, and the kinds of step (a step that ends a walk is named
+# by the status it leaves).
 ACTIVE = "active"
 INTERSECTED = "intersected"
 EXHAUSTED = "exhausted"
-
-# Step outcome kinds.
 EXTENDED = "extended"
-INTERSECTED_STEP = "intersected"
 BACKTRACKED = "backtracked"
-EXHAUSTED_STEP = "exhausted"
 
 
 class IsolatedInitiator(RuntimeError):
@@ -121,8 +118,6 @@ class CostStrategy:
 def parse_strategy(token: str, alpha: float = 1.0, beta: float = 1.0) -> CostStrategy:
     """Map a CLI token to a strategy; alpha/beta only matter for 'weighted'."""
     token = token.strip().lower()
-    if token not in STRATEGY_KINDS:
-        raise ValueError(f"unknown strategy {token!r}, expected one of {STRATEGY_KINDS}")
     if token == WEIGHTED:
         return CostStrategy(WEIGHTED, alpha=alpha, beta=beta)
     return CostStrategy(token)
@@ -134,10 +129,11 @@ class StepOutcome:
     hashes an outcome once made, so it is not frozen, which would cost
     about 1 µs more per step to construct.
 
-    kind "extended"    : node appended, walk still active
-    kind "intersected" : node appended, it already belonged to other_walk
-    kind "backtracked" : no candidates, head moved back to walk.cursor
-    kind "exhausted"   : no candidates at the initiator, walk dead
+    kind EXTENDED    : node appended, walk still active
+    kind INTERSECTED : node appended, it already belonged to other_walk;
+                       the walk's status is INTERSECTED, node its broker
+    kind BACKTRACKED : no candidates, head moved back to walk.cursor
+    kind EXHAUSTED   : no candidates at the initiator, status EXHAUSTED
     """
 
     kind: str
@@ -190,15 +186,6 @@ class WalkState:
     backtracks: int = 0
     words: list[int] | None = field(default=None, repr=False)
     _retreating: bool = field(default=False, repr=False)
-
-    @property
-    def initiator(self) -> int:
-        return self.path[0]
-
-    @property
-    def head(self) -> int:
-        """Current extension source (1-based cursor into the recruitment path)."""
-        return self.path[self.cursor - 1]
 
 
 def candidate_costs(walk: WalkState, net: Network, strategy: CostStrategy,
@@ -270,24 +257,6 @@ def _pick(walk: WalkState, items: list[int]) -> int:
             return items[m >> 32]
 
 
-def _meet(walk: WalkState, registry: OverlayRegistry, node: int, other: int,
-          trace: list | None) -> StepOutcome:
-    """End the walk on node, which walk `other` owns; node becomes a broker."""
-    registry.register(node, walk.id)
-    walk.status = INTERSECTED
-    walk.broker = node
-    out = StepOutcome(INTERSECTED_STEP, node=node, other_walk=other)
-    _trace(trace, walk, out, cost=None)
-    return out
-
-
-def _append(walk: WalkState, node: int, parent_index: int) -> None:
-    walk.path.append(node)
-    walk.parents.append(parent_index)
-    walk.cursor = len(walk.path)
-    walk._retreating = False
-
-
 def init_walk(net: Network, initiator: int, walk_id: int, registry: OverlayRegistry,
               walk_stream: Callable[[int], np.random.Generator],
               trace: list | None = None) -> tuple[WalkState | None, int | None]:
@@ -301,8 +270,9 @@ def init_walk(net: Network, initiator: int, walk_id: int, registry: OverlayRegis
     and (None, broker) for a walk born intersected: its path is [initiator]
     when broker is the initiator, else [initiator, broker], and it never
     draws, so no WalkState or generator is spent on it. Either way the
-    registry and the trace record the walk as usual. A walk that steps
-    gets walk_stream(walk_id) as its generator and marks nothing yet.
+    registry and the trace record the walk as usual, as step 0. A walk
+    that steps gets walk_stream(walk_id) as its generator, path
+    [initiator, v] with cursor 2, and no marks yet.
     """
     adjacency, owner = net.adjacency, registry.owner
     if not 0 <= initiator < len(adjacency):
@@ -326,13 +296,14 @@ def init_walk(net: Network, initiator: int, walk_id: int, registry: OverlayRegis
         if walk_id < other:
             owner[node] = walk_id
         if trace is not None:
-            trace.append(TraceRecord(walk=walk_id, step=0, outcome=INTERSECTED_STEP, node=node,
+            trace.append(TraceRecord(walk=walk_id, step=0, outcome=INTERSECTED, node=node,
                                      cursor=1 if node == initiator else 2, cost=None))
         return None, node
 
-    walk = WalkState(id=walk_id, rng=walk_stream(walk_id), path=[initiator], parents=[-1])
+    walk = WalkState(id=walk_id, rng=walk_stream(walk_id), path=[initiator],
+                     parents=[-1, 0], cursor=2)
     v = _pick(walk, nbrs)
-    _append(walk, v, parent_index=0)
+    walk.path.append(v)
     owner[v] = walk_id
     if trace is not None:
         _trace(trace, walk, StepOutcome(EXTENDED, node=v), cost=None)
@@ -348,7 +319,8 @@ def step(walk: WalkState, net: Network, registry: OverlayRegistry,
     only retreats the cursor; the next call resumes from the new head
     without marking again. Ties (and the pure strategy) use the walk's rng.
     Only drw and weighted mark; a walk is meant to take every step under
-    one strategy.
+    one strategy. A step that meets another walk's node takes it as an
+    extension would, makes it a broker and ends the walk INTERSECTED.
     """
     if walk.status != ACTIVE:
         raise WalkNotActive(f"walk {walk.id} is {walk.status}")
@@ -370,52 +342,49 @@ def step(walk: WalkState, net: Network, registry: OverlayRegistry,
     # another walk wins outright, and the unowned ones are the candidates.
     owner = registry.owner
     candidates = []
+    cost = None
     for v in net.adjacency[path[src_index]]:
         o = owner[v]
         if o < 0:
             candidates.append(v)
         elif o != wid:
-            _append(walk, v, src_index)
-            return _meet(walk, registry, v, o, trace)
-
-    if not candidates:
-        if cursor == 2:
-            walk.status = EXHAUSTED
-            walk._retreating = False
-            out = StepOutcome(EXHAUSTED_STEP)
-        else:
-            cursor -= 1
-            walk.backtracks += 1
-            walk._retreating = True
-            out = StepOutcome(BACKTRACKED)
-        walk.cursor = cursor
-        if trace is not None:
-            _trace(trace, walk, out, cost=None)
-        return out
-
-    chosen_cost: float | None = None
-    if kind == PURE:
-        v = _pick(walk, candidates)
+            registry.register(v, wid)
+            walk.status, walk.broker = INTERSECTED, v
+            out = StepOutcome(INTERSECTED, v, o)
+            break
     else:
-        costs = candidate_costs(walk, net, strategy, candidates, src_index)
-        low = min(costs)
-        v = _pick(walk, [c for c, cost in zip(candidates, costs) if cost == low])
-        chosen_cost = low
+        if not candidates:
+            if cursor == 2:
+                walk.status = EXHAUSTED
+                walk._retreating = False
+                out = StepOutcome(EXHAUSTED)
+            else:
+                cursor -= 1
+                walk.backtracks += 1
+                walk._retreating = True
+                out = StepOutcome(BACKTRACKED)
+            walk.cursor = cursor
+            if trace is not None:
+                _trace(trace, walk, out, None)
+            return out
+        if kind == PURE:
+            v = _pick(walk, candidates)
+        else:
+            costs = candidate_costs(walk, net, strategy, candidates, src_index)
+            cost = min(costs)
+            v = _pick(walk, [c for c, k in zip(candidates, costs) if k == cost])
+        owner[v] = wid
+        out = StepOutcome(EXTENDED, v)
 
     path.append(v)
     walk.parents.append(src_index)
     walk.cursor = len(path)
     walk._retreating = False
-    owner[v] = wid
-    out = StepOutcome(EXTENDED, node=v)
     if trace is not None:
-        _trace(trace, walk, out, cost=chosen_cost)
+        _trace(trace, walk, out, cost)
     return out
 
 
-def _trace(trace: list | None, walk: WalkState,
-           out: StepOutcome, cost: float | None) -> None:
-    if trace is None:
-        return
+def _trace(trace: list, walk: WalkState, out: StepOutcome, cost: float | None) -> None:
     trace.append(TraceRecord(walk=walk.id, step=walk.steps, outcome=out.kind,
                              node=out.node, cursor=walk.cursor, cost=cost))

@@ -353,6 +353,14 @@ def test_experiment_bad_strategy_token(capsys):
     capsys.readouterr()
 
 
+def test_experiment_repeated_strategy_usage_error(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, "experiment", "--desk", "--scale", "0.02",
+                         "--strategies", "drw,DRW", "--out-dir", str(out_dir))
+    assert code == 1 and out == "" and not out_dir.exists()
+    assert len(err.splitlines()) == 1 and "listed twice" in err
+
+
 def test_experiment_step_budget_below_one_usage_error(capsys):
     for budget in ("0", "-3"):
         assert main(["experiment", "--step-budget", budget]) == 1

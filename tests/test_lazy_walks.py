@@ -20,7 +20,6 @@ from drw_overlay.overlay import (
 from drw_overlay.rng import stream
 from drw_overlay.walk_engine import (
     INTERSECTED,
-    INTERSECTED_STEP,
     STRATEGY_KINDS,
     CostStrategy,
     TraceRecord,
@@ -166,13 +165,6 @@ def test_born_walks_are_made_once_on_first_access():
     assert to_json_dict(pickle.loads(pickle.dumps(result))) == to_json_dict(result)
 
 
-def test_built_layer_with_unused_factories_pickles():
-    net = H.star_network()
-    result = build_overlay(net, OverlayBuildConfig(net.n, DRW, seed=5))
-    assert any(w.rng is None for w in result.walks)
-    assert to_json_dict(pickle.loads(pickle.dumps(result))) == to_json_dict(result)
-
-
 # --- the ownership record ----------------------------------------------------
 
 class CapturedRegistry(OverlayRegistry):
@@ -196,7 +188,7 @@ def recording(met):
 
     def stepped(walk, *args, **kw):
         out = step(walk, *args, **kw)
-        if out.kind == INTERSECTED_STEP:
+        if out.kind == INTERSECTED:
             met.append((walk.id, out.node, out.other_walk))
         return out
     return initialized, stepped

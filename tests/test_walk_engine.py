@@ -25,10 +25,8 @@ from drw_overlay.walk_engine import (
     ACTIVE,
     BACKTRACKED,
     EXHAUSTED,
-    EXHAUSTED_STEP,
     EXTENDED,
     INTERSECTED,
-    INTERSECTED_STEP,
     STRATEGY_KINDS,
     CostStrategy,
     IsolatedInitiator,
@@ -168,7 +166,7 @@ def test_init_takes_already_recruited_neighbor():
     trace = []
     walk, broker = init_walk(net, 0, 1, reg, seeded(0), trace=trace)
     assert walk is None and broker == 1
-    assert trace == [TraceRecord(walk=1, step=0, outcome=INTERSECTED_STEP, node=1,
+    assert trace == [TraceRecord(walk=1, step=0, outcome=INTERSECTED, node=1,
                                  cursor=2, cost=None)]
     assert reg.owner[:2] == [1, 1] and reg.brokers == {1}
 
@@ -181,7 +179,7 @@ def test_init_on_foreign_member_intersects_in_place():
     trace = []
     walk, broker = init_walk(net, 2, 4, reg, seeded(0), trace=trace)
     assert walk is None and broker == 2
-    assert trace == [TraceRecord(walk=4, step=0, outcome=INTERSECTED_STEP, node=2,
+    assert trace == [TraceRecord(walk=4, step=0, outcome=INTERSECTED, node=2,
                                  cursor=1, cost=None)]
     assert reg.owner == [-1, -1, 3] + [-1] * (net.n - 3) and reg.brokers == {2}
 
@@ -212,7 +210,7 @@ def test_intersection_beats_cost():
     walk, _ = init_walk(net, 0, 0, reg, seeded(0))
     step(walk, net, reg, DRW)           # -> 2
     out = step(walk, net, reg, DRW)     # candidates {3, 7}: 7 owned
-    assert out.kind == INTERSECTED_STEP and out.node == 7 and out.other_walk == 9
+    assert out.kind == INTERSECTED and out.node == 7 and out.other_walk == 9
     assert walk.status == INTERSECTED and walk.broker == 7
     assert walk.path == [0, 1, 2, 7]
     assert reg.owner[7] == 0 and reg.brokers == {7}
@@ -225,7 +223,7 @@ def test_step_after_termination_raises():
     reg = OverlayRegistry(net.n)
     reg.register(2, 7)
     walk, _ = init_walk(net, 0, 1, reg, seeded(0))
-    assert step(walk, net, reg, DRW).kind == INTERSECTED_STEP
+    assert step(walk, net, reg, DRW).kind == INTERSECTED
     with pytest.raises(WalkNotActive):
         step(walk, net, reg, DRW)
     assert walk.steps == 1 and walk.path == [0, 1, 2]
@@ -247,7 +245,7 @@ def test_init_walk_steps_like_build_overlay(strategy):
     assert all(w.marked == w.marked2 == 0 for w in walks)
     while all(w.status == ACTIVE for w in walks):
         for w in walks:
-            if step(w, net, reg, strategy, got).kind == INTERSECTED_STEP:
+            if step(w, net, reg, strategy, got).kind == INTERSECTED:
                 break
     assert got == want and any(r.cost for r in got)
     for w in walks:
@@ -302,7 +300,7 @@ def test_pocket_full_trace():
         nodes.append(o.node)
 
     assert kinds == [EXTENDED, EXTENDED, EXTENDED, BACKTRACKED,
-                     EXTENDED, EXTENDED, INTERSECTED_STEP]
+                     EXTENDED, EXTENDED, INTERSECTED]
     assert nodes == [2, 3, 4, None, 5, 6, 7]
     assert walk.path == [0, 1, 2, 3, 4, 5, 6, 7]
     assert walk.parents == [-1, 0, 1, 2, 3, 3, 5, 6]
@@ -335,7 +333,7 @@ def test_exhaustion_after_retreat_past_initiator():
     out = step(walk, net, reg, DRW)     # head 1 has no unvisited neighbors
     assert out.kind == BACKTRACKED and walk.cursor == 2
     out = step(walk, net, reg, DRW)     # initiator has none either
-    assert out.kind == EXHAUSTED_STEP
+    assert out.kind == EXHAUSTED
     assert walk.status == EXHAUSTED
     assert walk.backtracks == 1
 
