@@ -293,15 +293,20 @@ def read_records_csv(source) -> list[ExperimentRecord]:
     header = tuple(rows[0])
     if header != RECORD_COLUMNS:
         raise ValueError(f"unexpected columns {header}")
-    records = []
+    records, seen = [], set()
     for row in rows[1:]:
         if len(row) != len(RECORD_COLUMNS):
             raise ValueError(f"malformed row: {row!r}")
         rec = ExperimentRecord(**{name: parse(cell) for (name, (parse, _)), cell
                                   in zip(_COLUMNS.items(), row)})
+        key = (rec.n, rec.strategy, rec.initiators, rec.rep)
         problem = _record_problem(rec)
+        if problem is None and key in seen:
+            # A replication counts once; a repeat would weigh it twice in stats.
+            problem = "repeats the (n, strategy, initiators, rep) of an earlier row"
         if problem:
             raise ValueError(f"bad row {','.join(row)}: {problem}")
+        seen.add(key)
         records.append(rec)
     return records
 

@@ -115,7 +115,7 @@ def select_initiators(net: Network, count: int, rng) -> tuple[int, ...]:
         raise ValueError(f"need at least 2 initiators, got {count}")
     if count > net.n:
         raise TooManyInitiators(f"{count} initiators for {net.n} nodes")
-    return tuple(int(v) for v in rng.choice(net.n, size=count, replace=False))
+    return tuple(rng.choice(net.n, size=count, replace=False).tolist())
 
 
 def run_walk_until_stop(walks: list[WalkState], net: Network, registry: OverlayRegistry,
@@ -210,24 +210,34 @@ def _assemble(cfg, walks, born, registry, initiators) -> OverlayResult:
 
 
 def _check_layer(result: OverlayResult) -> None:
-    """Connectivity self-check over the traced edges; cheap, runs per build."""
+    """Connectivity self-check over the traced edges; cheap, runs per build.
+
+    A union-find over active_path_edges (one dict, path halving) joins the
+    layer's nodes, and the layer passes when they end in one part. Raises
+    BuildFailed(-1, ...) for an empty layer, for a traced edge with an end
+    outside the active path, and for a layer in more than one part.
+    """
     nodes = result.active_path
     if not nodes:
         raise BuildFailed(-1, "empty layer")
-    adj: dict[int, list[int]] = {v: [] for v in nodes}
-    for a, b in result.active_path_edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    start_node = next(iter(nodes))
-    seen = {start_node}
-    queue = [start_node]
-    while queue:
-        u = queue.pop()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    if seen != nodes:
+    root = dict(zip(nodes, nodes))
+    parts = len(nodes)
+    try:
+        for a, b in result.active_path_edges:
+            # Two statements per halving step: `a = root[a] = root[root[a]]`
+            # would assign to root at the new a and break the forest.
+            while root[a] != a:
+                root[a] = root[root[a]]
+                a = root[a]
+            while root[b] != b:
+                root[b] = root[root[b]]
+                b = root[b]
+            if a != b:
+                root[a] = b
+                parts -= 1
+    except KeyError as exc:
+        raise BuildFailed(-1, f"traced edge leaves the layer at node {exc.args[0]}") from None
+    if parts != 1:
         raise BuildFailed(-1, "layer is not connected through traced edges")
 
 

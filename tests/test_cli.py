@@ -486,6 +486,33 @@ def test_stats_failed_row_with_empty_layer_accepted(tmp_path, capsys):
     assert (code, err) == (0, "")
 
 
+def test_stats_repeated_replication_exit_2(desk_run, tmp_path, capsys):
+    """A records.csv with its data rows appended again would count every
+    replication twice."""
+    text = (desk_run / "records.csv").read_text()
+    data = [line for line in text.splitlines(keepends=True)
+            if not line.startswith(("#", "n,"))]
+    p = tmp_path / "twice.csv"
+    p.write_text(text + "".join(data))
+    code, out, err = run(capsys, "stats", "--in", str(p))
+    assert code == 2 and out == ""
+    assert err.startswith("drw-overlay: bad row ") and len(err.splitlines()) == 1
+    assert "repeats the (n, strategy, initiators, rep) of an earlier row" in err
+
+
+@pytest.mark.parametrize("other", [
+    dict(rep="1"), dict(strategy="prw"), dict(initiators="11"), dict(n="2000"),
+], ids=["rep", "strategy", "initiators", "n"])
+def test_stats_rows_of_other_replications_accepted(tmp_path, capsys, other):
+    """Two rows are one replication only when n, strategy, initiators and rep
+    all agree."""
+    p = tmp_path / "two.csv"
+    rows = (GOOD_ROW, GOOD_ROW.values(), {**GOOD_ROW, **other}.values())
+    p.write_text("\n".join(",".join(row) for row in rows) + "\n")
+    code, _, err = run(capsys, "stats", "--in", str(p))
+    assert (code, err) == (0, "")
+
+
 def test_stats_missing_file_exit_2(capsys):
     code, _, _ = run(capsys, "stats", "--in", "/nonexistent/records.csv")
     assert code == 2

@@ -1,8 +1,13 @@
 """Overlay construction: hand-traced builds and structural invariants."""
 
+from types import SimpleNamespace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import handnets as H
+from drw_overlay import overlay
 from drw_overlay.geom_graph import GraphGenConfig, generate_network
 from drw_overlay.metrics import active_path_size
 from drw_overlay.overlay import (
@@ -59,6 +64,13 @@ def test_select_initiators_all_nodes_is_permutation():
     net = generate_network(GraphGenConfig(n=25, r=0.4, seed=2))
     picks = select_initiators(net, 25, stream(3, "initiators"))
     assert sorted(picks) == list(range(25))
+
+
+def test_select_initiators_plain_ints_in_draw_order():
+    net = generate_network(GraphGenConfig(n=60, r=0.25, seed=1))
+    picks = select_initiators(net, 10, stream(4, "initiators"))
+    assert type(picks) is tuple and all(type(v) is int for v in picks)
+    assert picks == tuple(stream(4, "initiators").choice(net.n, size=10, replace=False))
 
 
 def test_select_initiators_bounds():
@@ -226,6 +238,104 @@ def test_too_many_initiators_at_build():
         build_overlay(net, cfg)
 
 
+# --- the layer self-check ------------------------------------------------------
+
+def reached(nodes, edges):
+    """The nodes a plain graph search over edges reaches from one node."""
+    adj = {v: [] for v in nodes}
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    seen = {next(iter(nodes))}
+    queue = list(seen)
+    while queue:
+        for v in adj[queue.pop()]:
+            if v not in seen:
+                seen.add(v)
+                queue.append(v)
+    return seen
+
+
+def check_layer_reason(nodes, edges):
+    """Why _check_layer must reject the layer, by a plain search; None if it passes."""
+    if not nodes:
+        return "empty layer"
+    if any(a not in nodes or b not in nodes for a, b in edges):
+        return "traced edge leaves the layer"
+    if reached(nodes, edges) != nodes:
+        return "layer is not connected"
+    return None
+
+
+def run_check(nodes, edges):
+    """_check_layer on a layer given as its node and edge sets: the
+    BuildFailed it raises, or None."""
+    try:
+        overlay._check_layer(SimpleNamespace(active_path=set(nodes),
+                                             active_path_edges=set(edges)))
+    except BuildFailed as exc:
+        assert exc.walk_id == -1
+        return exc
+    return None
+
+
+@pytest.mark.parametrize("nodes, edges, reason", [
+    (set(), set(), "empty layer"),
+    ({0, 1, 2, 3}, {(0, 1), (2, 3)}, "layer is not connected"),
+    ({0, 1, 2}, {(0, 1), (1, 2), (2, 5)}, "traced edge leaves the layer"),
+    ({0, 1, 2}, {(0, 1), (1, 2), (7, 1)}, "traced edge leaves the layer"),
+], ids=["empty", "split", "edge-leaves-second-end", "edge-leaves-first-end"])
+def test_check_layer_rejects(nodes, edges, reason):
+    """Each failure is a BuildFailed, never a KeyError from an edge end."""
+    err = run_check(nodes, edges)
+    assert err is not None and err.reason.startswith(reason)
+
+
+@st.composite
+def small_layers(draw):
+    """A node set and an edge set over it, some with one edge that leaves it."""
+    nodes = draw(st.sets(st.integers(0, 15), max_size=9))
+    edges = set()
+    if nodes:
+        inside = st.sampled_from(sorted(nodes))
+        edges = draw(st.sets(st.tuples(inside, inside), max_size=2 * len(nodes)))
+    if draw(st.booleans()):
+        outside = st.integers(0, 20).filter(lambda v: v not in nodes)
+        a, b = draw(outside), draw(st.one_of(inside, outside) if nodes else outside)
+        edges.add((a, b) if draw(st.booleans()) else (b, a))
+    return nodes, edges
+
+
+@settings(max_examples=300, deadline=None)
+@given(layer=small_layers())
+def test_check_layer_agrees_with_search(layer):
+    nodes, edges = layer
+    reason = check_layer_reason(nodes, edges)
+    err = run_check(nodes, edges)
+    if reason is None:
+        assert err is None
+    else:
+        assert err is not None and err.reason.startswith(reason)
+
+
+def test_build_fails_when_assembly_drops_a_traced_edge(monkeypatch):
+    """The check runs inside every build: an assembly that loses walk 0's
+    first edge, from its initiator to its second node, fails it."""
+    assemble = overlay._assemble
+
+    def drop_first_edge(cfg, walks, born, registry, initiators):
+        walks[0].parents[1] = -1
+        return assemble(cfg, walks, born, registry, initiators)
+
+    monkeypatch.setattr(overlay, "_assemble", drop_first_edge)
+    cfg = OverlayBuildConfig(initiator_count=2, strategy=DRW, seed=0,
+                             initiators=H.CROSS_INITIATORS)
+    with pytest.raises(BuildFailed) as err:
+        build_overlay(H.crossing_network(), cfg)
+    assert err.value.walk_id == -1
+    assert err.value.reason == "layer is not connected through traced edges"
+
+
 # --- invariants over random builds ---------------------------------------------
 
 def check_layer(net, res, initiator_count):
@@ -247,19 +357,7 @@ def check_layer(net, res, initiator_count):
     for v in res.initiators:
         assert v in res.active_path
     # connectivity via traced edges
-    adj = {v: [] for v in res.active_path}
-    for a, b in res.active_path_edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    seen = {next(iter(res.active_path))}
-    stack = list(seen)
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    assert seen == res.active_path
+    assert reached(res.active_path, res.active_path_edges) == res.active_path
 
 
 def test_random_build_invariants():
