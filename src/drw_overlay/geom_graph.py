@@ -19,14 +19,14 @@ from functools import cached_property
 import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
-from scipy.spatial import ConvexHull, QhullError, cKDTree
+from scipy.spatial import cKDTree
 
 from .rng import stream
 
 MAX_RADIUS = math.sqrt(2.0)
 
-# Hull computation needs at least a handful of points to pay off.
-_HULL_CUTOFF = 16
+# Rows per block when max_pairwise scans the pairs of the points it keeps.
+_PAIR_ROWS = 64
 
 # Rows per dense block when packing the neighbour bitsets.
 _BITS_ROWS = 256
@@ -204,14 +204,15 @@ def generate_network(cfg: GraphGenConfig) -> Network:
 
     Attempt k draws its positions from a sub-stream derived from (seed, k),
     so a fixed config reproduces positions and adjacency bit-exactly. A
-    rejected placement costs its pair search and one connectivity test.
-    Raises NotConnected after MAX_ATTEMPTS rejected placements.
+    rejected placement costs its pair search and, unless it has an isolated
+    node (n >= 2, so such a graph is never connected), one connectivity
+    test. Raises NotConnected after MAX_ATTEMPTS rejected placements.
     """
     for attempt in range(MAX_ATTEMPTS):
         gen = stream(cfg.seed, "placement", attempt)
         positions = gen.random((cfg.n, 2))
         pairs = _unit_disk_pairs(positions, cfg.r)
-        if _connected(cfg.n, pairs):
+        if np.bincount(pairs.ravel(), minlength=cfg.n).all() and _connected(cfg.n, pairs):
             return _network(positions, pairs, cfg.r, cfg.seed, attempts=attempt + 1)
     raise NotConnected(MAX_ATTEMPTS)
 
@@ -221,24 +222,41 @@ def is_connected(net: Network) -> bool:
     return _connected(net.n, net.edges())
 
 
+def _max_sq(x: np.ndarray, y: np.ndarray) -> float:
+    """Largest dx*dx + dy*dy over all pairs of points (x, y), _PAIR_ROWS rows at a time."""
+    best = 0.0
+    for lo in range(0, len(x), _PAIR_ROWS):
+        dx = x[lo:lo + _PAIR_ROWS, None] - x[lo:]
+        dy = y[lo:lo + _PAIR_ROWS, None] - y[lo:]
+        best = max(best, float((dx * dx + dy * dy).max()))
+    return best
+
+
 def max_pairwise(positions: np.ndarray) -> float:
     """Maximum Euclidean distance over all point pairs (0 for < 2 points).
 
-    The maximum is attained on the convex hull, so for larger sets only hull
-    vertices are compared; degenerate inputs (collinear etc.) fall back to
-    the full pairwise scan.
+    Exact: the square root of the largest dx*dx + dy*dy an all-pairs scan
+    computes, bit for bit. The extreme points along x, y, x+y and x-y give
+    a squared distance `lb` that some pair reaches. A point whose farthest
+    corner of the bounding box, fx*fx + fy*fy, lies below `lb` cannot end
+    the farthest pair: rounding is monotone in subtraction, squaring and
+    addition, so that corner value bounds every computed distance the
+    point takes part in. Only the points kept are scanned, in blocks of
+    _PAIR_ROWS rows, so memory stays linear in the point count even when
+    nothing can be dropped (all points on a circle).
     """
     pts = np.asarray(positions, dtype=np.float64)
     if len(pts) < 2:
         return 0.0
-    if len(pts) > _HULL_CUTOFF:
-        try:
-            pts = pts[ConvexHull(pts).vertices]
-        except QhullError:
-            pass
-    dx = pts[:, 0:1] - pts[:, 0:1].T
-    dy = pts[:, 1:2] - pts[:, 1:2].T
-    return float(np.sqrt(np.max(dx * dx + dy * dy)))
+    x, y = pts.T.copy()  # contiguous columns: strided ones run several times slower
+    s, t = x + y, x - y
+    ends = [x.argmin(), x.argmax(), y.argmin(), y.argmax(),
+            s.argmin(), s.argmax(), t.argmin(), t.argmax()]
+    lb = _max_sq(x[ends], y[ends])
+    fx = np.maximum(x - x[ends[0]], x[ends[1]] - x)
+    fy = np.maximum(y - y[ends[2]], y[ends[3]] - y)
+    keep = fx * fx + fy * fy >= lb
+    return math.sqrt(_max_sq(x[keep], y[keep]))
 
 
 def max_pairwise_distance(net: Network) -> float:

@@ -37,7 +37,8 @@ def depth(result: OverlayResult, net: Network) -> float:
     span = max_pairwise_distance(net)
     if span == 0.0:
         return 0.0
-    reach = max_pairwise(net.positions[sorted(result.active_path)])
+    nodes = np.fromiter(result.active_path, dtype=np.intp, count=len(result.active_path))
+    reach = max_pairwise(net.positions[nodes])
     return reach / span
 
 

@@ -28,11 +28,14 @@ def _encode(part) -> str:
     raise TypeError(f"unsupported seed label type: {type(part)!r}")
 
 
+def _digest(parts) -> bytes:
+    joined = "\x1f".join(_encode(p) for p in parts)
+    return hashlib.sha256(joined.encode("utf-8")).digest()
+
+
 def seed_material(*parts) -> int:
     """Hash a label path into a 256-bit integer suitable as SeedSequence entropy."""
-    joined = "\x1f".join(_encode(p) for p in parts)
-    digest = hashlib.sha256(joined.encode("utf-8")).digest()
-    return int.from_bytes(digest, "big")
+    return int.from_bytes(_digest(parts), "big")
 
 
 def derive_seed(*parts) -> int:
@@ -41,5 +44,13 @@ def derive_seed(*parts) -> int:
 
 
 def stream(*parts) -> np.random.Generator:
-    """Independent PCG64 generator for the given label path."""
-    return np.random.default_rng(np.random.SeedSequence(seed_material(*parts)))
+    """Independent PCG64 generator for the given label path.
+
+    SeedSequence gets the digest as 32-bit words, least significant first,
+    with the high zero words dropped: the words numpy itself makes of
+    seed_material(*parts), so the pool is the same, without numpy's slower
+    conversion of a Python int. Keeping a zero top word would change it.
+    """
+    low_first = _digest(parts)[::-1].rstrip(b"\0")
+    words = np.frombuffer(low_first + bytes(-len(low_first) % 4), dtype="<u4")
+    return np.random.default_rng(np.random.SeedSequence(words))

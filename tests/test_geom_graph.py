@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -125,6 +126,19 @@ def test_rejection_resamples_until_connected():
     assert max(hits) > 1
 
 
+def test_isolated_node_rejection_keeps_the_accepted_placement():
+    """Rejecting placements with an isolated node before the connectivity
+    test accepts the same placement as a loop that only tests connectivity."""
+    for seed in range(20):
+        net = generate_network(GraphGenConfig(n=1000, r=0.05, seed=seed))
+        for attempt in range(geom_graph.MAX_ATTEMPTS):
+            positions = geom_graph.stream(seed, "placement", attempt).random((1000, 2))
+            if geom_graph._connected(1000, geom_graph._unit_disk_pairs(positions, 0.05)):
+                break
+        assert net.attempts == attempt + 1
+        assert np.array_equal(net.positions, positions)
+
+
 def test_not_connected_raises_with_attempt_cap():
     with mock.patch.object(geom_graph, "MAX_ATTEMPTS", 5), pytest.raises(NotConnected) as err:
         generate_network(GraphGenConfig(n=100, r=0.001, seed=0))
@@ -172,15 +186,70 @@ def test_max_pairwise_distance_matches_all_pairs_scan():
             dx = net.positions[u, 0] - net.positions[v, 0]
             dy = net.positions[u, 1] - net.positions[v, 1]
             best = max(best, math.sqrt(dx * dx + dy * dy))
-    assert max_pairwise_distance(net) == pytest.approx(best, rel=1e-12, abs=0.0)
+    assert max_pairwise_distance(net) == best
 
 
 def test_max_pairwise_degenerate_inputs():
     assert max_pairwise(np.empty((0, 2))) == 0.0
     assert max_pairwise(np.array([[0.3, 0.4]])) == 0.0
-    # collinear points defeat the hull shortcut; the fallback must kick in
+    # collinear points: the bounding-box filter keeps only the two ends
     line = np.column_stack([np.linspace(0.1, 0.9, 25), np.full(25, 0.5)])
     assert max_pairwise(line) == pytest.approx(0.8)
+
+
+def all_pairs_max(pts):
+    """The largest pairwise distance by a dense scan of every pair."""
+    if len(pts) < 2:
+        return 0.0
+    d = pts[:, None, :] - pts[None, :, :]
+    return math.sqrt((d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]).max())
+
+
+@st.composite
+def point_sets(draw):
+    """0-3 or up to 200 points (several scan blocks): uniform, on a few
+    repeated sites, on a line or on a circle."""
+    n = draw(st.one_of(st.integers(0, 3), st.integers(0, 200)))
+    unit = st.floats(0.0, 1.0)
+    kind = draw(st.sampled_from(["uniform", "duplicates", "line", "circle"]))
+    if kind == "uniform":
+        return [(draw(unit), draw(unit)) for _ in range(n)]
+    if kind == "duplicates":
+        sites = draw(st.lists(st.tuples(unit, unit), min_size=1, max_size=3))
+        return [draw(st.sampled_from(sites)) for _ in range(n)]
+    if kind == "line":
+        (x0, y0), (ux, uy) = draw(st.tuples(unit, unit)), draw(st.tuples(unit, unit))
+        return [(x0 + t * ux, y0 + t * uy) for t in draw(st.lists(unit, min_size=n, max_size=n))]
+    cx, cy, rad = draw(unit), draw(unit), draw(st.floats(0.0, 0.5))
+    angles = draw(st.lists(st.floats(0.0, 2 * math.pi), min_size=n, max_size=n))
+    return [(cx + rad * math.cos(a), cy + rad * math.sin(a)) for a in angles]
+
+
+@settings(max_examples=300, deadline=None)
+@given(points=point_sets())
+def test_max_pairwise_equals_all_pairs_scan(points):
+    """Pruning drops no end of the farthest pair: the result is exact, not close."""
+    pts = np.array(points, dtype=np.float64).reshape(-1, 2)
+    assert max_pairwise(pts) == all_pairs_max(pts)
+
+
+@pytest.mark.parametrize("shape", ["collinear", "circle"])
+def test_max_pairwise_memory_stays_linear(shape):
+    """3,000 collinear points (no hull) or points on a circle (nothing to
+    prune) stay under a 16 MiB peak; a dense n x n scan needs about 275 MiB."""
+    t = np.linspace(0.0, 1.0, 3000)
+    if shape == "collinear":
+        pts = np.column_stack([t, 0.5 * t])
+    else:
+        pts = np.column_stack([0.5 + 0.5 * np.cos(2 * np.pi * t), 0.5 + 0.5 * np.sin(2 * np.pi * t)])
+    tracemalloc.start()
+    try:
+        got = max_pairwise(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert got == pytest.approx(math.hypot(1.0, 0.5) if shape == "collinear" else 1.0)
 
 
 def test_invalid_configs_rejected():
