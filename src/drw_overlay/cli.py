@@ -1,7 +1,8 @@
 """Command-line interface: generate networks, build layers, run sweeps.
 
 Exit codes: 0 success, 1 usage error, 2 runtime failure (generation could
-not connect, a build failed, malformed input). All outputs are reproducible
+not connect, a build failed, malformed input, an allocation failed). Either
+error is one stderr line. All outputs are reproducible
 from the flags; the only wall-clock dependent bytes are the wall_time_ms
 CSV column.
 """
@@ -34,13 +35,7 @@ from .geom_graph import (
     save_network,
 )
 from .metrics import active_path_size, depth
-from .overlay import (
-    BuildFailed,
-    OverlayBuildConfig,
-    TooManyInitiators,
-    build_overlay,
-    to_json_dict,
-)
+from .overlay import BuildFailed, OverlayBuildConfig, build_overlay, to_json_dict
 from .walk_engine import STRATEGY_KINDS, IsolatedInitiator, parse_strategy
 
 USAGE_EXIT = 1
@@ -48,11 +43,19 @@ RUNTIME_EXIT = 2
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse flavor whose usage errors exit 1 instead of 2."""
+    """argparse flavor whose usage errors are the CLI's own: one line, exit 1."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
+        self.exit(_usage(message))
+
+
+def positive_int(text: str) -> int:
+    """argparse type for a count that must be at least 1; argparse names
+    it in its message, as in "invalid positive_int value: '0'"."""
+    value = int(text)
+    if value < 1:
+        raise ValueError(text)
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -78,14 +81,14 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument("--r", type=float, help="radius when using --n")
     build.add_argument("--initiators", type=int, required=True,
                        help="number of walk initiators (>= 2)")
-    build.add_argument("--strategy", choices=STRATEGY_KINDS, default="drw",
-                       help="candidate scoring rule")
+    build.add_argument("--strategy", default="drw",
+                       help=f"candidate scoring rule: one of {', '.join(STRATEGY_KINDS)}")
     build.add_argument("--alpha", type=float, default=1.0,
                        help="first-ring weight for the weighted strategy")
     build.add_argument("--beta", type=float, default=1.0,
                        help="second-ring weight for the weighted strategy")
     build.add_argument("--seed", type=int, default=0, help="base seed")
-    build.add_argument("--step-budget", type=int, default=None,
+    build.add_argument("--step-budget", type=positive_int, default=None,
                        help="per-walk step cap (default 50*n)")
     build.add_argument("--out", help="write the layer as JSON here")
     build.set_defaults(func=_cmd_build)
@@ -100,10 +103,10 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--desk", action="store_true",
                      help="small node counts (200-1000) with rescaled radius")
     exp.add_argument("--seed", type=int, default=0, help="base seed")
-    exp.add_argument("--step-budget", type=int, default=None)
+    exp.add_argument("--step-budget", type=positive_int, default=None)
     exp.add_argument("--out-dir", default=".",
                      help="directory for records.csv and summary.csv")
-    exp.add_argument("--jobs", type=int, default=1,
+    exp.add_argument("--jobs", type=positive_int, default=1,
                      help="worker processes")
     exp.set_defaults(func=_cmd_experiment)
 
@@ -117,17 +120,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _say(message: str, code: int) -> int:
+    # One line, even when the message quotes an input cell with a newline.
+    print("drw-overlay:", " ".join(message.splitlines()), file=sys.stderr)
+    return code
+
+
 def _usage(message: str) -> int:
-    print(f"drw-overlay: error: {message}", file=sys.stderr)
-    return USAGE_EXIT
+    return _say(f"error: {message}", USAGE_EXIT)
 
 
 def _cmd_gen(args) -> int:
-    if args.n < 2:
-        return _usage("--n must be at least 2")
-    if not args.r > 0:
-        return _usage("--r must be positive")
-    net = generate_network(GraphGenConfig(n=args.n, r=args.r, seed=args.seed))
+    try:
+        cfg = GraphGenConfig(n=args.n, r=args.r, seed=args.seed)
+    except ValueError as exc:
+        return _usage(str(exc))
+    net = generate_network(cfg)
     save_network(net, args.out)
     print(f"n={net.n}")
     print(f"m={net.m}")
@@ -136,30 +144,20 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_build(args) -> int:
-    if args.initiators < 2:
-        return _usage("--initiators must be at least 2")
     if (args.net is None) == (args.n is None):
         return _usage("provide exactly one of --net or --n/--r")
-    if args.n is not None and args.r is None:
-        return _usage("--r is required with --n")
-    if args.net is not None and args.r is not None:
-        return _usage("--r is only used with --n; --net gives the radius")
-    if args.step_budget is not None and args.step_budget < 1:
-        return _usage("--step-budget must be at least 1")
+    if (args.n is None) != (args.r is None):
+        return _usage("--r goes with --n, and only with it; --net gives the radius")
     try:
-        strategy = parse_strategy(args.strategy, args.alpha, args.beta)
+        cfg = OverlayBuildConfig(
+            initiator_count=args.initiators,
+            strategy=parse_strategy(args.strategy, args.alpha, args.beta),
+            seed=args.seed, step_budget=args.step_budget)
+        gen = None if args.n is None else GraphGenConfig(n=args.n, r=args.r, seed=args.seed)
     except ValueError as exc:
         return _usage(str(exc))
-    if args.net is not None:
-        net = load_network(args.net)
-    else:
-        if args.n < 2 or not args.r > 0:
-            return _usage("--n must be >= 2 and --r positive")
-        net = generate_network(GraphGenConfig(n=args.n, r=args.r,
-                                              seed=args.seed))
-    result = build_overlay(net, OverlayBuildConfig(
-        initiator_count=args.initiators, strategy=strategy,
-        seed=args.seed, step_budget=args.step_budget))
+    net = load_network(args.net) if gen is None else generate_network(gen)
+    result = build_overlay(net, cfg)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(to_json_dict(result), fh)
@@ -170,25 +168,16 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    if args.jobs < 1:
-        return _usage("--jobs must be at least 1")
-    if args.step_budget is not None and args.step_budget < 1:
-        return _usage("--step-budget must be at least 1")
     tokens = [t for t in args.strategies.split(",") if t]
     if not tokens:
         return _usage("--strategies must name at least one strategy")
-    try:
-        strategies = tuple(parse_strategy(t, args.alpha, args.beta)
-                           for t in tokens)
-    except ValueError as exc:
-        return _usage(str(exc))
     maker = desk_scenario if args.desk else full_scenario
     try:
+        strategies = tuple(parse_strategy(t, args.alpha, args.beta) for t in tokens)
         cfg = maker(args.scale, strategies=strategies, base_seed=args.seed)
-    except ValueError as exc:  # a scale outside (0, 1] or too small, a strategy twice
+    except ValueError as exc:  # a bad token, a scale outside (0, 1] or too small, a strategy twice
         return _usage(str(exc))
-    if args.step_budget is not None:
-        cfg.step_budget = args.step_budget
+    cfg.step_budget = args.step_budget
 
     # Made before the sweep, so an unusable --out-dir fails at once.
     out_dir = Path(args.out_dir)
@@ -240,11 +229,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (NotConnected, BuildFailed, TooManyInitiators, EmptyGroup,
-            IsolatedInitiator, OSError, ValueError) as exc:
-        # One line, even when the message quotes an input cell with a newline.
-        print("drw-overlay:", " ".join(str(exc).splitlines()), file=sys.stderr)
-        return RUNTIME_EXIT
+    except (NotConnected, BuildFailed, IsolatedInitiator, MemoryError, OSError,
+            ValueError) as exc:
+        # A bare MemoryError has no message; its name then says what failed.
+        return _say(str(exc) or type(exc).__name__, RUNTIME_EXIT)
 
 
 def entrypoint() -> None:

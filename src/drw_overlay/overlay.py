@@ -95,7 +95,7 @@ class OverlayResult:
                 continue
             path, parents = (([initiator], [-1]) if broker == initiator
                              else ([initiator, broker], [-1, 0]))
-            walks.append(WalkState(id=wid, path=path, parents=parents, cursor=len(path),
+            walks.append(WalkState(id=wid, path=path, parents=parents, head=len(path) - 1,
                                    status=INTERSECTED, broker=broker))
         return walks
 
@@ -137,7 +137,7 @@ def run_walk_until_stop(walks: list[WalkState], net: Network, registry: OverlayR
                 break
     for walk in walks:
         if walk.status == ACTIVE:
-            walk.status, walk.broker, walk._retreating = INTERSECTED, broker, False
+            walk.status, walk.broker = INTERSECTED, broker
 
 
 def build_overlay(net: Network, cfg: OverlayBuildConfig,

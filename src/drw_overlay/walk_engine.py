@@ -132,7 +132,7 @@ class StepOutcome:
     kind EXTENDED    : node appended, walk still active
     kind INTERSECTED : node appended, it already belonged to other_walk;
                        the walk's status is INTERSECTED, node its broker
-    kind BACKTRACKED : no candidates, head moved back to walk.cursor
+    kind BACKTRACKED : no candidates, walk.head moved back one path index
     kind EXHAUSTED   : no candidates at the initiator, status EXHAUSTED
     """
 
@@ -157,8 +157,10 @@ class WalkState:
 
     parents[i] is the path index the i-th node was recruited from (-1 for
     the initiator), so the traced edges stay well defined even after
-    backtracking. cursor is the 1-based position of the current head;
-    cursor == len(path) except midway through a retreat.
+    backtracking. head is the path index the next step extends from:
+    len(path) - 1, except midway through a retreat, when it lies further
+    back. cursor is the older form of the same position, kept read-only
+    because the step traces record it.
 
     rng is the walk's generator. words holds the 32-bit words of rng's raw
     output not yet drawn, last to be used first; it stays None until the
@@ -177,7 +179,7 @@ class WalkState:
     rng: np.random.Generator | None = None
     path: list[int] = field(default_factory=list)
     parents: list[int] = field(default_factory=list)
-    cursor: int = 0
+    head: int = 0
     marked: int = 0
     marked2: int = 0
     status: str = ACTIVE
@@ -185,7 +187,11 @@ class WalkState:
     steps: int = 0
     backtracks: int = 0
     words: list[int] | None = field(default=None, repr=False)
-    _retreating: bool = field(default=False, repr=False)
+
+    @property
+    def cursor(self) -> int:
+        """head + 1, or head + 2 midway through a retreat."""
+        return self.head + 1 + (self.head < len(self.path) - 1)
 
 
 def candidate_costs(walk: WalkState, net: Network, strategy: CostStrategy,
@@ -272,7 +278,7 @@ def init_walk(net: Network, initiator: int, walk_id: int, registry: OverlayRegis
     draws, so no WalkState or generator is spent on it. Either way the
     registry and the trace record the walk as usual, as step 0. A walk
     that steps gets walk_stream(walk_id) as its generator, path
-    [initiator, v] with cursor 2, and no marks yet.
+    [initiator, v] with head 1, and no marks yet.
     """
     adjacency, owner = net.adjacency, registry.owner
     if not 0 <= initiator < len(adjacency):
@@ -301,7 +307,7 @@ def init_walk(net: Network, initiator: int, walk_id: int, registry: OverlayRegis
         return None, node
 
     walk = WalkState(id=walk_id, rng=walk_stream(walk_id), path=[initiator],
-                     parents=[-1, 0], cursor=2)
+                     parents=[-1, 0], head=1)
     v = _pick(walk, nbrs)
     walk.path.append(v)
     owner[v] = walk_id
@@ -314,36 +320,35 @@ def step(walk: WalkState, net: Network, registry: OverlayRegistry,
          strategy: CostStrategy, trace: list | None = None) -> StepOutcome:
     """Advance the walk by one transition and report what happened.
 
-    A normal step marks the neighborhood of the node behind the head, then
-    scores the head's unowned neighbors. A step that finds no candidate
-    only retreats the cursor; the next call resumes from the new head
-    without marking again. Ties (and the pure strategy) use the walk's rng.
-    Only drw and weighted mark; a walk is meant to take every step under
-    one strategy. A step that meets another walk's node takes it as an
-    extension would, makes it a broker and ends the walk INTERSECTED.
+    A step from the newest node, path[-1], marks the neighborhood of the
+    node behind it, then scores its unowned neighbors. A step that finds
+    no candidate only moves walk.head back one path index, and the next
+    call resumes from there without marking; at head 0, the initiator, it
+    exhausts the walk instead. Ties (and the pure strategy) use the walk's
+    rng. Only drw and weighted mark; a walk is meant to take every step
+    under one strategy. A step that meets another walk's node takes it as
+    an extension would, makes it a broker and ends the walk INTERSECTED.
     """
     if walk.status != ACTIVE:
         raise WalkNotActive(f"walk {walk.id} is {walk.status}")
     kind = strategy.kind
     walk.steps += 1
-    path, cursor, wid = walk.path, walk.cursor, walk.id
+    path, head, wid = walk.path, walk.head, walk.id
 
-    if not walk._retreating:
+    if head == len(path) - 1:
         # Lagged discipline: fold in the neighborhood one position behind
         # the head.
         if kind == FIRST_NEIGHBORHOOD:
-            walk.marked |= net.neighbor_bits[path[cursor - 2]]
+            walk.marked |= net.neighbor_bits[path[head - 1]]
         elif kind == WEIGHTED:
-            _mark_two_rings(walk, net, path[cursor - 2])
-        cursor += 1
+            _mark_two_rings(walk, net, path[head - 1])
 
-    src_index = cursor - 2
     # One owner read per neighbor, in id order: the first neighbor owned by
     # another walk wins outright, and the unowned ones are the candidates.
     owner = registry.owner
     candidates = []
     cost = None
-    for v in net.adjacency[path[src_index]]:
+    for v in net.adjacency[path[head]]:
         o = owner[v]
         if o < 0:
             candidates.append(v)
@@ -354,32 +359,28 @@ def step(walk: WalkState, net: Network, registry: OverlayRegistry,
             break
     else:
         if not candidates:
-            if cursor == 2:
+            if head == 0:
                 walk.status = EXHAUSTED
-                walk._retreating = False
                 out = StepOutcome(EXHAUSTED)
             else:
-                cursor -= 1
+                walk.head = head - 1
                 walk.backtracks += 1
-                walk._retreating = True
                 out = StepOutcome(BACKTRACKED)
-            walk.cursor = cursor
             if trace is not None:
                 _trace(trace, walk, out, None)
             return out
         if kind == PURE:
             v = _pick(walk, candidates)
         else:
-            costs = candidate_costs(walk, net, strategy, candidates, src_index)
+            costs = candidate_costs(walk, net, strategy, candidates, head)
             cost = min(costs)
             v = _pick(walk, [c for c, k in zip(candidates, costs) if k == cost])
         owner[v] = wid
         out = StepOutcome(EXTENDED, v)
 
+    walk.parents.append(head)
+    walk.head = len(path)
     path.append(v)
-    walk.parents.append(src_index)
-    walk.cursor = len(path)
-    walk._retreating = False
     if trace is not None:
         _trace(trace, walk, out, cost)
     return out

@@ -1,5 +1,7 @@
 """Command-line behavior: exit codes, file outputs, reproducibility."""
 
+import argparse
+import contextlib
 import csv
 import io
 import json
@@ -219,6 +221,50 @@ def test_non_finite_weight_or_radius_usage_error(tmp_path, monkeypatch, capsys, 
     code, _, err = run(capsys, *argv)
     assert code == 1
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("token", ["DRW", " drw"])
+def test_build_strategy_token_parsed_like_strategies(tmp_path, capsys, token):
+    """--strategy goes through parse_strategy, as --strategies does: case and
+    surrounding blanks do not matter."""
+    layers = []
+    for strategy in ("drw", token):
+        out = tmp_path / "layer.json"
+        code, _, err = run(capsys, "build", "--n", "150", "--r", "0.15", "--initiators", "4",
+                           "--strategy", strategy, "--seed", "5", "--out", str(out))
+        assert (code, err) == (0, "")
+        layers.append(out.read_bytes())
+    assert layers[0] == layers[1]
+
+
+BUILD_ARGV = ("build", "--n", "100", "--r", "0.2", "--initiators", "3")
+EXPERIMENT_ARGV = ("experiment", "--desk", "--scale", "0.02")
+
+
+@pytest.mark.parametrize("argv", [
+    BUILD_ARGV + ("--bogus",),
+    BUILD_ARGV + ("--step-budget", "0"),
+    EXPERIMENT_ARGV + ("--bogus",),
+    EXPERIMENT_ARGV + ("--step-budget", "0"),
+    EXPERIMENT_ARGV + ("--jobs", "x"),
+    EXPERIMENT_ARGV + ("--jobs", "0"),
+], ids=["build-bogus", "build-step-budget-0", "experiment-bogus",
+        "experiment-step-budget-0", "experiment-jobs-x", "experiment-jobs-0"])
+def test_argparse_usage_error_is_one_line(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    with mock.patch.object(cli, "run_scenario") as sweep:
+        code, out, err = run(capsys, *argv)
+    assert code == 1 and out == "" and not sweep.called
+    assert err.startswith("drw-overlay: error: ") and len(err.splitlines()) == 1
+
+
+def test_gen_memory_error_exit_2(tmp_path, capsys):
+    """An allocation that fails is a runtime failure, not a usage error."""
+    out = tmp_path / "net.json"
+    with mock.patch.object(cli, "generate_network", side_effect=MemoryError):
+        code, stdout, err = run(capsys, "gen", "--n", "10", "--r", "0.5", "--out", str(out))
+    assert code == 2 and stdout == "" and not out.exists()
+    assert err == "drw-overlay: MemoryError\n"
 
 
 def test_build_step_budget_below_one_usage_error(capsys):
@@ -614,4 +660,88 @@ def test_build_fuzzed_net_one_line_exit(tmp_path_factory, text, initiators):
     p = tmp_path_factory.getbasetemp() / "fuzzed-net.json"
     p.write_text(text, encoding="utf-8")
     code, _, err = run_captured("build", "--net", str(p), "--initiators", str(initiators))
+    assert_one_line_exit(code, err)
+
+
+# --- fuzzed argv --------------------------------------------------------------------
+
+# Every path flag draws from these, relative to a scratch working directory:
+# inputs sit in ../in, where no output flag reaches.
+IN_PATHS = st.sampled_from(["../in/net.json", "../in/records.csv", "missing.csv", "."])
+OUT_PATHS = st.sampled_from(["out.json", "sub/out.json", "sub", ".", ""])
+NUMBERS = st.one_of(
+    st.sampled_from(["0", "1", "2", "3", "-1", "0.5", "0.02", "1e-9", "nan", "inf", "x", "",
+                     "1_0", " 7 "]),
+    st.integers(-2, 2**70).map(str),
+    st.floats().map(repr),
+)
+TOKENS = st.sampled_from(["drw", "DRW", " prw", "twohop", "weighted", "bfs", "drw,prw",
+                          "drw,DRW", ",", "", "a\nb"])
+FLAG_VALUES = {
+    "--n": NUMBERS, "--r": NUMBERS, "--seed": NUMBERS, "--initiators": NUMBERS,
+    "--alpha": NUMBERS, "--beta": NUMBERS, "--scale": NUMBERS, "--step-budget": NUMBERS,
+    "--jobs": st.integers(-1, 2).map(str),
+    "--strategy": TOKENS, "--strategies": TOKENS,
+    "--group": st.sampled_from(["n", "strategy,rep", "", ",", "nope", "n,n"]),
+    "--net": IN_PATHS, "--in": IN_PATHS, "--out": OUT_PATHS, "--out-dir": OUT_PATHS,
+    "--desk": st.just(None),
+}
+# A valid argv per command, which each example keeps most of.
+BASE_ARGV = {
+    "gen": [("--n", "4"), ("--r", "0.06"), ("--out", "out.json")],
+    "build": [("--net", "../in/net.json"), ("--initiators", "3")],
+    "experiment": [("--desk", None), ("--scale", "0.02")],
+    "stats": [("--in", "../in/records.csv")],
+}
+# Each command's flags, read from the parser, so a new flag without an entry
+# in FLAG_VALUES fails the fuzz below.
+COMMAND_FLAGS = {
+    name: [f for a in sub._actions if a.dest != "help" for f in a.option_strings]
+    for action in cli.build_parser()._actions if isinstance(action, argparse._SubParsersAction)
+    for name, sub in action.choices.items()
+}
+# Tokens that are no flag's value. No drawn text begins with "-", so none is
+# taken for an abbreviated path flag, and none holds a "/", so one that a
+# path flag takes as its value names a file in the scratch directory.
+STRAY = st.sampled_from(["--bogus", "-x", "--", "-h"]) | st.text(max_size=3).filter(
+    lambda t: not t.startswith("-") and "/" not in t)
+
+
+def rarely(draw) -> bool:
+    return draw(st.integers(0, 7)) == 0
+
+
+@st.composite
+def cli_argv(draw):
+    """A command, most of its valid flags, then flags of its own or of any
+    command with drawn values, rarely with the value or the command wrong or
+    a stray token put in."""
+    command = "bogus" if rarely(draw) else draw(st.sampled_from(sorted(BASE_ARGV)))
+    pairs = [p for p in BASE_ARGV.get(command, []) if not rarely(draw)]
+    own = st.sampled_from(COMMAND_FLAGS.get(command, ["--n"]))
+    for flag in draw(st.lists(own | st.sampled_from(sorted(FLAG_VALUES)), max_size=3)):
+        pairs.append((flag, None if rarely(draw) else draw(FLAG_VALUES[flag])))
+    argv = [command] + [t for pair in pairs for t in pair if t is not None]
+    if rarely(draw):
+        argv.insert(draw(st.integers(1, len(argv))), draw(STRAY))
+    return argv
+
+
+@settings(max_examples=250, deadline=None)
+@given(argv=cli_argv())
+def test_fuzzed_argv_one_line_exit(tmp_path_factory, argv):
+    """Each command, real flags or garbled ones: exit 0, 1 or 2 and at most
+    one stderr line. The sweep and network generation are stubbed, so every
+    example runs in milliseconds, and the working directory is scratch."""
+    base = tmp_path_factory.getbasetemp() / "fuzzed-argv"
+    (base / "in").mkdir(parents=True, exist_ok=True)
+    (base / "run").mkdir(exist_ok=True)
+    small = network_from_positions(PATH_POSITIONS, 0.06)
+    (base / "in" / "net.json").write_text(json.dumps(to_json_dict(small)))
+    (base / "in" / "records.csv").write_text(",".join(GOOD_ROW) + "\n"
+                                             + ",".join(GOOD_ROW.values()) + "\n")
+    with contextlib.chdir(base / "run"), \
+            mock.patch.object(cli, "run_scenario", return_value=[]), \
+            mock.patch.object(cli, "generate_network", return_value=small):
+        code, _, err = run_captured(*argv)
     assert_one_line_exit(code, err)
