@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .experiments import (
     EmptyGroup,
-    RECORD_COLUMNS,
+    check_group_keys,
     desk_scenario,
     failed_cells,
     full_scenario,
@@ -212,9 +212,10 @@ def _cmd_stats(args) -> int:
     group = tuple(t for t in args.group.split(",") if t)
     if not group:
         return _usage("--group must name at least one column")
-    for key in group:
-        if key not in RECORD_COLUMNS:
-            return _usage(f"unknown group column {key!r}")
+    try:
+        check_group_keys(group)
+    except ValueError as exc:
+        return _usage(str(exc))
     records = read_records_csv(args.infile)
     rows = summarize(records, group_keys=group)
     write_summary_csv(rows, sys.stdout, group)

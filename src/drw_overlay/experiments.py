@@ -337,12 +337,17 @@ class SummaryRow:
     stats: object
 
 
+def check_group_keys(group_keys) -> None:
+    """Raise ValueError unless every group key is a records.csv column."""
+    for key in group_keys:
+        if key not in RECORD_COLUMNS:
+            raise ValueError(f"unknown group column {key!r}")
+
+
 def summarize(records, group_keys=DEFAULT_GROUP_KEYS) -> list[SummaryRow]:
     """Box statistics per group for each SUMMARY_METRICS column, over
     non-failed records."""
-    for key in group_keys:
-        if key not in RECORD_COLUMNS:
-            raise ValueError(f"unknown group key {key!r}")
+    check_group_keys(group_keys)
     usable = [rec for rec in records if not rec.failed]
     if not usable:
         raise EmptyGroup("no non-failed records to summarize")

@@ -17,9 +17,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
-from scipy.spatial import cKDTree
 
 from .rng import stream
 
@@ -30,6 +27,14 @@ _PAIR_ROWS = 64
 
 # Rows per dense block when packing the neighbour bitsets.
 _BITS_ROWS = 256
+
+# Candidate pairs the unit-disk search tests at once (more only when one
+# point's range alone holds more).
+_PAIR_CHUNK = 1 << 15
+
+# Below this radius r*r is subnormal, and a pair can pass the squared rule
+# at a distance above r; cells are never narrower than this.
+_MIN_CELL = 2.0 ** -510
 
 # Placements generate_network tries before it gives up.
 MAX_ATTEMPTS = 1000
@@ -164,19 +169,87 @@ class Network:
 
 
 def _unit_disk_pairs(positions: np.ndarray, r: float) -> np.ndarray:
-    """Pairs (u, v), u < v, with dx*dx + dy*dy <= r*r, as a (k, 2) array."""
-    # KDTree prunes candidate pairs; the slightly inflated query radius makes
-    # the candidate set a superset, then the exact squared rule decides.
-    pairs = cKDTree(positions).query_pairs(r * (1.0 + 1e-9), output_type="ndarray")
-    d = positions[pairs[:, 0]] - positions[pairs[:, 1]]
-    return pairs[d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] <= r * r]
+    """Pairs (u, v), u < v, with dx*dx + dy*dy <= r*r, as a (k, 2) array.
+
+    A pair that passes the rule lies in one cell or two touching cells of
+    a square grid whose cells are a little wider than r (and no more than
+    about sqrt(n) to an axis, so the grid stays O(n)). With the points
+    sorted by cell, row by row and one empty cell past each row, a point's
+    candidates are the later points of its own cell and the next one, and
+    the three cells above: two contiguous ranges of the sorted order. The
+    candidates are tested _PAIR_CHUNK at a time, so memory stays linear in
+    the pairs found even when many points share a cell. A difference or
+    square that overflows is inf, which fails the rule, as it should.
+    """
+    n = len(positions)
+    if n < 2:
+        return np.empty((0, 2), dtype=np.intp)
+    # Cell indices from halved coordinates: hi/2 - lo/2 cannot overflow.
+    half = positions * 0.5
+    low = half.min(axis=0)
+    width = max(0.5 * max(r, _MIN_CELL) * (1.0 + 1e-9),
+                float((half.max(axis=0) - low).max()) / math.isqrt(n))
+    cx, cy = ((half - low) / width).astype(np.intp).T
+    cols = int(cx.max()) + 2  # the spare column keeps a row's last cell from wrapping
+    cell = cy * cols + cx
+    order = np.argsort(cell, kind="stable")
+    cell = cell[order]
+    starts = np.zeros(cols * (int(cy.max()) + 2) + 1, dtype=np.intp)
+    np.cumsum(np.bincount(cell, minlength=len(starts) - 1), out=starts[1:])
+    # Range p < n runs from point p to the end of the next cell, range
+    # n + p over the three cells above point p's cell.
+    first = np.concatenate((np.arange(1, n + 1), starts[cell + cols - 1]))
+    count = np.concatenate((starts[cell + 2], starts[cell + cols + 2])) - first
+    ends = np.cumsum(count)
+    x, y = positions[order].T.copy()  # contiguous columns gather faster
+    r2 = r * r
+    found = []
+    lo = 0
+    while lo < 2 * n:
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - count[lo] + _PAIR_CHUNK, "right")))
+        c = count[lo:hi]
+        i = np.repeat(np.arange(lo, hi) % n, c)
+        j = np.repeat(first[lo:hi] - (np.cumsum(c) - c), c)
+        j += np.arange(len(j))
+        with np.errstate(over="ignore"):
+            dx = x[i]
+            dx -= x[j]
+            dx *= dx
+            dy = y[i]
+            dy -= y[j]
+            dy *= dy
+            dx += dy
+        keep = np.flatnonzero(dx <= r2)
+        found.append((i[keep], j[keep]))
+        lo = hi
+    u = order[np.concatenate([f[0] for f in found])]
+    v = order[np.concatenate([f[1] for f in found])]
+    return np.column_stack((np.minimum(u, v), np.maximum(u, v)))
 
 
 def _connected(n: int, pairs: np.ndarray) -> bool:
-    """True iff the graph on nodes 0..n-1 with these edges has at most one component."""
-    graph = coo_matrix((np.ones(len(pairs), dtype=np.int8), (pairs[:, 0], pairs[:, 1])),
-                       shape=(n, n))
-    return connected_components(graph, directed=False, return_labels=False) <= 1
+    """True iff the graph on nodes 0..n-1 with these edges has at most one component.
+
+    Each round hooks every root onto the smallest lower root it shares an
+    edge with, then jumps pointers until every node points at a root. Edges
+    whose ends share a root stay inside it, so each round keeps only the
+    others; the graph is connected iff every node ends at root 0.
+    """
+    if len(pairs) < n - 1:
+        return False
+    root = np.arange(n)
+    u, v = pairs[:, 0], pairs[:, 1]
+    while len(u):
+        ru, rv = root[u], root[v]
+        split = ru != rv
+        u, v, ru, rv = u[split], v[split], ru[split], rv[split]
+        np.minimum.at(root, np.maximum(ru, rv), np.minimum(ru, rv))
+        while True:
+            jumped = root[root]
+            if np.array_equal(jumped, root):
+                break
+            root = jumped
+    return bool((root == 0).all())
 
 
 def _network(positions: np.ndarray, pairs: np.ndarray, r: float, seed: int,
@@ -195,6 +268,8 @@ def network_from_positions(positions, r: float, seed: int = 0) -> Network:
     pos = np.asarray(positions, dtype=np.float64)
     if pos.ndim != 2 or pos.shape[1] != 2:
         raise ValueError(f"positions must have shape (n, 2), got {pos.shape}")
+    if not np.isfinite(pos).all():
+        raise ValueError("positions must be finite numbers")
     r = min(float(r), MAX_RADIUS)
     return _network(pos, _unit_disk_pairs(pos, r), r, seed)
 

@@ -6,7 +6,11 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -15,8 +19,10 @@ from hypothesis import strategies as st
 
 from drw_overlay import cli
 from drw_overlay.cli import main
-from drw_overlay.experiments import RECORD_COLUMNS, read_records_csv
+from drw_overlay.experiments import RECORD_COLUMNS, read_records_csv, summarize
 from drw_overlay.geom_graph import load_network, network_from_positions, to_json_dict
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -33,6 +39,19 @@ def mask_wall_time(text: str) -> str:
         else:
             out.append(line.rsplit(",", 1)[0] + ",0")
     return "\n".join(out)
+
+
+# --- start-up ---------------------------------------------------------------
+
+def test_cli_import_leaves_scipy_out():
+    """Every command starts by importing the CLI; scipy alone would add
+    about 0.3 s to that, so the package must not pull it in."""
+    code = ("import sys, drw_overlay.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 # --- parsing and exit codes --------------------------------------------------
@@ -349,6 +368,21 @@ def test_build_two_component_net_exit_2(tmp_path, capsys):
     assert err == "drw-overlay: network is not connected\n"
 
 
+@pytest.mark.filterwarnings("error")  # a numpy overflow warning would be a second line
+@pytest.mark.parametrize("positions, edges", [
+    ([[-1e308, 0], [1e308, 0]], []),
+    ([[0, 0], [1e300, 0], [1e300, 0.5]], [[1, 2]]),
+], ids=["opposite-ends-of-the-doubles", "far-pair"])
+def test_build_far_apart_net_is_not_connected(tmp_path, capsys, positions, edges):
+    """A difference or square that overflows is no edge, and says nothing else."""
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps({"n": len(positions), "r": 1.0, "seed": 0,
+                                "positions": positions, "edges": edges}))
+    code, _, err = run(capsys, "build", "--net", str(path), "--initiators", "2")
+    assert code == 2
+    assert err == "drw-overlay: network is not connected\n"
+
+
 # --- experiment ---------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -465,6 +499,17 @@ def test_stats_unknown_group_column(desk_run, capsys):
     code, _, _ = run(capsys, "stats", "--in",
                      str(desk_run / "records.csv"), "--group", "nope")
     assert code == 1
+
+
+def test_stats_group_rule_is_the_library_rule(tmp_path, capsys):
+    """`stats` rejects an unknown --group column with summarize's message,
+    before it opens the records file."""
+    with pytest.raises(ValueError) as exc:
+        summarize([], group_keys=("n", "nope"))
+    code, out, err = run(capsys, "stats", "--in", str(tmp_path / "missing.csv"),
+                         "--group", "n,nope")
+    assert (code, out) == (1, "")
+    assert err == f"drw-overlay: error: {exc.value}\n"
 
 
 def test_stats_empty_input_exit_2(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -252,6 +253,118 @@ def test_max_pairwise_memory_stays_linear(shape):
     assert got == pytest.approx(math.hypot(1.0, 0.5) if shape == "collinear" else 1.0)
 
 
+def pairs_by_scan(points, r):
+    """Every pair u < v with dx*dx + dy*dy <= r*r, by a dense all-pairs scan."""
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+    u, v = np.triu_indices(len(pts), 1)
+    with np.errstate(over="ignore"):
+        d = pts[u] - pts[v]
+        keep = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] <= r * r
+    return sorted(zip(u[keep].tolist(), v[keep].tolist()))
+
+
+# Binary exponents, drawn uniformly (st.integers favours small ones).
+EXPONENTS = range(0, 998, 11)
+ONE_IN_FOUR = st.sampled_from([False, False, False, True])
+
+
+@st.composite
+def disk_inputs(draw):
+    """Up to 200 points and a radius up to sqrt 2: lattices r apart (ties
+    on the rule) or r(1 + 1e-9) apart (on cell boundaries), free points
+    and duplicates, all shrunk with r by down to about 1e-300 (where r*r
+    underflows); a quarter of the time the points alone scaled by about
+    1e-300 to 1e300, and a quarter of the time points at the ends of the
+    doubles."""
+    r = draw(st.one_of(st.sampled_from([0.125, 0.25, 0.5, 1.0, MAX_RADIUS]),
+                       st.floats(1e-3, MAX_RADIUS)))
+    step = draw(st.sampled_from([r, r * (1.0 + 1e-9)]))
+    size = draw(st.sampled_from([3, 50, 200]))
+    # 5 x 5 sites and the free points span about 5 steps, so from 25
+    # points on the cells are r wide.
+    sites = draw(st.lists(st.integers(0, 24), min_size=size // 4, max_size=size // 2))
+    free = draw(st.lists(st.tuples(st.floats(-2.5, 2.5), st.floats(-2.5, 2.5)),
+                         min_size=size // 4, max_size=size // 2))
+    points = ([[(k // 5 - 2) * step, (k % 5 - 2) * step] for k in sites]
+              + [[x * step, y * step] for x, y in free + free[:2]])
+    shrink = 2.0 ** -draw(st.sampled_from(EXPONENTS))
+    pts, r = np.array(points, dtype=np.float64).reshape(-1, 2) * shrink, r * shrink
+    if draw(ONE_IN_FOUR):
+        pts *= 2.0 ** (draw(st.sampled_from(EXPONENTS)) * draw(st.sampled_from([-1, 1])))
+    if draw(ONE_IN_FOUR):
+        far = st.sampled_from([-1.7e308, 0.0, 1.7e308])
+        pts = np.concatenate((pts, draw(st.lists(st.tuples(far, far), min_size=1, max_size=3))))
+    return pts, r
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=disk_inputs())
+def test_unit_disk_pairs_equal_all_pairs_scan(case):
+    """The grid finds exactly the pairs the squared rule accepts, overflow
+    and underflow included, and warns about neither."""
+    points, r = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pairs = geom_graph._unit_disk_pairs(points, r)
+    assert (pairs[:, 0] < pairs[:, 1]).all()
+    assert sorted(map(tuple, pairs.tolist())) == pairs_by_scan(points, r)
+
+
+def connected_by_search(n, edges):
+    """Breadth-first search from node 0 over an edge list."""
+    adjacency = [[] for _ in range(n)]
+    for u, v in edges:
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    return reaches_all(adjacency)
+
+
+@st.composite
+def labelled_graphs(draw):
+    """Nodes split into parts, each a path or a star over shuffled labels,
+    plus random extra edges, in either orientation and any order."""
+    n = draw(st.integers(1, 80))
+    labels = draw(st.permutations(range(n)))
+    cuts = sorted(draw(st.lists(st.integers(1, n), max_size=3)))
+    edges = []
+    for a, b in zip([0] + cuts, cuts + [n]):
+        part = labels[a:b]
+        if draw(st.booleans()):
+            edges += zip(part, part[1:])
+        else:
+            edges += [(part[0], v) for v in part[1:]]
+    node = st.integers(0, n - 1)
+    edges += draw(st.lists(st.tuples(node, node).filter(lambda e: e[0] != e[1]), max_size=6))
+    edges = [e if draw(st.booleans()) else e[::-1] for e in draw(st.permutations(edges))]
+    return n, np.array(edges, dtype=np.intp).reshape(-1, 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph=labelled_graphs())
+def test_connected_equals_breadth_first_search(graph):
+    n, edges = graph
+    assert geom_graph._connected(n, edges) == connected_by_search(n, edges.tolist())
+
+
+def test_unit_disk_pairs_memory_stays_linear():
+    """Two 38 x 38 lattices at opposite corners of one cell: every pair is
+    a candidate (about 4.2 million) but only lattice neighbours are edges.
+    Testing the candidates in chunks keeps the peak under 16 MiB; testing
+    them all at once needs about 160 MiB."""
+    side = np.arange(38) * 5e-5
+    lattice = np.column_stack([np.repeat(side, 38), np.tile(side, 38)])
+    corner = 0.0185 - side[-1]  # 2,890 points of unit extent: cells are 1/53 wide
+    pts = np.concatenate((lattice, corner + lattice, [[1.0, 1.0], [1.0, 0.0]]))
+    tracemalloc.start()
+    try:
+        pairs = geom_graph._unit_disk_pairs(pts, 6e-5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert len(pairs) == 2 * 2 * 38 * 37
+
+
 def test_invalid_configs_rejected():
     with pytest.raises(ValueError):
         GraphGenConfig(n=1, r=0.5)
@@ -291,6 +404,9 @@ def test_json_rejects_malformed():
 def test_network_from_positions_validates_shape():
     with pytest.raises(ValueError):
         network_from_positions([[0.1, 0.2, 0.3]], r=0.5)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            network_from_positions([[0.1, 0.2], [bad, 0.3]], r=0.5)
 
 
 def reaches_all(adjacency):
