@@ -327,6 +327,10 @@ def _record_problem(rec: ExperimentRecord) -> str | None:
         return "r must be positive"
     if not 0 <= rec.depth <= 1:
         return "depth must be in [0, 1]"
+    if not (math.isfinite(rec.wall_time_ms) and rec.wall_time_ms >= 0):
+        return "wall_time_ms must be finite and >= 0"
+    if not 0 <= rec.seed < 2**64:
+        return "seed must be in [0, 2**64)"
     return None
 
 

@@ -7,9 +7,10 @@ pushes the walk away from where it has already been. Pure walks pick
 uniformly. Either way a candidate already recruited by another walk is taken
 immediately and becomes a broker, terminating the walk.
 
-Candidates are the head's neighbors that no walk owns yet (self-avoidance).
-When no candidate exists the head retreats one recruited node per step;
-retreating past the initiator exhausts the walk.
+Candidates are the head's neighbors that no walk owns yet (self-avoidance);
+a guided walk scores each one in the same pass that reads its owner (see
+``_score_masks``). With no candidate the head retreats one recruited node
+per step; retreating past the initiator exhausts the walk.
 
 Cost bookkeeping follows the marking discipline in which, on each normal
 extension step, the neighborhood of the node *behind* the head is folded
@@ -194,32 +195,34 @@ class WalkState:
         return self.head + 1 + (self.head < len(self.path) - 1)
 
 
+def _score_masks(walk: WalkState, net: Network, strategy: CostStrategy, src_index: int):
+    """The bitsets a step from path[src_index] scores candidates against:
+    (marked, None) for drw, (N(path[src_index - 1]), None) for twohop (0 at
+    the initiator), (marked, marked2) for weighted, None for prw (no score)."""
+    if strategy.kind == PURE:
+        return None
+    if strategy.kind == TWO_HOP:
+        return (net.neighbor_bits[walk.path[src_index - 1]] if src_index else 0), None
+    return walk.marked, walk.marked2 if strategy.kind == WEIGHTED else None
+
+
 def candidate_costs(walk: WalkState, net: Network, strategy: CostStrategy,
                     candidates: list[int], src_index: int) -> list:
-    """Score each candidate under strategy, in candidate order.
-
-    Each count is the popcount of a candidate's ``net.neighbor_bits``
-    entry ANDed with a bitset: the walk's marks, or N(behind) for
-    "twohop", where behind is ``walk.path[src_index - 1]`` (none when
-    src_index is 0). Both sides place node u at bit ``net.bit_rank[u]``,
-    and a popcount does not depend on which bit stands for which node, so
-    the counts are plain set overlaps. Scores come back as Python numbers,
-    in candidate (id) order: ints, or floats for "weighted"; "prw" scores
-    every candidate 0.
+    """Score each candidate, in order, by the rule ``step`` applies to one
+    candidate at a time: the popcount of its ``net.neighbor_bits`` entry
+    ANDed with the first ``_score_masks`` bitset, and for "weighted" alpha
+    times that plus beta times the popcount against the second. Both sides
+    place node u at bit ``net.bit_rank[u]``, and a popcount does not depend
+    on which bit stands for which node, so the counts are plain set
+    overlaps. Scores are ints, or floats for "weighted"; "prw" scores 0.
     """
-    if strategy.kind == PURE or (strategy.kind == TWO_HOP and src_index == 0):
-        return [0] * len(candidates)
     bits = net.neighbor_bits
-    if strategy.kind == TWO_HOP:
-        behind = bits[walk.path[src_index - 1]]
-        return [(bits[v] & behind).bit_count() for v in candidates]
-    marked = walk.marked
-    first = [(bits[v] & marked).bit_count() for v in candidates]
-    if strategy.kind == FIRST_NEIGHBORHOOD:
-        return first
-    marked2, alpha, beta = walk.marked2, strategy.alpha, strategy.beta
-    return [alpha * f + beta * (bits[v] & marked2).bit_count()
-            for f, v in zip(first, candidates)]
+    first, second = _score_masks(walk, net, strategy, src_index) or (0, None)
+    if second is None:
+        return [(bits[v] & first).bit_count() for v in candidates]
+    alpha, beta = strategy.alpha, strategy.beta
+    return [alpha * (bits[v] & first).bit_count() + beta * (bits[v] & second).bit_count()
+            for v in candidates]
 
 
 def _mark_two_rings(walk: WalkState, net: Network, node: int) -> None:
@@ -321,8 +324,9 @@ def step(walk: WalkState, net: Network, registry: OverlayRegistry,
     """Advance the walk by one transition and report what happened.
 
     A step from the newest node, path[-1], marks the neighborhood of the
-    node behind it, then scores its unowned neighbors. A step that finds
-    no candidate only moves walk.head back one path index, and the next
+    node behind it, then scores its unowned neighbors as it reads their
+    owners, in one pass, and keeps the ties at the lowest cost. A step that
+    finds no candidate only moves walk.head back one path index, and the next
     call resumes from there without marking; at head 0, the initiator, it
     exhausts the walk instead. Ties (and the pure strategy) use the walk's
     rng. Only drw and weighted mark; a walk is meant to take every step
@@ -345,36 +349,48 @@ def step(walk: WalkState, net: Network, registry: OverlayRegistry,
 
     # One owner read per neighbor, in id order: the first neighbor owned by
     # another walk wins outright, and the unowned ones are the candidates.
+    # prw has a loop of its own: a per-candidate "scored?" test slows it.
     owner = registry.owner
-    candidates = []
-    cost = None
-    for v in net.adjacency[path[head]]:
-        o = owner[v]
-        if o < 0:
-            candidates.append(v)
-        elif o != wid:
-            registry.register(v, wid)
-            walk.status, walk.broker = INTERSECTED, v
-            out = StepOutcome(INTERSECTED, v, o)
-            break
+    ties, o, best = [], -1, None
+    if kind == PURE:
+        for v in net.adjacency[path[head]]:
+            o = owner[v]
+            if o < 0:
+                ties.append(v)
+            elif o != wid:
+                break
     else:
-        if not candidates:
-            if head == 0:
-                walk.status = EXHAUSTED
-                out = StepOutcome(EXHAUSTED)
-            else:
-                walk.head = head - 1
-                walk.backtracks += 1
-                out = StepOutcome(BACKTRACKED)
-            if trace is not None:
-                _trace(trace, walk, out, None)
-            return out
-        if kind == PURE:
-            v = _pick(walk, candidates)
+        bits, (first, second) = net.neighbor_bits, _score_masks(walk, net, strategy, head)
+        alpha, beta, best = strategy.alpha, strategy.beta, math.inf
+        for v in net.adjacency[path[head]]:
+            o = owner[v]
+            if o < 0:
+                c = (bits[v] & first).bit_count()
+                if second is not None:
+                    c = alpha * c + beta * (bits[v] & second).bit_count()
+                if c < best:
+                    best, ties = c, [v]
+                elif c == best:
+                    ties.append(v)
+            elif o != wid:
+                break
+    if 0 <= o != wid:  # only a loop that broke leaves another walk's id in o
+        registry.register(v, wid)
+        walk.status, walk.broker = INTERSECTED, v
+        out, best = StepOutcome(INTERSECTED, v, o), None
+    elif not ties:
+        if head == 0:
+            walk.status = EXHAUSTED
+            out = StepOutcome(EXHAUSTED)
         else:
-            costs = candidate_costs(walk, net, strategy, candidates, head)
-            cost = min(costs)
-            v = _pick(walk, [c for c, k in zip(candidates, costs) if k == cost])
+            walk.head = head - 1
+            walk.backtracks += 1
+            out = StepOutcome(BACKTRACKED)
+        if trace is not None:
+            _trace(trace, walk, out, None)
+        return out
+    else:
+        v = _pick(walk, ties)
         owner[v] = wid
         out = StepOutcome(EXTENDED, v)
 
@@ -382,7 +398,7 @@ def step(walk: WalkState, net: Network, registry: OverlayRegistry,
     walk.head = len(path)
     path.append(v)
     if trace is not None:
-        _trace(trace, walk, out, cost)
+        _trace(trace, walk, out, best)
     return out
 
 

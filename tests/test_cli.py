@@ -547,9 +547,16 @@ GOOD_ROW = dict(n="1000", r="0.05", strategy="drw", initiators="10", rep="0",
     dict(active_path_size="9"),
     dict(active_path_size="1001"),
     dict(strategy='"a\nb"', failed="7"),  # a quoted cell holding a line break
+    dict(wall_time_ms="nan"),
+    dict(wall_time_ms="inf"),
+    dict(wall_time_ms="-3.0"),
+    dict(seed="-7"),
+    dict(seed=str(2**70)),
 ], ids=["all-four", "failed", "size", "steps", "backtracks", "depth-nan",
         "depth-above-1", "r-zero", "initiators-one", "initiators-above-n",
-        "size-below-initiators", "size-above-n", "strategy-newline"])
+        "size-below-initiators", "size-above-n", "strategy-newline",
+        "wall-time-nan", "wall-time-inf", "wall-time-negative", "seed-negative",
+        "seed-above-64-bits"])
 def test_stats_impossible_row_exit_2(tmp_path, capsys, bad):
     p = tmp_path / "bad.csv"
     row = {**GOOD_ROW, **bad}

@@ -285,6 +285,27 @@ def test_read_records_rejects_malformed():
         read_records_csv(io.StringIO(""))
 
 
+def one_row_csv(seed: str, wall_time_ms: str) -> io.StringIO:
+    row = f"1000,0.05,drw,10,0,{seed},200,0.500000,180,3,0,{wall_time_ms}"
+    return io.StringIO(",".join(RECORD_COLUMNS) + "\n" + row + "\n")
+
+
+@pytest.mark.parametrize("seed, wall_time_ms", [
+    ("7", "nan"), ("7", "inf"), ("7", "-3.0"), ("-7", "1.000"), (str(2**64), "1.000"),
+    (str(2**70), "1.000"),
+])
+def test_read_records_rejects_impossible_seed_or_wall_time(seed, wall_time_ms):
+    """The sweep writes 64-bit seeds and finite, non-negative wall times."""
+    with pytest.raises(ValueError, match="^bad row "):
+        read_records_csv(one_row_csv(seed, wall_time_ms))
+
+
+def test_read_records_accepts_seed_and_wall_time_at_their_bounds():
+    for seed, wall_time_ms in (("0", "0.000"), (str(2**64 - 1), "1e9")):
+        rec, = read_records_csv(one_row_csv(seed, wall_time_ms))
+        assert (rec.seed, rec.wall_time_ms) == (int(seed), float(wall_time_ms))
+
+
 def test_records_csv_to_file(tmp_path):
     rows = run_scenario(small_config(initiator_counts={60: (2,)},
                                      strategies=(DRW,), replications=1))

@@ -1,17 +1,15 @@
 """Bitset scoring and mark bitsets against brute-force Python sets."""
 
-from unittest import mock
-
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from marks import marked_nodes
-from drw_overlay import walk_engine
 from drw_overlay.geom_graph import network_from_positions
 from drw_overlay.overlay import OverlayRegistry
 from drw_overlay.walk_engine import (
     ACTIVE,
+    EXTENDED,
     FIRST_NEIGHBORHOOD,
     PURE,
     STRATEGY_KINDS,
@@ -78,6 +76,9 @@ def test_neighbor_bits_isolated_node_is_zero():
        kind=st.sampled_from(STRATEGY_KINDS),
        alpha=st.sampled_from((0.0, 0.5, 1.0, 3.0)), beta=st.sampled_from((0.0, 1.0, 2.5)))
 def test_scoring_and_marks_match_set_oracles(n, r, seed, kind, alpha, beta):
+    """Every step's traced cost and choice against the set oracle: a guided
+    extension records the least oracle cost over the head's unowned
+    neighbours and takes one of the nodes at that cost; prw records none."""
     rng = np.random.default_rng(seed)
     net = network_from_positions(rng.random((n, 2)), r)
     assert_bits_match(net)
@@ -88,27 +89,30 @@ def test_scoring_and_marks_match_set_oracles(n, r, seed, kind, alpha, beta):
     initiator, target = (int(v) for v in rng.choice(starts, size=2, replace=False))
     registry = OverlayRegistry(n)
     registry.register(target, 99)
-    scored = []
-
-    def checked(walk, net, strategy, candidates, src_index):
-        got = candidate_costs(walk, net, strategy, candidates, src_index)
-        assert_same_costs(got, oracle_costs(walk, net, strategy, candidates, src_index))
-        scored.append(len(candidates))
-        return got
-
-    walk, broker = init_walk(net, initiator, 0, registry, lambda _: np.random.default_rng(seed))
+    trace = []
+    walk, broker = init_walk(net, initiator, 0, registry, lambda _: np.random.default_rng(seed),
+                             trace=trace)
     if walk is None:
         # Born on target, a neighbour of the initiator: nothing is scored.
         assert broker == target and target in net.adjacency[initiator]
         return
     everyone = list(range(n))
-    with mock.patch.object(walk_engine, "candidate_costs", checked):
-        while walk.status == ACTIVE and walk.steps < 4 * n:
-            assert_marks_consistent(walk, net, strategy)
-            step(walk, net, registry, strategy)
-            assert_marks_consistent(walk, net, strategy)
-            src_index = max(walk.cursor - 2, 0)
-            assert_same_costs(candidate_costs(walk, net, strategy, everyone, src_index),
-                              oracle_costs(walk, net, strategy, everyone, src_index))
-    if kind == PURE:
-        assert not scored
+    while walk.status == ACTIVE and walk.steps < 4 * n:
+        assert_marks_consistent(walk, net, strategy)
+        src_index = walk.head
+        candidates = [v for v in net.adjacency[walk.path[src_index]] if registry.owner[v] < 0]
+        step(walk, net, registry, strategy, trace)
+        assert_marks_consistent(walk, net, strategy)
+        assert len(trace) == walk.steps + 1
+        rec = trace[-1]
+        if kind == PURE or rec.outcome != EXTENDED:
+            assert rec.cost is None
+        else:
+            # A step marks before it scores, so the walk's marks now are
+            # the ones its candidates were scored against.
+            want = oracle_costs(walk, net, strategy, candidates, src_index)
+            assert_same_costs([rec.cost], [min(want)])
+            assert rec.node in [v for v, c in zip(candidates, want) if c == rec.cost]
+        src_index = max(walk.cursor - 2, 0)
+        assert_same_costs(candidate_costs(walk, net, strategy, everyone, src_index),
+                          oracle_costs(walk, net, strategy, everyone, src_index))

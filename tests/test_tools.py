@@ -3,6 +3,8 @@
 `tools/gc_collections.py` counts cyclic-GC collections over the 48
 many-initiators builds; it imports the benchmark's workload module and
 the package from this checkout, so a renamed name it uses fails here.
+`tools/step_cost.py` times walk steps by strategy and n; its step counts
+are exact, so two runs with one seed must agree on them.
 """
 
 import json
@@ -23,3 +25,22 @@ def test_gc_collections_prints_one_json_line():
     assert report["builds"] == 48
     assert set(report["collections"]) == {"gen0", "gen1", "gen2"}
     assert all(isinstance(c, int) and c >= 0 for c in report["collections"].values())
+
+
+def test_step_cost_counts_repeat_exactly():
+    reports = []
+    for _ in range(2):
+        proc = subprocess.run([sys.executable, "tools/step_cost.py", "--n", "100", "150",
+                               "--r", "0.2", "--seed", "3"],
+                              cwd=ROOT, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr[-4000:]
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 1
+        reports.append(json.loads(lines[0]))
+    first, second = reports
+    assert first["steps"] == second["steps"]
+    assert set(first["steps"]) == set(first["us_per_step"]) == {"100", "150"}
+    for n, cells in first["steps"].items():
+        assert set(cells) == {"drw", "prw", "twohop", "weighted"}
+        assert all(isinstance(c, int) and c > 0 for c in cells.values())
+        assert all(t > 0 for t in first["us_per_step"][n].values())
