@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from time import perf_counter
@@ -221,10 +220,6 @@ def _run_rep_group(cfg: ScenarioConfig, n: int, rep: int) -> list[ExperimentReco
     return rows
 
 
-def _run_rep_group_star(args):
-    return _run_rep_group(*args)
-
-
 def run_scenario(cfg: ScenarioConfig, jobs: int = 1) -> list[ExperimentRecord]:
     """Execute every cell and replication; rows come back in a fixed order."""
     tasks = [(cfg, n, rep) for n in cfg.n_values
@@ -232,10 +227,12 @@ def run_scenario(cfg: ScenarioConfig, jobs: int = 1) -> list[ExperimentRecord]:
     if jobs <= 1:
         groups = [_run_rep_group(*t) for t in tasks]
     else:
+        # Imported here, so that a serial run never loads multiprocessing.
         # Under fork the pool starts all max_workers processes on its first
         # submit, so it never gets more workers than tasks.
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            groups = list(pool.map(_run_rep_group_star, tasks, chunksize=1))
+            groups = list(pool.map(_run_rep_group, *zip(*tasks), chunksize=1))
     rows = [rec for group in groups for rec in group]
     rows.sort(key=lambda rec: (rec.n, rec.initiators, rec.strategy, rec.rep))
     return rows
@@ -342,10 +339,15 @@ class SummaryRow:
 
 
 def check_group_keys(group_keys) -> None:
-    """Raise ValueError unless every group key is a records.csv column."""
+    """Raise ValueError unless every group key is a records.csv column,
+    listed once."""
+    seen = set()
     for key in group_keys:
         if key not in RECORD_COLUMNS:
             raise ValueError(f"unknown group column {key!r}")
+        if key in seen:
+            raise ValueError(f"group column {key!r} is listed twice")
+        seen.add(key)
 
 
 def summarize(records, group_keys=DEFAULT_GROUP_KEYS) -> list[SummaryRow]:

@@ -60,27 +60,21 @@ def default_step_budget(n: int) -> int:
 class OverlayRegistry:
     """Which walk recruited each node: the one ownership record of a build.
 
-    owner[v] is the lowest id of a walk that recruited v, or -1, and brokers
-    holds the nodes a second walk recruited. One id per node suffices: an
-    active walk is the only owner of its own nodes, since a walk ends where
-    it meets another. The lowest id is kept, not the first, because that is
-    the other_walk a later walk reports on meeting a broker. owner is a list
-    because step reads single items, which a list serves faster than numpy.
+    owner[v] is the id of the first walk that took v, or -1, and is never
+    rewritten; brokers holds the nodes where a later walk met an earlier
+    one. A build only asks whether a node is unowned, the stepping walk's
+    own or another walk's, and one id per node answers that: a walk ends
+    where it meets another, so an active walk is the only owner of its own
+    nodes. owner is a list because step reads single items, which a list
+    serves faster than numpy.
     """
 
     def __init__(self, n: int):
         self.owner: list[int] = [-1] * n
         self.brokers: set[int] = set()
 
-    def register(self, node: int, walk_id: int) -> None:
-        """Record that walk_id recruited node; a second walk makes it a broker."""
-        o = self.owner[node]
-        if 0 <= o != walk_id:
-            self.brokers.add(node)
-        self.owner[node] = walk_id if o < 0 else min(o, walk_id)
-
     # Nothing in the package calls this; it stays because the benchmark's
-    # tracer wraps it by name and the tests read owners through it.
+    # tracer wraps it by name.
     def other_walk_at(self, node: int, walk_id: int) -> int | None:
         """The owner of node when that is a walk other than walk_id, else None."""
         o = self.owner[node]
@@ -131,15 +125,15 @@ class StepOutcome:
     about 1 µs more per step to construct.
 
     kind EXTENDED    : node appended, walk still active
-    kind INTERSECTED : node appended, it already belonged to other_walk;
-                       the walk's status is INTERSECTED, node its broker
+    kind INTERSECTED : node appended, it already belonged to another walk,
+                       which stays its owner; the walk's status is
+                       INTERSECTED, node its broker
     kind BACKTRACKED : no candidates, walk.head moved back one path index
     kind EXHAUSTED   : no candidates at the initiator, status EXHAUSTED
     """
 
     kind: str
     node: int | None = None
-    other_walk: int | None = None
 
 
 @dataclass(frozen=True)
@@ -274,8 +268,9 @@ def init_walk(net: Network, initiator: int, walk_id: int, registry: OverlayRegis
     The second node is drawn uniformly from the initiator's neighbors. Two
     shortcuts apply first: if the initiator already belongs to another walk
     the new walk is born intersected at the initiator itself, and if some
-    neighbor already belongs to another walk the walk takes it immediately
-    (lowest id first). Returns (walk, None) for a walk that goes on to step,
+    neighbor already belongs to another walk the walk takes the first such
+    neighbor in id order. Either way that node keeps its owner and becomes a
+    broker. Returns (walk, None) for a walk that goes on to step,
     and (None, broker) for a walk born intersected: its path is [initiator]
     when broker is the initiator, else [initiator, broker], and it never
     draws, so no WalkState or generator is spent on it. Either way the
@@ -299,11 +294,8 @@ def init_walk(net: Network, initiator: int, walk_id: int, registry: OverlayRegis
             if other >= 0:
                 break
     if other >= 0:
-        # Born intersected: node becomes a broker. Ids ascend within a
-        # build, so the lowest owner only changes for out-of-order ids.
+        # Born intersected: node keeps its owner and becomes a broker.
         registry.brokers.add(node)
-        if walk_id < other:
-            owner[node] = walk_id
         if trace is not None:
             trace.append(TraceRecord(walk=walk_id, step=0, outcome=INTERSECTED, node=node,
                                      cursor=1 if node == initiator else 2, cost=None))
@@ -331,7 +323,8 @@ def step(walk: WalkState, net: Network, registry: OverlayRegistry,
     exhausts the walk instead. Ties (and the pure strategy) use the walk's
     rng. Only drw and weighted mark; a walk is meant to take every step
     under one strategy. A step that meets another walk's node takes it as
-    an extension would, makes it a broker and ends the walk INTERSECTED.
+    an extension would, leaves its owner as it is, makes it a broker and
+    ends the walk INTERSECTED.
     """
     if walk.status != ACTIVE:
         raise WalkNotActive(f"walk {walk.id} is {walk.status}")
@@ -375,9 +368,9 @@ def step(walk: WalkState, net: Network, registry: OverlayRegistry,
             elif o != wid:
                 break
     if 0 <= o != wid:  # only a loop that broke leaves another walk's id in o
-        registry.register(v, wid)
+        registry.brokers.add(v)
         walk.status, walk.broker = INTERSECTED, v
-        out, best = StepOutcome(INTERSECTED, v, o), None
+        out, best = StepOutcome(INTERSECTED, v), None
     elif not ties:
         if head == 0:
             walk.status = EXHAUSTED

@@ -45,9 +45,10 @@ def mask_wall_time(text: str) -> str:
 
 def test_cli_import_leaves_scipy_out():
     """Every command starts by importing the CLI; scipy alone would add
-    about 0.3 s to that, so the package must not pull it in."""
-    code = ("import sys, drw_overlay.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    about 0.3 s to that, so the package must not pull it in. The process
+    pool's modules load only when a sweep runs with --jobs above 1."""
+    code = ("import sys, drw_overlay.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('scipy', 'concurrent', 'multiprocessing')))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60)
     assert proc.returncode == 0, proc.stderr
@@ -499,6 +500,11 @@ def test_stats_unknown_group_column(desk_run, capsys):
     code, _, _ = run(capsys, "stats", "--in",
                      str(desk_run / "records.csv"), "--group", "nope")
     assert code == 1
+    # A column listed twice would print a duplicate column.
+    code, out, err = run(capsys, "stats", "--in",
+                         str(desk_run / "records.csv"), "--group", "n,n")
+    assert (code, out) == (1, "")
+    assert err == "drw-overlay: error: group column 'n' is listed twice\n"
 
 
 def test_stats_group_rule_is_the_library_rule(tmp_path, capsys):

@@ -6,7 +6,6 @@ from unittest import mock
 
 import pytest
 
-from drw_overlay import experiments
 from drw_overlay.experiments import (
     DEFAULT_GROUP_KEYS,
     FULL_INITIATORS,
@@ -196,11 +195,11 @@ def test_pool_gets_no_more_workers_than_tasks():
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks, chunksize=1):
-            return map(fn, tasks)
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
 
     cfg = small_config(replications=2)
-    with mock.patch.object(experiments, "ProcessPoolExecutor", InlinePool):
+    with mock.patch("concurrent.futures.ProcessPoolExecutor", InlinePool):
         rows = run_scenario(cfg, jobs=500)
     assert seen == [2]                   # one task per (n, replication)
     assert len(rows) == 2 * 2 * 2
@@ -357,6 +356,8 @@ def test_summarize_skips_failed_and_raises_when_all_failed():
 def test_summarize_rejects_unknown_group_key():
     with pytest.raises(ValueError):
         summarize([], group_keys=("n", "nope"))
+    with pytest.raises(ValueError, match="listed twice"):
+        summarize([], group_keys=("n", "strategy", "n"))
 
 
 def test_summary_csv_shape():

@@ -52,8 +52,8 @@ def counting_walk_states(made):
 @pytest.mark.parametrize("initiator, walk_id, owned, other, path, parents, owner", [
     # born at its owned initiator, ids in build order
     (2, 4, 2, 3, [2], [-1], [-1, -1, 3, -1, -1, -1, -1, -1]),
-    # born at an owned neighbour; the lower id takes over the owner slot
-    (0, 1, 1, 7, [0, 1], [-1, 0], [1, 1, -1, -1, -1, -1, -1, -1]),
+    # born at an owned neighbour, which stays its first owner's
+    (0, 1, 1, 7, [0, 1], [-1, 0], [1, 7, -1, -1, -1, -1, -1, -1]),
 ], ids=["initiator", "neighbor"])
 def test_born_walk_state(initiator, walk_id, owned, other, path, parents, owner):
     """A walk born intersected gets no WalkState from init_walk: no generator,
@@ -61,7 +61,7 @@ def test_born_walk_state(initiator, walk_id, owned, other, path, parents, owner)
     its finished WalkState, with no slot dict, which takes no further step."""
     net = H.crossing_network()
     reg = OverlayRegistry(net.n)
-    reg.register(owned, other)
+    reg.owner[owned] = other
     trace = []
     made = []
     with counting_walk_states(made):
@@ -175,64 +175,46 @@ class CapturedRegistry(OverlayRegistry):
         CapturedRegistry.instances.append(self)
 
 
-def recording(met):
-    """Wrap init_walk and step; append (walk id, node, other walk) per
-    intersection. A walk born intersected met the owner its broker had
-    before init_walk ran."""
-    def initialized(net, initiator, walk_id, registry, *args, **kw):
-        before = list(registry.owner)
-        walk, broker = init_walk(net, initiator, walk_id, registry, *args, **kw)
-        if walk is None:
-            met.append((walk_id, broker, before[broker]))
-        return walk, broker
-
-    def stepped(walk, *args, **kw):
-        out = step(walk, *args, **kw)
-        if out.kind == INTERSECTED:
-            met.append((walk.id, out.node, out.other_walk))
-        return out
-    return initialized, stepped
-
-
-@settings(max_examples=40, deadline=None)
-@given(n=st.integers(8, 60), net_seed=st.integers(0, 2**16),
-       share=st.floats(0.05, 1.0), kind=st.sampled_from(STRATEGY_KINDS),
-       seed=st.integers(0, 2**16))
-def test_owner_list_matches_walk_paths(n, net_seed, share, kind, seed):
-    """owner[v] is the lowest id of a walk whose path holds v (-1 if none),
-    the brokers are the nodes on two or more paths, every walk but the
-    halted partner reports the lowest other owner of the node it met, every
-    walk ends intersected and the layer is connected over its traced edges."""
-    net = generate_network(GraphGenConfig(n=n, r=0.45, seed=net_seed))
-    cfg = OverlayBuildConfig(max(2, round(share * n)), parse_strategy(kind), seed=seed)
-    CapturedRegistry.instances = []
-    met = []
-    initialized, stepped = recording(met)
-    with mock.patch.object(overlay, "OverlayRegistry", CapturedRegistry), \
-            mock.patch.object(overlay, "init_walk", initialized), \
-            mock.patch.object(overlay, "step", stepped):
-        result = build_overlay(net, cfg)
-    (registry,) = CapturedRegistry.instances
-    assert len(met) == cfg.initiator_count - 1
-    for wid, node, other in met:
-        assert other == min(w.id for w in result.walks if w.id != wid and node in w.path)
-    on_paths: dict[int, list[int]] = {}
-    for walk in result.walks:
-        assert walk.status == INTERSECTED, walk.id
-        for v in walk.path:
-            on_paths.setdefault(v, []).append(walk.id)
-    assert registry.owner == [min(on_paths.get(v, [-1])) for v in range(n)]
-    shared = {v for v, ids in on_paths.items() if len(ids) >= 2}
-    assert registry.brokers == result.brokers == shared
-    assert shared <= result.active_path == set(on_paths)
-    adj: dict[int, set[int]] = {v: set() for v in result.active_path}
-    for a, b in result.active_path_edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    seen = {result.initiators[0]}
-    stack = list(seen)
-    while stack:
-        for v in adj[stack.pop()] - seen:
-            seen.add(v)
-            stack.append(v)
-    assert seen == result.active_path
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(4, 30), r=st.sampled_from((0.35, 0.5, 0.7)), net_seed=st.integers(0, 2**16),
+       seed=st.integers(0, 2**16), data=st.data())
+def test_owner_list_matches_walk_paths(n, r, net_seed, seed, data):
+    """owner[v] is the first walk to take v: the one walk whose path holds v
+    with no intersected trace record at v. A node off the layer has owner
+    -1, the brokers are the nodes on two or more paths, every walk ends
+    intersected and the layer is connected over its traced edges. Checked
+    for every strategy, with I from 2 to n."""
+    net = generate_network(GraphGenConfig(n=n, r=r, seed=net_seed))
+    count = data.draw(st.integers(2, n), label="initiators")
+    for kind in STRATEGY_KINDS:
+        CapturedRegistry.instances = []
+        trace = []
+        with mock.patch.object(overlay, "OverlayRegistry", CapturedRegistry):
+            result = build_overlay(net, OverlayBuildConfig(count, parse_strategy(kind), seed=seed),
+                                   trace=trace)
+        (registry,) = CapturedRegistry.instances
+        met = {(rec.walk, rec.node) for rec in trace if rec.outcome == INTERSECTED}
+        takers: dict[int, list[int]] = {}
+        on_paths: dict[int, int] = {}
+        for walk in result.walks:
+            assert walk.status == INTERSECTED, (kind, walk.id)
+            for v in walk.path:
+                on_paths[v] = on_paths.get(v, 0) + 1
+                if (walk.id, v) not in met:
+                    takers.setdefault(v, []).append(walk.id)
+        assert result.active_path == set(on_paths) == set(takers)
+        assert registry.owner == [takers[v][0] if v in takers else -1 for v in range(n)]
+        assert all(len(ids) == 1 for ids in takers.values()), kind
+        shared = {v for v, k in on_paths.items() if k >= 2}
+        assert registry.brokers == result.brokers == shared
+        adj: dict[int, set[int]] = {v: set() for v in result.active_path}
+        for a, b in result.active_path_edges:
+            adj[a].add(b)
+            adj[b].add(a)
+        seen = {result.initiators[0]}
+        stack = list(seen)
+        while stack:
+            for v in adj[stack.pop()] - seen:
+                seen.add(v)
+                stack.append(v)
+        assert seen == result.active_path

@@ -28,25 +28,14 @@ PRW = CostStrategy("prw")
 
 # --- registry ----------------------------------------------------------------
 
-def test_registry_membership_and_brokers():
-    reg = OverlayRegistry(6)
-    assert reg.owner[5] == -1
-    assert reg.register(5, 0) is None
-    assert reg.owner[5] == 0 and reg.brokers == set()
-    reg.register(5, 0)                    # same walk again: no broker
-    assert reg.owner[5] == 0 and reg.brokers == set()
-    reg.register(5, 3)
-    assert reg.owner == [-1, -1, -1, -1, -1, 0]
-    assert reg.brokers == {5}
-
-
-def test_registry_other_walk_lowest_id():
+def test_registry_other_walk_at():
+    """other_walk_at names the owner only to a walk other than the owner."""
     reg = OverlayRegistry(10)
-    reg.register(9, 4)
-    reg.register(9, 2)
-    reg.register(9, 7)
-    assert reg.other_walk_at(9, 4) == 2
-    assert reg.other_walk_at(9, 99) == 2
+    assert reg.owner == [-1] * 10 and reg.brokers == set()
+    reg.owner[9] = 4
+    assert reg.other_walk_at(9, 4) is None
+    assert reg.other_walk_at(9, 2) == 4
+    assert reg.other_walk_at(9, 99) == 4
     assert reg.other_walk_at(8, 0) is None
 
 

@@ -88,7 +88,7 @@ def test_scoring_and_marks_match_set_oracles(n, r, seed, kind, alpha, beta):
         return
     initiator, target = (int(v) for v in rng.choice(starts, size=2, replace=False))
     registry = OverlayRegistry(n)
-    registry.register(target, 99)
+    registry.owner[target] = 99
     trace = []
     walk, broker = init_walk(net, initiator, 0, registry, lambda _: np.random.default_rng(seed),
                              trace=trace)

@@ -57,9 +57,9 @@ def three_pass_step(walk, net, registry, strategy, trace=None):
         if o < 0:
             candidates.append(v)
         elif o != wid:
-            registry.register(v, wid)
+            registry.brokers.add(v)
             walk.status, walk.broker = INTERSECTED, v
-            out = StepOutcome(INTERSECTED, v, o)
+            out = StepOutcome(INTERSECTED, v)
             break
     else:
         if not candidates:

@@ -159,23 +159,23 @@ def test_init_second_node_uniform():
 
 def test_init_takes_already_recruited_neighbor():
     """Born at node 1, which walk 7 owns: path [0, 1], so the trace's cursor
-    is 2, and the lower id 1 takes over node 1's owner slot."""
+    is 2, and node 1 stays walk 7's."""
     net = H.crossing_network()
     reg = OverlayRegistry(net.n)
-    reg.register(1, 7)
+    reg.owner[1] = 7
     trace = []
     walk, broker = init_walk(net, 0, 1, reg, seeded(0), trace=trace)
     assert walk is None and broker == 1
     assert trace == [TraceRecord(walk=1, step=0, outcome=INTERSECTED, node=1,
                                  cursor=2, cost=None)]
-    assert reg.owner[:2] == [1, 1] and reg.brokers == {1}
+    assert reg.owner[:2] == [1, 7] and reg.brokers == {1}
 
 
 def test_init_on_foreign_member_intersects_in_place():
     """Born on its initiator 2, which walk 3 owns: path [2], cursor 1."""
     net = H.crossing_network()
     reg = OverlayRegistry(net.n)
-    reg.register(2, 3)
+    reg.owner[2] = 3
     trace = []
     walk, broker = init_walk(net, 2, 4, reg, seeded(0), trace=trace)
     assert walk is None and broker == 2
@@ -206,14 +206,14 @@ def test_intersection_beats_cost():
     """An owned candidate wins even when an unowned one scores lower."""
     net = H.crossing_network()
     reg = OverlayRegistry(net.n)
-    reg.register(7, 9)
+    reg.owner[7] = 9
     walk, _ = init_walk(net, 0, 0, reg, seeded(0))
     step(walk, net, reg, DRW)           # -> 2
     out = step(walk, net, reg, DRW)     # candidates {3, 7}: 7 owned
-    assert out.kind == INTERSECTED and out.node == 7 and out.other_walk == 9
+    assert out.kind == INTERSECTED and out.node == 7
     assert walk.status == INTERSECTED and walk.broker == 7
     assert walk.path == [0, 1, 2, 7]
-    assert reg.owner[7] == 0 and reg.brokers == {7}
+    assert reg.owner[7] == 9 and reg.brokers == {7}
 
 
 def test_step_after_termination_raises():
@@ -221,7 +221,7 @@ def test_step_after_termination_raises():
     test_lazy_walks.test_born_walk_state."""
     net = H.crossing_network()
     reg = OverlayRegistry(net.n)
-    reg.register(2, 7)
+    reg.owner[2] = 7
     walk, _ = init_walk(net, 0, 1, reg, seeded(0))
     assert step(walk, net, reg, DRW).kind == INTERSECTED
     with pytest.raises(WalkNotActive):
@@ -289,7 +289,7 @@ def test_unmarked_strategies_step_any_walk(strategy, init_kind):
 def test_pocket_full_trace():
     net = H.pocket_network()
     reg = OverlayRegistry(net.n)
-    reg.register(7, 99)                 # terminal node held by a foreign walk
+    reg.owner[7] = 99                 # terminal node held by a foreign walk
     walk, out = init_walk(net, 0, 0, reg, seeded(1))
     assert out is None and walk.path == [0, 1]
 
@@ -306,13 +306,14 @@ def test_pocket_full_trace():
     assert walk.parents == [-1, 0, 1, 2, 3, 3, 5, 6]
     assert walk.steps == 7 and walk.backtracks == 1
     assert walk.status == INTERSECTED and walk.broker == 7
-    assert all(reg.owner[v] == 0 for v in walk.path) and reg.brokers == {7}
+    # The broker 7 stays the foreign walk's; the walk owns the rest.
+    assert [reg.owner[v] for v in walk.path] == [0] * 7 + [99] and reg.brokers == {7}
 
 
 def test_pocket_backtrack_cursor_arithmetic():
     net = H.pocket_network()
     reg = OverlayRegistry(net.n)
-    reg.register(7, 99)
+    reg.owner[7] = 99
     walk, _ = init_walk(net, 0, 0, reg, seeded(1))
     for _ in range(3):
         step(walk, net, reg, DRW)
@@ -348,7 +349,7 @@ def test_weighted_alpha_only_equals_first_neighborhood():
         paths = []
         for strat in (DRW, weighted):
             reg = OverlayRegistry(net.n)
-            reg.register(net.n - 1, 50)  # give the walk something to hit
+            reg.owner[net.n - 1] = 50  # give the walk something to hit
             walk, out = init_walk(net, 0, 0, reg, seeded(seed))
             if out is None:
                 run_walk_until_stop([walk], net, reg, strat,
@@ -392,7 +393,7 @@ def test_same_seed_same_walk():
     runs = []
     for _ in range(2):
         reg = OverlayRegistry(net.n)
-        reg.register(net.n - 1, 50)
+        reg.owner[net.n - 1] = 50
         walk, out = init_walk(net, 0, 0, reg, seeded(42))
         if out is None:
             run_walk_until_stop([walk], net, reg, DRW, default_step_budget(net.n))
@@ -409,7 +410,7 @@ def test_walk_invariants_random_networks():
         for strat in (DRW, PRW, CostStrategy("twohop")):
             reg = OverlayRegistry(net.n)
             target = net.n // 2
-            reg.register(target, 50)
+            reg.owner[target] = 50
             walk, out = init_walk(net, 0, 0, reg, seeded(seed))
             if out is None:
                 run_walk_until_stop([walk], net, reg, strat,
@@ -422,15 +423,15 @@ def test_walk_invariants_random_networks():
                     assert walk.path[i] in net.neighbors(walk.path[parent])
             if strat.kind == "drw" and walk.steps > 0:
                 assert set(net.neighbors(walk.path[0])) <= marked_nodes(net, walk.marked)
-            for node in walk.path:
-                assert reg.owner[node] == 0
+            assert walk.broker == target
+            assert [reg.owner[v] for v in walk.path] == [0] * (len(walk.path) - 1) + [50]
 
 
 def test_twohop_walk_terminates_and_stays_tabu():
     net = generate_network(GraphGenConfig(n=200, r=0.1, seed=8))
     strat = CostStrategy("twohop")
     reg = OverlayRegistry(net.n)
-    reg.register(100, 50)
+    reg.owner[100] = 50
     walk, out = init_walk(net, 0, 0, reg, seeded(9))
     if out is None:
         run_walk_until_stop([walk], net, reg, strat, default_step_budget(net.n))
@@ -452,7 +453,7 @@ def test_budget_zero_raises_immediately():
 def test_budget_exact_allows_completion():
     net = H.pocket_network()
     reg = OverlayRegistry(net.n)
-    reg.register(7, 99)
+    reg.owner[7] = 99
     walk, _ = init_walk(net, 0, 0, reg, seeded(1))
     run_walk_until_stop([walk], net, reg, DRW, 7)
     assert walk.status == INTERSECTED and walk.steps == 7
@@ -461,7 +462,7 @@ def test_budget_exact_allows_completion():
 def test_budget_one_short_raises():
     net = H.pocket_network()
     reg = OverlayRegistry(net.n)
-    reg.register(7, 99)
+    reg.owner[7] = 99
     walk, _ = init_walk(net, 0, 0, reg, seeded(1))
     with pytest.raises(BuildFailed) as err:
         run_walk_until_stop([walk], net, reg, DRW, 6)
