@@ -1,5 +1,6 @@
 """Overlay construction: hand-traced builds and structural invariants."""
 
+from functools import partial
 from types import SimpleNamespace
 
 import pytest
@@ -20,13 +21,38 @@ from drw_overlay.overlay import (
     to_json_dict,
 )
 from drw_overlay.rng import stream
-from drw_overlay.walk_engine import CostStrategy, TraceRecord
+from drw_overlay.walk_engine import (
+    EXTENDED,
+    INTERSECTED,
+    CostStrategy,
+    StepOutcome,
+    TraceRecord,
+    init_walk,
+    step,
+)
 
 DRW = CostStrategy("drw")
 PRW = CostStrategy("prw")
 
 
 # --- registry ----------------------------------------------------------------
+
+def test_registry_membership_and_brokers():
+    """The walk that takes a node owns it; a walk that meets it there makes
+    it a broker and leaves the owner as it is."""
+    net = H.crossing_network()
+    reg = OverlayRegistry(net.n)
+    walks = partial(stream, 0, "walk")
+    w1, _ = init_walk(net, 5, 1, reg, walks)
+    assert reg.owner == [-1] * 5 + [1, 1, -1] and reg.brokers == set()
+    assert step(w1, net, reg, DRW) == StepOutcome(EXTENDED, 7)
+    w0, _ = init_walk(net, 0, 0, reg, walks)
+    assert step(w0, net, reg, DRW) == StepOutcome(EXTENDED, 2)
+    assert reg.owner == [0, 0, 0, -1, -1, 1, 1, 1] and reg.brokers == set()
+    assert step(w0, net, reg, DRW) == StepOutcome(INTERSECTED, 7)
+    assert w0.path == [0, 1, 2, 7]
+    assert reg.owner == [0, 0, 0, -1, -1, 1, 1, 1] and reg.brokers == {7}
+
 
 def test_registry_other_walk_at():
     """other_walk_at names the owner only to a walk other than the owner."""
