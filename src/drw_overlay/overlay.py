@@ -5,14 +5,20 @@ lands on a node of another walk; that node becomes a broker and every other
 walk still active halts there. The first two walks run as one group, so the
 partner of the walk that meets halts where it stands. Every later walk runs
 alone until it touches any node already recruited by an earlier walk. The
-union of all recruited nodes forms the active path of the layer, connected
-through brokers.
+union of all recruited nodes forms the active path of the layer.
+
+The walks join the layer one at a time, in id order, and each ends on a
+broker the layer already holds, so the join order itself proves the layer
+connected. The build checks exactly that as it assembles the active path,
+one walk at a time, and keeps no edge set: the traced edges are derived
+from the walk records only when asked for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, partial
+from operator import lt
 
 from .geom_graph import Network
 from .rng import stream
@@ -70,13 +76,15 @@ class OverlayResult:
     stepped holds the walks that stepped, in id order; born maps the id of
     each walk born intersected to its broker. Most walks of a large build
     are born, and their paths, parents and status follow from the initiator
-    and the broker, so they are kept as this one dict of ints.
+    and the broker, so they are kept as this one dict of ints. The build
+    checked the layer as each walk joined it (see ``_assemble``), so the
+    traced edges, which no build step reads, are derived from these records
+    on first access, like the walks.
     """
 
     stepped: list[WalkState]
     born: dict[int, int]
     active_path: set[int]
-    active_path_edges: set[tuple[int, int]]
     brokers: set[int]
     initiators: tuple[int, ...]
     strategy_label: str
@@ -98,6 +106,24 @@ class OverlayResult:
             walks.append(WalkState(id=wid, path=path, parents=parents, head=len(path) - 1,
                                    status=INTERSECTED, broker=broker))
         return walks
+
+    @cached_property
+    def active_path_edges(self) -> set[tuple[int, int]]:
+        """The traced edges as sorted pairs: (path[i], path[parents[i]]) for
+        each stepped walk and i > 0, and (initiator, broker) for each walk
+        born next to its broker. Made once, on first access."""
+        edges = set()
+        for w in self.stepped:
+            path = w.path
+            for i, parent in enumerate(w.parents):
+                if parent >= 0:
+                    a, b = path[i], path[parent]
+                    edges.add((a, b) if a < b else (b, a))
+        for wid, b in self.born.items():
+            a = self.initiators[wid]
+            if a != b:
+                edges.add((a, b) if a < b else (b, a))
+        return edges
 
     # A walk born intersected takes no step and no backtrack.
     @property
@@ -181,64 +207,48 @@ def build_overlay(net: Network, cfg: OverlayBuildConfig,
 
 
 def _assemble(cfg, walks, born, registry, initiators) -> OverlayResult:
-    active, edges = set(), set()
-    for w in walks:
-        active.update(w.path)
-        for i, parent in enumerate(w.parents):
-            if parent >= 0:
-                a, b = w.path[i], w.path[parent]
-                edges.add((a, b) if a < b else (b, a))
-    # A born walk adds at most its initiator and one edge to its broker,
-    # which lies on an earlier walk's path.
-    for wid, b in born.items():
-        a = initiators[wid]
-        if a != b:
-            active.add(a)
-            edges.add((a, b) if a < b else (b, a))
-    result = OverlayResult(
+    """Build the active path in walk-id order, checking each walk as it joins.
+
+    Walk 0's path seeds the layer. A stepped walk's parents must form a tree
+    over its path (parents[0] == -1 and 0 <= parents[i] < i) and its broker
+    must lie on that path. Every later walk's broker must already be on the
+    layer when the walk joins; a stepped walk then adds its path and a born
+    walk its initiator. Every traced edge is (path[i], path[parents[i]]) or
+    (initiator, broker), so a layer that passes has every edge end in the
+    active path and is connected through its traced edges. Raises
+    BuildFailed naming the first walk that breaks a condition.
+    """
+    active: set[int] = set()
+    stepped = iter(walks)
+    for wid, initiator in enumerate(initiators):
+        broker = born.get(wid)
+        if broker is not None:
+            if broker not in active:
+                raise BuildFailed(wid, f"broker {broker} is not on the layer it joins")
+            active.add(initiator)
+            continue
+        walk = next(stepped)
+        path, parents, broker = walk.path, walk.parents, walk.broker
+        n, later = len(path), parents[1:]
+        # 0 <= parents[i] < i for every i > 0, compared item by item.
+        if (parents[:1] != [-1] or len(parents) != n or min(later, default=0) < 0
+                or not all(map(lt, later, range(1, n)))):
+            raise BuildFailed(wid, "parents do not form a tree over its path")
+        if broker not in path:
+            raise BuildFailed(wid, f"broker {broker} is not on its own path")
+        # Walk 0's path seeds the layer; every later walk joins it.
+        if wid and broker not in active:
+            raise BuildFailed(wid, f"broker {broker} is not on the layer it joins")
+        active.update(path)
+    return OverlayResult(
         stepped=walks,
         born=born,
         active_path=active,
-        active_path_edges=edges,
         brokers=registry.brokers,
         initiators=initiators,
         strategy_label=cfg.strategy.label,
         seed=cfg.seed,
     )
-    _check_layer(result)
-    return result
-
-
-def _check_layer(result: OverlayResult) -> None:
-    """Connectivity self-check over the traced edges; cheap, runs per build.
-
-    A union-find over active_path_edges (one dict, path halving) joins the
-    layer's nodes, and the layer passes when they end in one part. Raises
-    BuildFailed(-1, ...) for an empty layer, for a traced edge with an end
-    outside the active path, and for a layer in more than one part.
-    """
-    nodes = result.active_path
-    if not nodes:
-        raise BuildFailed(-1, "empty layer")
-    root = dict(zip(nodes, nodes))
-    parts = len(nodes)
-    try:
-        for a, b in result.active_path_edges:
-            # Two statements per halving step: `a = root[a] = root[root[a]]`
-            # would assign to root at the new a and break the forest.
-            while root[a] != a:
-                root[a] = root[root[a]]
-                a = root[a]
-            while root[b] != b:
-                root[b] = root[root[b]]
-                b = root[b]
-            if a != b:
-                root[a] = b
-                parts -= 1
-    except KeyError as exc:
-        raise BuildFailed(-1, f"traced edge leaves the layer at node {exc.args[0]}") from None
-    if parts != 1:
-        raise BuildFailed(-1, "layer is not connected through traced edges")
 
 
 def to_json_dict(result: OverlayResult) -> dict:

@@ -190,33 +190,13 @@ class WalkState:
 
 
 def _score_masks(walk: WalkState, net: Network, strategy: CostStrategy, src_index: int):
-    """The bitsets a step from path[src_index] scores candidates against:
-    (marked, None) for drw, (N(path[src_index - 1]), None) for twohop (0 at
-    the initiator), (marked, marked2) for weighted, None for prw (no score)."""
-    if strategy.kind == PURE:
-        return None
+    """The bitsets a guided step from path[src_index] scores candidates
+    against: (marked, None) for drw, (N(path[src_index - 1]), None) for
+    twohop (0 at the initiator), (marked, marked2) for weighted. prw scores
+    nothing, and step never asks it."""
     if strategy.kind == TWO_HOP:
         return (net.neighbor_bits[walk.path[src_index - 1]] if src_index else 0), None
     return walk.marked, walk.marked2 if strategy.kind == WEIGHTED else None
-
-
-def candidate_costs(walk: WalkState, net: Network, strategy: CostStrategy,
-                    candidates: list[int], src_index: int) -> list:
-    """Score each candidate, in order, by the rule ``step`` applies to one
-    candidate at a time: the popcount of its ``net.neighbor_bits`` entry
-    ANDed with the first ``_score_masks`` bitset, and for "weighted" alpha
-    times that plus beta times the popcount against the second. Both sides
-    place node u at bit ``net.bit_rank[u]``, and a popcount does not depend
-    on which bit stands for which node, so the counts are plain set
-    overlaps. Scores are ints, or floats for "weighted"; "prw" scores 0.
-    """
-    bits = net.neighbor_bits
-    first, second = _score_masks(walk, net, strategy, src_index) or (0, None)
-    if second is None:
-        return [(bits[v] & first).bit_count() for v in candidates]
-    alpha, beta = strategy.alpha, strategy.beta
-    return [alpha * (bits[v] & first).bit_count() + beta * (bits[v] & second).bit_count()
-            for v in candidates]
 
 
 def _mark_two_rings(walk: WalkState, net: Network, node: int) -> None:

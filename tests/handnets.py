@@ -130,3 +130,7 @@ POCKET_POSITIONS = [
 
 def pocket_network():
     return network_from_positions(POCKET_POSITIONS, POCKET_R)
+
+
+# Every builder above, for properties that sample whole networks.
+BUILDERS = (fan_network, crossing_network, star_network, pocket_network)

@@ -29,6 +29,7 @@ import numpy as np
 import pytest
 
 import handnets as H
+from costs import candidate_costs
 from marks import mask_of, marked_nodes
 from drw_overlay.cli import main
 from drw_overlay.experiments import ScenarioConfig, run_scenario
@@ -45,7 +46,6 @@ from drw_overlay.walk_engine import (
     CostStrategy,
     INTERSECTED,
     WalkState,
-    candidate_costs,
     default_step_budget,
     init_walk,
     step,

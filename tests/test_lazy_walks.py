@@ -73,8 +73,7 @@ def test_born_walk_state(initiator, walk_id, owned, other, path, parents, owner)
 
     # Walks 0..walk_id-1 stepped; the layer makes walk walk_id from its record.
     layer = OverlayResult(stepped=[WalkState(id=k) for k in range(walk_id)],
-                          born={walk_id: broker}, active_path=set(path),
-                          active_path_edges=set(), brokers=reg.brokers,
+                          born={walk_id: broker}, active_path=set(path), brokers=reg.brokers,
                           initiators=tuple(range(10, 10 + walk_id)) + (initiator,),
                           strategy_label="drw", seed=0)
     walk = layer.walks[walk_id]

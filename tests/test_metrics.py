@@ -20,8 +20,7 @@ from drw_overlay.walk_engine import CostStrategy
 
 
 def tiny_result(active):
-    return OverlayResult(stepped=[], born={}, active_path=set(active),
-                         active_path_edges=set(), brokers=set(),
+    return OverlayResult(stepped=[], born={}, active_path=set(active), brokers=set(),
                          initiators=(), strategy_label="drw", seed=0)
 
 

@@ -1,7 +1,7 @@
 """Overlay construction: hand-traced builds and structural invariants."""
 
 from functools import partial
-from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -24,10 +24,12 @@ from drw_overlay.rng import stream
 from drw_overlay.walk_engine import (
     EXTENDED,
     INTERSECTED,
+    STRATEGY_KINDS,
     CostStrategy,
     StepOutcome,
     TraceRecord,
     init_walk,
+    parse_strategy,
     step,
 )
 
@@ -255,100 +257,143 @@ def test_too_many_initiators_at_build():
 
 # --- the layer self-check ------------------------------------------------------
 
-def reached(nodes, edges):
-    """The nodes a plain graph search over edges reaches from one node."""
-    adj = {v: [] for v in nodes}
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    seen = {next(iter(nodes))}
-    queue = list(seen)
-    while queue:
-        for v in adj[queue.pop()]:
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return seen
-
-
-def check_layer_reason(nodes, edges):
-    """Why _check_layer must reject the layer, by a plain search; None if it passes."""
+def union_find_reason(nodes, edges):
+    """The layer check builds ran before they checked each walk as it
+    joined, kept as an oracle: a union-find over the traced edges (one dict,
+    path halving). Why the layer fails, or None if it is one part with every
+    edge end inside it."""
     if not nodes:
         return "empty layer"
-    if any(a not in nodes or b not in nodes for a, b in edges):
-        return "traced edge leaves the layer"
-    if reached(nodes, edges) != nodes:
-        return "layer is not connected"
-    return None
-
-
-def run_check(nodes, edges):
-    """_check_layer on a layer given as its node and edge sets: the
-    BuildFailed it raises, or None."""
+    root = dict(zip(nodes, nodes))
+    parts = len(nodes)
     try:
-        overlay._check_layer(SimpleNamespace(active_path=set(nodes),
-                                             active_path_edges=set(edges)))
-    except BuildFailed as exc:
-        assert exc.walk_id == -1
-        return exc
-    return None
+        for a, b in edges:
+            # Two statements per halving step: `a = root[a] = root[root[a]]`
+            # would assign to root at the new a and break the forest.
+            while root[a] != a:
+                root[a] = root[root[a]]
+                a = root[a]
+            while root[b] != b:
+                root[b] = root[root[b]]
+                b = root[b]
+            if a != b:
+                root[a] = b
+                parts -= 1
+    except KeyError as exc:
+        return f"traced edge leaves the layer at node {exc.args[0]}"
+    return None if parts == 1 else "layer is not connected through traced edges"
 
 
 @pytest.mark.parametrize("nodes, edges, reason", [
     (set(), set(), "empty layer"),
-    ({0, 1, 2, 3}, {(0, 1), (2, 3)}, "layer is not connected"),
-    ({0, 1, 2}, {(0, 1), (1, 2), (2, 5)}, "traced edge leaves the layer"),
-    ({0, 1, 2}, {(0, 1), (1, 2), (7, 1)}, "traced edge leaves the layer"),
-], ids=["empty", "split", "edge-leaves-second-end", "edge-leaves-first-end"])
-def test_check_layer_rejects(nodes, edges, reason):
-    """Each failure is a BuildFailed, never a KeyError from an edge end."""
-    err = run_check(nodes, edges)
-    assert err is not None and err.reason.startswith(reason)
+    ({0, 1, 2, 3}, {(0, 1), (2, 3)}, "layer is not connected through traced edges"),
+    ({0, 1, 2}, {(0, 1), (1, 2), (2, 5)}, "traced edge leaves the layer at node 5"),
+    ({0, 1, 2}, {(0, 1), (1, 2), (7, 1)}, "traced edge leaves the layer at node 7"),
+    ({0, 1, 2, 3}, {(3, 1), (0, 1), (1, 2)}, None),
+], ids=["empty", "split", "edge-leaves-second-end", "edge-leaves-first-end", "tree"])
+def test_union_find_oracle(nodes, edges, reason):
+    """The oracle rejects each broken layer, never with a KeyError."""
+    assert union_find_reason(nodes, edges) == reason
+
+
+def eager_edges(result):
+    """The traced edges read off every finished walk's parents, as each
+    build made them eagerly before the set became lazy."""
+    edges = set()
+    for walk in result.walks:
+        for i, parent in enumerate(walk.parents):
+            if parent >= 0:
+                edges.add(tuple(sorted((walk.path[i], walk.path[parent]))))
+    return edges
 
 
 @st.composite
-def small_layers(draw):
-    """A node set and an edge set over it, some with one edge that leaves it."""
-    nodes = draw(st.sets(st.integers(0, 15), max_size=9))
-    edges = set()
-    if nodes:
-        inside = st.sampled_from(sorted(nodes))
-        edges = draw(st.sets(st.tuples(inside, inside), max_size=2 * len(nodes)))
+def small_networks(draw):
+    """A connected unit-disk network of 4 to 30 nodes, or a hand-traced one."""
     if draw(st.booleans()):
-        outside = st.integers(0, 20).filter(lambda v: v not in nodes)
-        a, b = draw(outside), draw(st.one_of(inside, outside) if nodes else outside)
-        edges.add((a, b) if draw(st.booleans()) else (b, a))
-    return nodes, edges
+        return draw(st.sampled_from(H.BUILDERS))()
+    return generate_network(GraphGenConfig(n=draw(st.integers(4, 30)),
+                                           r=draw(st.sampled_from((0.35, 0.5, 0.7))),
+                                           seed=draw(st.integers(0, 2**16))))
 
 
 @settings(max_examples=300, deadline=None)
-@given(layer=small_layers())
-def test_check_layer_agrees_with_search(layer):
-    nodes, edges = layer
-    reason = check_layer_reason(nodes, edges)
-    err = run_check(nodes, edges)
-    if reason is None:
-        assert err is None
-    else:
-        assert err is not None and err.reason.startswith(reason)
+@given(net=small_networks(), seed=st.integers(0, 2**16), data=st.data())
+def test_traced_edges_connect_every_layer(net, seed, data):
+    """Every build that passes the join check has a layer the union-find
+    oracle accepts: each end of a traced edge on the active path, and the
+    edges joining all of it. The lazy edge set equals the eager one. All
+    four strategies, I from 2 to n, so walks are born intersected too."""
+    count = data.draw(st.integers(2, net.n), label="initiators")
+    for kind in STRATEGY_KINDS:
+        res = build_overlay(net, OverlayBuildConfig(count, parse_strategy(kind), seed=seed))
+        edges = res.active_path_edges
+        assert all(a in res.active_path and b in res.active_path for a, b in edges), kind
+        assert union_find_reason(res.active_path, edges) is None, kind
+        assert edges == eager_edges(res), kind
 
 
-def test_build_fails_when_assembly_drops_a_traced_edge(monkeypatch):
-    """The check runs inside every build: an assembly that loses walk 0's
-    first edge, from its initiator to its second node, fails it."""
+# The star build the corrupted-record cases edit: walks 0, 1, 2 and 4 step,
+# walks 3 and 5 are born, and nodes 4, 7, 8 and 9 stay off the layer.
+STAR_SIX = OverlayBuildConfig(6, DRW, seed=5)
+
+
+def build_edited(edit):
+    """build_overlay on the star with its walk records edited by
+    edit(stepped walks by id, born) just before assembly."""
     assemble = overlay._assemble
 
-    def drop_first_edge(cfg, walks, born, registry, initiators):
-        walks[0].parents[1] = -1
+    def edited(cfg, walks, born, registry, initiators):
+        edit({w.id: w for w in walks}, born)
         return assemble(cfg, walks, born, registry, initiators)
 
-    monkeypatch.setattr(overlay, "_assemble", drop_first_edge)
-    cfg = OverlayBuildConfig(initiator_count=2, strategy=DRW, seed=0,
-                             initiators=H.CROSS_INITIATORS)
+    with mock.patch.object(overlay, "_assemble", edited):
+        return build_overlay(H.star_network(), STAR_SIX)
+
+
+def test_star_six_records():
+    res = build_edited(lambda walks, born: None)
+    assert [(w.id, w.path, w.parents, w.broker) for w in res.stepped] == [
+        (0, [3, 2, 1], [-1, 0, 1], 3), (1, [5, 6, 0, 3], [-1, 0, 1, 2], 3),
+        (2, [13, 14, 15, 0], [-1, 0, 1, 2], 0), (4, [10, 11, 12, 0], [-1, 0, 1, 2], 0)]
+    assert res.born == {3: 14, 5: 2}
+    assert res.initiators == (3, 5, 13, 14, 10, 2)
+    assert set(range(16)) - res.active_path == {4, 7, 8, 9}
+
+
+def set_parent(wid, i, parent):
+    def edit(walks, born):
+        walks[wid].parents[i] = parent
+    return edit
+
+
+def set_broker(wid, broker):
+    def edit(walks, born):
+        if wid in born:
+            born[wid] = broker
+        else:
+            walks[wid].broker = broker
+    return edit
+
+
+@pytest.mark.parametrize("edit, wid, reason", [
+    (set_parent(0, 1, -1), 0, "parents do not form a tree over its path"),
+    (set_parent(1, 2, 3), 1, "parents do not form a tree over its path"),
+    (set_parent(4, 3, 3), 4, "parents do not form a tree over its path"),
+    (set_broker(2, 3), 2, "broker 3 is not on its own path"),
+    (set_broker(2, 13), 2, "broker 13 is not on the layer it joins"),
+    (set_broker(3, 4), 3, "broker 4 is not on the layer it joins"),
+    (set_broker(3, 11), 3, "broker 11 is not on the layer it joins"),
+], ids=["walk-0-first-edge-dropped", "parent-points-forward", "parent-is-itself",
+        "stepped-broker-off-its-path", "stepped-broker-off-the-layer",
+        "born-broker-off-the-layer", "born-broker-not-joined-yet"])
+def test_join_check_rejects_corrupted_records(edit, wid, reason):
+    """Each corrupted record fails the build as a BuildFailed naming its
+    walk, never a KeyError or StopIteration. Node 11 joins the layer only
+    with walk 4, after walk 3."""
     with pytest.raises(BuildFailed) as err:
-        build_overlay(H.crossing_network(), cfg)
-    assert err.value.walk_id == -1
-    assert err.value.reason == "layer is not connected through traced edges"
+        build_edited(edit)
+    assert (err.value.walk_id, err.value.reason) == (wid, reason)
 
 
 # --- invariants over random builds ---------------------------------------------
@@ -372,7 +417,7 @@ def check_layer(net, res, initiator_count):
     for v in res.initiators:
         assert v in res.active_path
     # connectivity via traced edges
-    assert reached(res.active_path, res.active_path_edges) == res.active_path
+    assert union_find_reason(res.active_path, res.active_path_edges) is None
 
 
 def test_random_build_invariants():

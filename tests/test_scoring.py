@@ -4,37 +4,21 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from costs import candidate_costs, oracle_costs
 from marks import marked_nodes
 from drw_overlay.geom_graph import network_from_positions
 from drw_overlay.overlay import OverlayRegistry
 from drw_overlay.walk_engine import (
     ACTIVE,
     EXTENDED,
-    FIRST_NEIGHBORHOOD,
     PURE,
     STRATEGY_KINDS,
     TWO_HOP,
     WEIGHTED,
     CostStrategy,
-    candidate_costs,
     init_walk,
     step,
 )
-
-
-def oracle_costs(walk, net, strategy, candidates, src_index):
-    """Set-based scores, with the marks read back from the walk's bitsets."""
-    rings = [set(net.adjacency[c]) for c in candidates]
-    if strategy.kind == PURE:
-        return [0] * len(candidates)
-    if strategy.kind == TWO_HOP:
-        behind = set(net.adjacency[walk.path[src_index - 1]]) if src_index > 0 else set()
-        return [len(ring & behind) for ring in rings]
-    marked, marked2 = marked_nodes(net, walk.marked), marked_nodes(net, walk.marked2)
-    if strategy.kind == FIRST_NEIGHBORHOOD:
-        return [len(ring & marked) for ring in rings]
-    return [strategy.alpha * len(ring & marked) + strategy.beta * len(ring & marked2)
-            for ring in rings]
 
 
 def assert_same_costs(got, want):

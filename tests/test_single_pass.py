@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import handnets as H
+from costs import candidate_costs
 from drw_overlay import overlay
 from drw_overlay.geom_graph import network_from_positions
 from drw_overlay.walk_engine import (
@@ -32,10 +33,7 @@ from drw_overlay.walk_engine import (
     _mark_two_rings,
     _pick,
     _trace,
-    candidate_costs,
 )
-
-HANDNETS = (H.fan_network, H.crossing_network, H.star_network, H.pocket_network)
 
 
 def three_pass_step(walk, net, registry, strategy, trace=None):
@@ -102,7 +100,7 @@ def build(net, cfg):
 @st.composite
 def networks(draw):
     if draw(st.integers(0, 3)) == 0:
-        return draw(st.sampled_from(HANDNETS))()
+        return draw(st.sampled_from(H.BUILDERS))()
     # Sparse radii: walks take more steps before they meet, and graphs
     # often split into parts, where walks exhaust.
     n = draw(st.integers(4, 40))

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import handnets as H
+from costs import candidate_costs
 from marks import mask_of, marked_nodes
 from drw_overlay import walk_engine
 from drw_overlay.geom_graph import GraphGenConfig, generate_network, network_from_positions
@@ -34,7 +35,6 @@ from drw_overlay.walk_engine import (
     WalkNotActive,
     WalkState,
     _pick,
-    candidate_costs,
     default_step_budget,
     init_walk,
     parse_strategy,
