@@ -97,6 +97,8 @@ class ScenarioConfig:
         self.n_values = tuple(int(n) for n in self.n_values)
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
+        if self.step_budget is not None and self.step_budget < 1:
+            raise ValueError(f"step budget must be >= 1, got {self.step_budget}")
         for n in self.n_values:
             counts = self.initiator_counts.get(n, ())
             if not counts:

@@ -114,8 +114,7 @@ class Network:
         than slicing the CSR arrays on every step. Every row refers to one
         shared int object per node id rather than a fresh int per entry.
         """
-        nodes = list(range(self.n))
-        flat = list(map(nodes.__getitem__, self.indices.tolist()))
+        flat = np.array(range(self.n), dtype=object)[self.indices].tolist()
         bounds = self.indptr.tolist()
         return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
 

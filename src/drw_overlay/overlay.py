@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, partial
+from itertools import cycle
 from operator import lt
 
 from .geom_graph import Network
@@ -61,6 +62,8 @@ class OverlayBuildConfig:
     def __post_init__(self):
         if self.initiator_count < 2:
             raise ValueError(f"need at least 2 initiators, got {self.initiator_count}")
+        if self.step_budget is not None and self.step_budget < 1:
+            raise ValueError(f"step budget must be >= 1, got {self.step_budget}")
         if self.initiators is not None:
             self.initiators = tuple(int(v) for v in self.initiators)
             if len(self.initiators) != self.initiator_count:
@@ -150,20 +153,17 @@ def run_walk_until_stop(walks: list[WalkState], net: Network, registry: OverlayR
     """Step the walks in turn until one intersects; every other walk still
     active then halts at that walk's broker. Raises BuildFailed on a spent
     step budget or a walk backtracked past its start."""
-    broker = None
-    while broker is None:
-        for walk in walks:
-            if walk.steps >= budget:
-                raise BuildFailed(walk.id, f"step budget {budget} spent")
-            out = step(walk, net, registry, strategy, trace)
-            if out.kind == EXHAUSTED:
-                raise BuildFailed(walk.id, "exhausted: backtracked past its initiator")
-            if out.kind == INTERSECTED:
-                broker = out.node
-                break
+    for walk in cycle(walks):
+        if walk.steps >= budget:
+            raise BuildFailed(walk.id, f"step budget {budget} spent")
+        out = step(walk, net, registry, strategy, trace)
+        if out.kind == EXHAUSTED:
+            raise BuildFailed(walk.id, "exhausted: backtracked past its initiator")
+        if out.kind == INTERSECTED:
+            break
     for walk in walks:
         if walk.status == ACTIVE:
-            walk.status, walk.broker = INTERSECTED, broker
+            walk.status, walk.broker = INTERSECTED, out.node
 
 
 def build_overlay(net: Network, cfg: OverlayBuildConfig,

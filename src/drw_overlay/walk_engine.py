@@ -72,6 +72,7 @@ class OverlayRegistry:
     def __init__(self, n: int):
         self.owner: list[int] = [-1] * n
         self.brokers: set[int] = set()
+        _EXTENDED.extend(StepOutcome(EXTENDED, v) for v in range(len(_EXTENDED), n))
 
     # Nothing in the package calls this; it stays because the benchmark's
     # tracer wraps it by name.
@@ -118,11 +119,11 @@ def parse_strategy(token: str, alpha: float = 1.0, beta: float = 1.0) -> CostStr
     return CostStrategy(token)
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class StepOutcome:
-    """What a single step() call did, as a plain value: nothing changes or
-    hashes an outcome once made, so it is not frozen, which would cost
-    about 1 µs more per step to construct.
+    """What a step() call did, as an immutable value that no build owns:
+    step returns _BACKTRACKED, _EXHAUSTED and, onto node v, _EXTENDED[v]
+    (each OverlayRegistry grows that list to its n); only INTERSECTED is new.
 
     kind EXTENDED    : node appended, walk still active
     kind INTERSECTED : node appended, it already belonged to another walk,
@@ -134,6 +135,10 @@ class StepOutcome:
 
     kind: str
     node: int | None = None
+
+
+_BACKTRACKED, _EXHAUSTED = StepOutcome(BACKTRACKED), StepOutcome(EXHAUSTED)
+_EXTENDED: list[StepOutcome] = []
 
 
 @dataclass(frozen=True)
@@ -261,11 +266,11 @@ def init_walk(net: Network, initiator: int, walk_id: int, registry: OverlayRegis
     adjacency, owner = net.adjacency, registry.owner
     if not 0 <= initiator < len(adjacency):
         raise UnknownNode(f"node {initiator} not in 0..{len(adjacency) - 1}")
-    nbrs = adjacency[initiator]
     # The new walk owns no node yet and the graph has no self-loops, so
     # every owner of the initiator or of a neighbor is another walk.
     node, other = initiator, owner[initiator]
     if other < 0:
+        nbrs = adjacency[initiator]
         if not nbrs:
             raise IsolatedInitiator(f"initiator {initiator} has no neighbors")
         owner[initiator] = walk_id
@@ -287,7 +292,7 @@ def init_walk(net: Network, initiator: int, walk_id: int, registry: OverlayRegis
     walk.path.append(v)
     owner[v] = walk_id
     if trace is not None:
-        _trace(trace, walk, StepOutcome(EXTENDED, node=v), cost=None)
+        _trace(trace, walk, _EXTENDED[v], cost=None)
     return walk, None
 
 
@@ -295,36 +300,24 @@ def step(walk: WalkState, net: Network, registry: OverlayRegistry,
          strategy: CostStrategy, trace: list | None = None) -> StepOutcome:
     """Advance the walk by one transition and report what happened.
 
-    A step from the newest node, path[-1], marks the neighborhood of the
-    node behind it, then scores its unowned neighbors as it reads their
-    owners, in one pass, and keeps the ties at the lowest cost. A step that
-    finds no candidate only moves walk.head back one path index, and the next
-    call resumes from there without marking; at head 0, the initiator, it
-    exhausts the walk instead. Ties (and the pure strategy) use the walk's
-    rng. Only drw and weighted mark; a walk is meant to take every step
-    under one strategy. A step that meets another walk's node takes it as
-    an extension would, leaves its owner as it is, makes it a broker and
-    ends the walk INTERSECTED.
+    One pass reads the owners of the head's neighbors in id order: the
+    first neighbor another walk owns wins outright, and the unowned ones
+    are the candidates. A prw step takes its branch first, reads no marks
+    and draws a candidate uniformly. A guided step from the newest node,
+    path[-1], first marks the neighborhood of the node behind it (drw and
+    weighted only), then scores each candidate as it reads its owner and
+    keeps the ties at the lowest cost for the walk's rng to break. With no
+    candidate the step moves walk.head back one path index, and the next
+    call resumes there without marking; at head 0 it exhausts the walk. A
+    step onto another walk's node takes it, leaves its owner as it is, makes
+    it a broker and ends the walk INTERSECTED. A walk keeps one strategy.
     """
     if walk.status != ACTIVE:
         raise WalkNotActive(f"walk {walk.id} is {walk.status}")
-    kind = strategy.kind
     walk.steps += 1
     path, head, wid = walk.path, walk.head, walk.id
-
-    if head == len(path) - 1:
-        # Lagged discipline: fold in the neighborhood one position behind
-        # the head.
-        if kind == FIRST_NEIGHBORHOOD:
-            walk.marked |= net.neighbor_bits[path[head - 1]]
-        elif kind == WEIGHTED:
-            _mark_two_rings(walk, net, path[head - 1])
-
-    # One owner read per neighbor, in id order: the first neighbor owned by
-    # another walk wins outright, and the unowned ones are the candidates.
-    # prw has a loop of its own: a per-candidate "scored?" test slows it.
-    owner = registry.owner
-    ties, o, best = [], -1, None
+    owner, kind = registry.owner, strategy.kind
+    ties, o = [], -1
     if kind == PURE:
         for v in net.adjacency[path[head]]:
             o = owner[v]
@@ -333,6 +326,12 @@ def step(walk: WalkState, net: Network, registry: OverlayRegistry,
             elif o != wid:
                 break
     else:
+        if head == len(path) - 1:
+            # Lagged discipline: fold in the neighborhood of the node behind.
+            if kind == FIRST_NEIGHBORHOOD:
+                walk.marked |= net.neighbor_bits[path[head - 1]]
+            elif kind == WEIGHTED:
+                _mark_two_rings(walk, net, path[head - 1])
         bits, (first, second) = net.neighbor_bits, _score_masks(walk, net, strategy, head)
         alpha, beta, best = strategy.alpha, strategy.beta, math.inf
         for v in net.adjacency[path[head]]:
@@ -350,28 +349,28 @@ def step(walk: WalkState, net: Network, registry: OverlayRegistry,
     if 0 <= o != wid:  # only a loop that broke leaves another walk's id in o
         registry.brokers.add(v)
         walk.status, walk.broker = INTERSECTED, v
-        out, best = StepOutcome(INTERSECTED, v), None
+        out = StepOutcome(INTERSECTED, v)
     elif not ties:
         if head == 0:
             walk.status = EXHAUSTED
-            out = StepOutcome(EXHAUSTED)
+            out = _EXHAUSTED
         else:
             walk.head = head - 1
             walk.backtracks += 1
-            out = StepOutcome(BACKTRACKED)
+            out = _BACKTRACKED
         if trace is not None:
             _trace(trace, walk, out, None)
         return out
     else:
         v = _pick(walk, ties)
         owner[v] = wid
-        out = StepOutcome(EXTENDED, v)
+        out = _EXTENDED[v]
 
     walk.parents.append(head)
     walk.head = len(path)
     path.append(v)
     if trace is not None:
-        _trace(trace, walk, out, best)
+        _trace(trace, walk, out, best if kind != PURE and out.kind == EXTENDED else None)
     return out
 
 

@@ -30,6 +30,7 @@ import pytest
 
 import handnets as H
 from costs import candidate_costs
+from layers import union_find_reason
 from marks import mask_of, marked_nodes
 from drw_overlay.cli import main
 from drw_overlay.experiments import ScenarioConfig, run_scenario
@@ -40,13 +41,11 @@ from drw_overlay.overlay import (
     OverlayRegistry,
     build_overlay,
 )
-from drw_overlay.rng import stream
 from drw_overlay.walk_engine import (
     ACTIVE,
     CostStrategy,
     INTERSECTED,
     WalkState,
-    default_step_budget,
     init_walk,
     step,
 )
@@ -209,22 +208,6 @@ def test_hand_built_graphs_trace_exactly():
 
 # --- 3. structural invariants on random builds ----------------------------------
 
-def layer_is_connected(res):
-    nodes = res.active_path
-    adj = {v: set() for v in nodes}
-    for a, b in res.active_path_edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    seen = {next(iter(nodes))}
-    queue = list(seen)
-    while queue:
-        for u in adj[queue.pop()]:
-            if u not in seen:
-                seen.add(u)
-                queue.append(u)
-    return seen == nodes
-
-
 def check_build(net, res):
     reg, edges = {}, set()
     for walk in res.walks:
@@ -248,8 +231,9 @@ def check_build(net, res):
         return "active path is not the union of the walk paths"
     if res.active_path_edges != edges:
         return "traced edges are not the walks' recruitment edges"
-    if not layer_is_connected(res):
-        return "layer disconnected"
+    reason = union_find_reason(res.active_path, res.active_path_edges)
+    if reason is not None:
+        return reason
     if len(res.active_path_edges) != len(res.active_path) - 1:
         return "layer is not a tree"
     return None

@@ -118,6 +118,9 @@ def test_config_validation():
         small_config(initiator_counts={60: (1, 4)})
     with pytest.raises(ValueError):
         small_config(initiator_counts={60: ()})
+    for budget in (0, -3):
+        with pytest.raises(ValueError, match=f"step budget must be >= 1, got {budget}"):
+            small_config(step_budget=budget)
     # A strategy listed twice would run every cell twice under one label.
     with pytest.raises(ValueError, match="listed twice in drw,prw,drw"):
         small_config(strategies=(DRW, PRW, CostStrategy("drw")))

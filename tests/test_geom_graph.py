@@ -16,7 +16,6 @@ from drw_overlay import geom_graph
 from drw_overlay.geom_graph import (
     MAX_RADIUS,
     GraphGenConfig,
-    Network,
     NotConnected,
     UnknownNode,
     from_json_dict,

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import handnets as H
+from layers import union_find_reason
 from drw_overlay import overlay
 from drw_overlay.geom_graph import GraphGenConfig, generate_network
 from drw_overlay.overlay import (
@@ -206,14 +207,4 @@ def test_owner_list_matches_walk_paths(n, r, net_seed, seed, data):
         assert all(len(ids) == 1 for ids in takers.values()), kind
         shared = {v for v, k in on_paths.items() if k >= 2}
         assert registry.brokers == result.brokers == shared
-        adj: dict[int, set[int]] = {v: set() for v in result.active_path}
-        for a, b in result.active_path_edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        seen = {result.initiators[0]}
-        stack = list(seen)
-        while stack:
-            for v in adj[stack.pop()] - seen:
-                seen.add(v)
-                stack.append(v)
-        assert seen == result.active_path
+        assert union_find_reason(result.active_path, result.active_path_edges) is None, kind

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import handnets as H
+from layers import union_find_reason
 from drw_overlay import overlay
 from drw_overlay.geom_graph import GraphGenConfig, generate_network
 from drw_overlay.metrics import active_path_size
@@ -105,6 +106,11 @@ def test_config_validation():
         OverlayBuildConfig(initiator_count=3, strategy=DRW, initiators=(1, 2))
     with pytest.raises(ValueError):
         OverlayBuildConfig(initiator_count=2, strategy=DRW, initiators=(1, 1))
+    # A budget below one step would only fail once the build ran.
+    for budget in (0, -3):
+        with pytest.raises(ValueError, match=f"step budget must be >= 1, got {budget}"):
+            OverlayBuildConfig(initiator_count=3, strategy=DRW, step_budget=budget)
+    assert OverlayBuildConfig(initiator_count=3, strategy=DRW).step_budget is None
 
 
 # --- hand-traced builds -------------------------------------------------------
@@ -256,33 +262,6 @@ def test_too_many_initiators_at_build():
 
 
 # --- the layer self-check ------------------------------------------------------
-
-def union_find_reason(nodes, edges):
-    """The layer check builds ran before they checked each walk as it
-    joined, kept as an oracle: a union-find over the traced edges (one dict,
-    path halving). Why the layer fails, or None if it is one part with every
-    edge end inside it."""
-    if not nodes:
-        return "empty layer"
-    root = dict(zip(nodes, nodes))
-    parts = len(nodes)
-    try:
-        for a, b in edges:
-            # Two statements per halving step: `a = root[a] = root[root[a]]`
-            # would assign to root at the new a and break the forest.
-            while root[a] != a:
-                root[a] = root[root[a]]
-                a = root[a]
-            while root[b] != b:
-                root[b] = root[root[b]]
-                b = root[b]
-            if a != b:
-                root[a] = b
-                parts -= 1
-    except KeyError as exc:
-        return f"traced edge leaves the layer at node {exc.args[0]}"
-    return None if parts == 1 else "layer is not connected through traced edges"
-
 
 @pytest.mark.parametrize("nodes, edges, reason", [
     (set(), set(), "empty layer"),

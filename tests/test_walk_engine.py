@@ -1,5 +1,6 @@
 """Walk engine behavior on hand-built networks and random graphs."""
 
+import dataclasses
 from functools import partial
 from unittest import mock
 
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 import handnets as H
 from costs import candidate_costs
 from marks import mask_of, marked_nodes
-from drw_overlay import walk_engine
+from drw_overlay import overlay, walk_engine
 from drw_overlay.geom_graph import GraphGenConfig, generate_network, network_from_positions
 from drw_overlay.overlay import (
     BuildFailed,
@@ -31,6 +32,7 @@ from drw_overlay.walk_engine import (
     STRATEGY_KINDS,
     CostStrategy,
     IsolatedInitiator,
+    StepOutcome,
     TraceRecord,
     WalkNotActive,
     WalkState,
@@ -337,6 +339,65 @@ def test_exhaustion_after_retreat_past_initiator():
     assert out.kind == EXHAUSTED
     assert walk.status == EXHAUSTED
     assert walk.backtracks == 1
+
+
+# --- outcomes: immutable values, shared across walks and builds -------------
+
+def build_outcomes(net, cfg):
+    """Every outcome step returns while build_overlay(net, cfg) runs, in
+    order, each with the newest node of the walk's path after the step."""
+    outcomes = []
+
+    def recording(walk, *args, **kwargs):
+        out = step(walk, *args, **kwargs)
+        outcomes.append((out, walk.path[-1]))
+        return out
+
+    with mock.patch.object(overlay, "step", recording):
+        build_overlay(net, cfg)
+    return outcomes
+
+
+def test_every_step_outcome_is_frozen():
+    """No outcome step returns can be changed: not an extension or a meeting
+    (builds under every strategy), a backtrack (the pocket walk) or an
+    exhaustion (a walk with nowhere to go)."""
+    outcomes = [out for kind in STRATEGY_KINDS
+                for out, _ in build_outcomes(H.fan_network(),
+                                          OverlayBuildConfig(2, parse_strategy(kind), seed=3,
+                                                             initiators=H.FAN_INITIATORS))]
+    net = H.pocket_network()
+    reg = OverlayRegistry(net.n)
+    reg.owner[7] = 99
+    walk, _ = init_walk(net, 0, 0, reg, seeded(1))
+    while walk.status == ACTIVE:
+        outcomes.append(step(walk, net, reg, DRW))
+    net = network_from_positions([[0.3, 0.5], [0.4, 0.5]], r=0.15)
+    walk, _, reg = fresh(net, 0)
+    outcomes += [step(walk, net, reg, PRW), step(walk, net, reg, PRW)]
+    assert {out.kind for out in outcomes} == {EXTENDED, INTERSECTED, BACKTRACKED, EXHAUSTED}
+    for out in outcomes:
+        for name, value in (("kind", EXTENDED), ("node", 0)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(out, name, value)
+
+
+def test_extensions_onto_one_node_id_share_an_outcome():
+    """Builds on two different networks that extend onto the same node id
+    get equal outcomes, StepOutcome(EXTENDED, id), for every strategy."""
+    nets = [generate_network(GraphGenConfig(n=80, r=0.2, seed=s)) for s in (5, 6)]
+    assert not np.array_equal(nets[0].positions, nets[1].positions)
+    for kind in STRATEGY_KINDS:
+        by_node = [{}, {}]
+        for net, seen in zip(nets, by_node):
+            for out, taken in build_outcomes(net, OverlayBuildConfig(4, parse_strategy(kind),
+                                                                     seed=9)):
+                if out.kind == EXTENDED:
+                    assert seen.setdefault(taken, out) == StepOutcome(EXTENDED, taken)
+        common = by_node[0].keys() & by_node[1].keys()
+        assert common, kind
+        for v in common:
+            assert by_node[0][v] == by_node[1][v], (kind, v)
 
 
 # --- strategy equivalences and distributions --------------------------------
