@@ -174,10 +174,10 @@ def _cmd_experiment(args) -> int:
     maker = desk_scenario if args.desk else full_scenario
     try:
         strategies = tuple(parse_strategy(t, args.alpha, args.beta) for t in tokens)
-        cfg = maker(args.scale, strategies=strategies, base_seed=args.seed)
+        cfg = maker(args.scale, strategies=strategies, base_seed=args.seed,
+                    step_budget=args.step_budget)
     except ValueError as exc:  # a bad token, a scale outside (0, 1] or too small, a strategy twice
         return _usage(str(exc))
-    cfg.step_budget = args.step_budget
 
     # Made before the sweep, so an unusable --out-dir fails at once.
     out_dir = Path(args.out_dir)

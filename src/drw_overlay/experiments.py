@@ -121,7 +121,7 @@ class ScenarioConfig:
         return sum(len(self.initiator_counts[n]) for n in self.n_values)
 
 
-def _protocol(label, n_values, lists, scale, strategies, base_seed,
+def _protocol(label, n_values, lists, scale, strategies, base_seed, step_budget,
               r_rescale_ref=None) -> ScenarioConfig:
     """The protocol's scaling rule, shared by both scenario makers.
 
@@ -136,22 +136,22 @@ def _protocol(label, n_values, lists, scale, strategies, base_seed,
         initiator_counts={n: tuple(i for i in lists[n] if i <= scale * n) for n in n_values},
         strategies=tuple(strategies or (CostStrategy("drw"), CostStrategy("prw"))),
         replications=max(10, round(FULL_REPLICATIONS * scale)), base_seed=base_seed,
-        r_rescale_ref=r_rescale_ref, scale=scale, label=label)
+        step_budget=step_budget, r_rescale_ref=r_rescale_ref, scale=scale, label=label)
 
 
-def full_scenario(scale: float = 1.0, *, strategies=None,
-                  base_seed: int = 0) -> ScenarioConfig:
+def full_scenario(scale: float = 1.0, *, strategies=None, base_seed: int = 0,
+                  step_budget: int | None = None) -> ScenarioConfig:
     """The full sweep protocol, optionally shrunk by a factor in (0, 1].
 
     At scale 1: n in {1000, 2000, 3000}, r = 0.05, the full initiator lists
     and 100 replications per cell; ``_protocol`` says how a smaller scale
     shrinks it.
     """
-    return _protocol("full", FULL_N, FULL_INITIATORS, scale, strategies, base_seed)
+    return _protocol("full", FULL_N, FULL_INITIATORS, scale, strategies, base_seed, step_budget)
 
 
-def desk_scenario(scale: float = 0.1, *, strategies=None,
-                  base_seed: int = 0) -> ScenarioConfig:
+def desk_scenario(scale: float = 0.1, *, strategies=None, base_seed: int = 0,
+                  step_budget: int | None = None) -> ScenarioConfig:
     """Small-network variant: n in {200, 500, 1000} with a rescaled radius.
 
     Every n sweeps the n = 1000 initiator list, scaled as in ``_protocol``.
@@ -159,7 +159,7 @@ def desk_scenario(scale: float = 0.1, *, strategies=None,
     reference level; connected placements at small n are rare otherwise.
     """
     return _protocol("desk", DESK_N, dict.fromkeys(DESK_N, FULL_INITIATORS[1000]),
-                     scale, strategies, base_seed, r_rescale_ref=1000)
+                     scale, strategies, base_seed, step_budget, r_rescale_ref=1000)
 
 
 @dataclass(frozen=True)

@@ -65,27 +65,27 @@ class BoxStats:
         return len(self.outliers)
 
 
-def box_stats(samples, whisker: float = 1.5) -> BoxStats:
+def box_stats(samples) -> BoxStats:
     """Quartiles (linear interpolation), Tukey whiskers and outliers.
 
     Whiskers sit on the most extreme sample values still inside
-    [q1 - whisker*iqr, q3 + whisker*iqr], clamped to the box when no sample
-    falls outside it on that side; outliers are the samples strictly beyond
-    the fences.
+    [q1 - 1.5*iqr, q3 + 1.5*iqr], clamped to the box when no sample falls
+    outside it on that side; outliers are the samples strictly beyond the
+    fences. Some sample lies between the fences, since all are finite: for
+    n >= 3 the box spans one, and for n == 2 the lower sits above q1 - 0.5*iqr.
     """
     data = np.asarray(list(samples), dtype=np.float64)
     if data.size == 0:
         raise EmptySample("no samples")
+    if not np.isfinite(data).all():
+        raise ValueError("samples must be finite")
     q1, med, q3 = np.percentile(data, [25.0, 50.0, 75.0])
     iqr = q3 - q1
-    lo_fence = q1 - whisker * iqr
-    hi_fence = q3 + whisker * iqr
+    lo_fence = q1 - 1.5 * iqr
+    hi_fence = q3 + 1.5 * iqr
     inside = data[(data >= lo_fence) & (data <= hi_fence)]
-    if inside.size:
-        lo_w = min(float(inside.min()), float(q1))
-        hi_w = max(float(inside.max()), float(q3))
-    else:
-        lo_w, hi_w = float(q1), float(q3)
+    lo_w = min(float(inside.min()), float(q1))
+    hi_w = max(float(inside.max()), float(q3))
     out = data[(data < lo_fence) | (data > hi_fence)]
     return BoxStats(
         minimum=float(data.min()),

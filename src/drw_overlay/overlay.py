@@ -81,14 +81,13 @@ class OverlayResult:
     are born, and their paths, parents and status follow from the initiator
     and the broker, so they are kept as this one dict of ints. The build
     checked the layer as each walk joined it (see ``_assemble``), so the
-    traced edges, which no build step reads, are derived from these records
-    on first access, like the walks.
+    brokers and the traced edges, which no build step reads, are derived
+    from the walk records on first access, like the walks.
     """
 
     stepped: list[WalkState]
     born: dict[int, int]
     active_path: set[int]
-    brokers: set[int]
     initiators: tuple[int, ...]
     strategy_label: str
     seed: int
@@ -111,21 +110,21 @@ class OverlayResult:
         return walks
 
     @cached_property
+    def brokers(self) -> set[int]:
+        """The nodes where a walk met another: every walk's broker."""
+        return {w.broker for w in self.walks}
+
+    @cached_property
     def active_path_edges(self) -> set[tuple[int, int]]:
         """The traced edges as sorted pairs: (path[i], path[parents[i]]) for
-        each stepped walk and i > 0, and (initiator, broker) for each walk
-        born next to its broker. Made once, on first access."""
+        each walk and i > 0. Made once, on first access."""
         edges = set()
-        for w in self.stepped:
+        for w in self.walks:
             path = w.path
             for i, parent in enumerate(w.parents):
                 if parent >= 0:
                     a, b = path[i], path[parent]
                     edges.add((a, b) if a < b else (b, a))
-        for wid, b in self.born.items():
-            a = self.initiators[wid]
-            if a != b:
-                edges.add((a, b) if a < b else (b, a))
         return edges
 
     # A walk born intersected takes no step and no backtrack.
@@ -161,9 +160,10 @@ def run_walk_until_stop(walks: list[WalkState], net: Network, registry: OverlayR
             raise BuildFailed(walk.id, "exhausted: backtracked past its initiator")
         if out.kind == INTERSECTED:
             break
+    broker = walk.broker
     for walk in walks:
         if walk.status == ACTIVE:
-            walk.status, walk.broker = INTERSECTED, out.node
+            walk.status, walk.broker = INTERSECTED, broker
 
 
 def build_overlay(net: Network, cfg: OverlayBuildConfig,
@@ -203,10 +203,10 @@ def build_overlay(net: Network, cfg: OverlayBuildConfig,
             run_walk_until_stop(walks if wid == 1 else [walk], net, registry,
                                 cfg.strategy, budget, trace)
 
-    return _assemble(cfg, walks, born, registry, initiators)
+    return _assemble(cfg, walks, born, initiators)
 
 
-def _assemble(cfg, walks, born, registry, initiators) -> OverlayResult:
+def _assemble(cfg, walks, born, initiators) -> OverlayResult:
     """Build the active path in walk-id order, checking each walk as it joins.
 
     Walk 0's path seeds the layer. A stepped walk's parents must form a tree
@@ -244,7 +244,6 @@ def _assemble(cfg, walks, born, registry, initiators) -> OverlayResult:
         stepped=walks,
         born=born,
         active_path=active,
-        brokers=registry.brokers,
         initiators=initiators,
         strategy_label=cfg.strategy.label,
         seed=cfg.seed,

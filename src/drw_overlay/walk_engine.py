@@ -58,21 +58,19 @@ def default_step_budget(n: int) -> int:
 
 
 class OverlayRegistry:
-    """Which walk recruited each node: the one ownership record of a build.
+    """Which walk recruited each node: all a build keeps while walks step.
 
     owner[v] is the id of the first walk that took v, or -1, and is never
-    rewritten; brokers holds the nodes where a later walk met an earlier
-    one. A build only asks whether a node is unowned, the stepping walk's
-    own or another walk's, and one id per node answers that: a walk ends
-    where it meets another, so an active walk is the only owner of its own
-    nodes. owner is a list because step reads single items, which a list
-    serves faster than numpy.
+    rewritten. A build only asks whether a node is unowned, the stepping
+    walk's own or another walk's, and one id per node answers that: a walk
+    ends where it meets another, so an active walk is the only owner of its
+    own nodes. Where a walk met another is its record's broker, so the
+    registry keeps no broker set. owner is a list because step reads single
+    items, which a list serves faster than numpy.
     """
 
     def __init__(self, n: int):
         self.owner: list[int] = [-1] * n
-        self.brokers: set[int] = set()
-        _EXTENDED.extend(StepOutcome(EXTENDED, v) for v in range(len(_EXTENDED), n))
 
     # Nothing in the package calls this; it stays because the benchmark's
     # tracer wraps it by name.
@@ -121,24 +119,23 @@ def parse_strategy(token: str, alpha: float = 1.0, beta: float = 1.0) -> CostStr
 
 @dataclass(frozen=True, slots=True)
 class StepOutcome:
-    """What a step() call did, as an immutable value that no build owns:
-    step returns _BACKTRACKED, _EXHAUSTED and, onto node v, _EXTENDED[v]
-    (each OverlayRegistry grows that list to its n); only INTERSECTED is new.
+    """What a step() call did. step returns one of the four shared values
+    below, one per kind, and never makes one; the node a step took is the
+    walk's path[-1].
 
     kind EXTENDED    : node appended, walk still active
     kind INTERSECTED : node appended, it already belonged to another walk,
                        which stays its owner; the walk's status is
-                       INTERSECTED, node its broker
+                       INTERSECTED, the node its broker
     kind BACKTRACKED : no candidates, walk.head moved back one path index
     kind EXHAUSTED   : no candidates at the initiator, status EXHAUSTED
     """
 
     kind: str
-    node: int | None = None
 
 
+_EXTENDED, _INTERSECTED = StepOutcome(EXTENDED), StepOutcome(INTERSECTED)
 _BACKTRACKED, _EXHAUSTED = StepOutcome(BACKTRACKED), StepOutcome(EXHAUSTED)
-_EXTENDED: list[StepOutcome] = []
 
 
 @dataclass(frozen=True)
@@ -254,14 +251,14 @@ def init_walk(net: Network, initiator: int, walk_id: int, registry: OverlayRegis
     shortcuts apply first: if the initiator already belongs to another walk
     the new walk is born intersected at the initiator itself, and if some
     neighbor already belongs to another walk the walk takes the first such
-    neighbor in id order. Either way that node keeps its owner and becomes a
-    broker. Returns (walk, None) for a walk that goes on to step,
+    neighbor in id order. Either way that node keeps its owner and becomes
+    the walk's broker. Returns (walk, None) for a walk that goes on to step,
     and (None, broker) for a walk born intersected: its path is [initiator]
     when broker is the initiator, else [initiator, broker], and it never
     draws, so no WalkState or generator is spent on it. Either way the
-    registry and the trace record the walk as usual, as step 0. A walk
-    that steps gets walk_stream(walk_id) as its generator, path
-    [initiator, v] with head 1, and no marks yet.
+    trace records the walk as usual, as step 0. A walk that steps gets
+    walk_stream(walk_id) as its generator, path [initiator, v] with head 1,
+    and no marks yet.
     """
     adjacency, owner = net.adjacency, registry.owner
     if not 0 <= initiator < len(adjacency):
@@ -279,8 +276,7 @@ def init_walk(net: Network, initiator: int, walk_id: int, registry: OverlayRegis
             if other >= 0:
                 break
     if other >= 0:
-        # Born intersected: node keeps its owner and becomes a broker.
-        registry.brokers.add(node)
+        # Born intersected: node keeps its owner and becomes the broker.
         if trace is not None:
             trace.append(TraceRecord(walk=walk_id, step=0, outcome=INTERSECTED, node=node,
                                      cursor=1 if node == initiator else 2, cost=None))
@@ -292,7 +288,7 @@ def init_walk(net: Network, initiator: int, walk_id: int, registry: OverlayRegis
     walk.path.append(v)
     owner[v] = walk_id
     if trace is not None:
-        _trace(trace, walk, _EXTENDED[v], cost=None)
+        _trace(trace, walk, _EXTENDED, cost=None)
     return walk, None
 
 
@@ -310,7 +306,9 @@ def step(walk: WalkState, net: Network, registry: OverlayRegistry,
     candidate the step moves walk.head back one path index, and the next
     call resumes there without marking; at head 0 it exhausts the walk. A
     step onto another walk's node takes it, leaves its owner as it is, makes
-    it a broker and ends the walk INTERSECTED. A walk keeps one strategy.
+    it the walk's broker and ends the walk INTERSECTED. A walk keeps one
+    strategy. The outcome is the shared StepOutcome of its kind; a step that
+    extends or meets took the walk's new path[-1].
     """
     if walk.status != ACTIVE:
         raise WalkNotActive(f"walk {walk.id} is {walk.status}")
@@ -347,9 +345,8 @@ def step(walk: WalkState, net: Network, registry: OverlayRegistry,
             elif o != wid:
                 break
     if 0 <= o != wid:  # only a loop that broke leaves another walk's id in o
-        registry.brokers.add(v)
         walk.status, walk.broker = INTERSECTED, v
-        out = StepOutcome(INTERSECTED, v)
+        out = _INTERSECTED
     elif not ties:
         if head == 0:
             walk.status = EXHAUSTED
@@ -364,16 +361,17 @@ def step(walk: WalkState, net: Network, registry: OverlayRegistry,
     else:
         v = _pick(walk, ties)
         owner[v] = wid
-        out = _EXTENDED[v]
+        out = _EXTENDED
 
     walk.parents.append(head)
     walk.head = len(path)
     path.append(v)
     if trace is not None:
-        _trace(trace, walk, out, best if kind != PURE and out.kind == EXTENDED else None)
+        _trace(trace, walk, out, best if kind != PURE and out is _EXTENDED else None)
     return out
 
 
 def _trace(trace: list, walk: WalkState, out: StepOutcome, cost: float | None) -> None:
+    node = walk.path[-1] if out.kind in (EXTENDED, INTERSECTED) else None
     trace.append(TraceRecord(walk=walk.id, step=walk.steps, outcome=out.kind,
-                             node=out.node, cursor=walk.cursor, cost=cost))
+                             node=node, cursor=walk.cursor, cost=cost))

@@ -97,6 +97,16 @@ def test_scale_bounds():
         desk_scenario(-1)
 
 
+def test_scenario_makers_check_the_step_budget():
+    """The makers build the config with the budget, so its own check sees it."""
+    with pytest.raises(ValueError, match="step budget must be >= 1, got 0"):
+        full_scenario(0.1, step_budget=0)
+    with pytest.raises(ValueError, match="step budget must be >= 1, got -1"):
+        desk_scenario(0.1, step_budget=-1)
+    assert full_scenario(0.1, step_budget=7).step_budget == 7
+    assert desk_scenario(0.1).step_budget is None
+
+
 def test_replication_floor():
     assert full_scenario(0.01).replications == 10
     assert full_scenario(0.5).replications == 50

@@ -70,11 +70,11 @@ def test_born_walk_state(initiator, walk_id, owned, other, path, parents, owner)
     assert walk is None and broker == owned and made == []
     assert trace == [TraceRecord(walk=walk_id, step=0, outcome="intersected", node=owned,
                                  cursor=len(path), cost=None)]
-    assert reg.owner == owner and reg.brokers == {owned}
+    assert reg.owner == owner
 
     # Walks 0..walk_id-1 stepped; the layer makes walk walk_id from its record.
     layer = OverlayResult(stepped=[WalkState(id=k) for k in range(walk_id)],
-                          born={walk_id: broker}, active_path=set(path), brokers=reg.brokers,
+                          born={walk_id: broker}, active_path=set(path),
                           initiators=tuple(range(10, 10 + walk_id)) + (initiator,),
                           strategy_label="drw", seed=0)
     walk = layer.walks[walk_id]
@@ -181,9 +181,10 @@ class CapturedRegistry(OverlayRegistry):
 def test_owner_list_matches_walk_paths(n, r, net_seed, seed, data):
     """owner[v] is the first walk to take v: the one walk whose path holds v
     with no intersected trace record at v. A node off the layer has owner
-    -1, the brokers are the nodes on two or more paths, every walk ends
-    intersected and the layer is connected over its traced edges. Checked
-    for every strategy, with I from 2 to n."""
+    -1, the brokers are the nodes on two or more paths and the nodes the
+    intersected trace records name, every walk ends intersected and the
+    layer is connected over its traced edges. Checked for every strategy,
+    with I from 2 to n."""
     net = generate_network(GraphGenConfig(n=n, r=r, seed=net_seed))
     count = data.draw(st.integers(2, n), label="initiators")
     for kind in STRATEGY_KINDS:
@@ -206,5 +207,5 @@ def test_owner_list_matches_walk_paths(n, r, net_seed, seed, data):
         assert registry.owner == [takers[v][0] if v in takers else -1 for v in range(n)]
         assert all(len(ids) == 1 for ids in takers.values()), kind
         shared = {v for v, k in on_paths.items() if k >= 2}
-        assert registry.brokers == result.brokers == shared
+        assert result.brokers == shared == {v for _, v in met}, kind
         assert union_find_reason(result.active_path, result.active_path_edges) is None, kind

@@ -42,25 +42,25 @@ PRW = CostStrategy("prw")
 
 def test_registry_membership_and_brokers():
     """The walk that takes a node owns it; a walk that meets it there makes
-    it a broker and leaves the owner as it is."""
+    it its broker and leaves the owner as it is."""
     net = H.crossing_network()
     reg = OverlayRegistry(net.n)
     walks = partial(stream, 0, "walk")
     w1, _ = init_walk(net, 5, 1, reg, walks)
-    assert reg.owner == [-1] * 5 + [1, 1, -1] and reg.brokers == set()
-    assert step(w1, net, reg, DRW) == StepOutcome(EXTENDED, 7)
+    assert reg.owner == [-1] * 5 + [1, 1, -1]
+    assert step(w1, net, reg, DRW) == StepOutcome(EXTENDED) and w1.path[-1] == 7
     w0, _ = init_walk(net, 0, 0, reg, walks)
-    assert step(w0, net, reg, DRW) == StepOutcome(EXTENDED, 2)
-    assert reg.owner == [0, 0, 0, -1, -1, 1, 1, 1] and reg.brokers == set()
-    assert step(w0, net, reg, DRW) == StepOutcome(INTERSECTED, 7)
-    assert w0.path == [0, 1, 2, 7]
-    assert reg.owner == [0, 0, 0, -1, -1, 1, 1, 1] and reg.brokers == {7}
+    assert step(w0, net, reg, DRW) == StepOutcome(EXTENDED) and w0.path[-1] == 2
+    assert reg.owner == [0, 0, 0, -1, -1, 1, 1, 1] and w0.broker is None
+    assert step(w0, net, reg, DRW) == StepOutcome(INTERSECTED)
+    assert w0.path == [0, 1, 2, 7] and w0.broker == 7
+    assert reg.owner == [0, 0, 0, -1, -1, 1, 1, 1] and w1.broker is None
 
 
 def test_registry_other_walk_at():
     """other_walk_at names the owner only to a walk other than the owner."""
     reg = OverlayRegistry(10)
-    assert reg.owner == [-1] * 10 and reg.brokers == set()
+    assert reg.owner == [-1] * 10
     reg.owner[9] = 4
     assert reg.other_walk_at(9, 4) is None
     assert reg.other_walk_at(9, 2) == 4
@@ -276,13 +276,17 @@ def test_union_find_oracle(nodes, edges, reason):
 
 
 def eager_edges(result):
-    """The traced edges read off every finished walk's parents, as each
-    build made them eagerly before the set became lazy."""
+    """The traced edges read off the build's own records, as each build made
+    them eagerly before the set became lazy: every stepped walk's parents,
+    and (initiator, broker) for each walk born next to its broker."""
     edges = set()
-    for walk in result.walks:
+    for walk in result.stepped:
         for i, parent in enumerate(walk.parents):
             if parent >= 0:
                 edges.add(tuple(sorted((walk.path[i], walk.path[parent]))))
+    for wid, broker in result.born.items():
+        if broker != result.initiators[wid]:
+            edges.add(tuple(sorted((result.initiators[wid], broker))))
     return edges
 
 
@@ -322,9 +326,9 @@ def build_edited(edit):
     edit(stepped walks by id, born) just before assembly."""
     assemble = overlay._assemble
 
-    def edited(cfg, walks, born, registry, initiators):
+    def edited(cfg, walks, born, initiators):
         edit({w.id: w for w in walks}, born)
-        return assemble(cfg, walks, born, registry, initiators)
+        return assemble(cfg, walks, born, initiators)
 
     with mock.patch.object(overlay, "_assemble", edited):
         return build_overlay(H.star_network(), STAR_SIX)
@@ -382,7 +386,7 @@ def check_layer(net, res, initiator_count):
     reg_nodes = set()
     for walk in res.walks:
         assert walk.status == "intersected"
-        assert walk.broker in res.brokers
+        assert walk.broker in walk.path
         reg_nodes.update(walk.path)
         for i, parent in enumerate(walk.parents):
             if parent >= 0:

@@ -55,9 +55,8 @@ def three_pass_step(walk, net, registry, strategy, trace=None):
         if o < 0:
             candidates.append(v)
         elif o != wid:
-            registry.brokers.add(v)
             walk.status, walk.broker = INTERSECTED, v
-            out = StepOutcome(INTERSECTED, v)
+            out = StepOutcome(INTERSECTED)
             break
     else:
         if not candidates:
@@ -78,7 +77,7 @@ def three_pass_step(walk, net, registry, strategy, trace=None):
             cost = min(costs)
             v = _pick(walk, [c for c, k in zip(candidates, costs) if k == cost])
         owner[v] = wid
-        out = StepOutcome(EXTENDED, v)
+        out = StepOutcome(EXTENDED)
     walk.parents.append(head)
     walk.head = len(path)
     path.append(v)

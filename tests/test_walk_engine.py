@@ -32,7 +32,6 @@ from drw_overlay.walk_engine import (
     STRATEGY_KINDS,
     CostStrategy,
     IsolatedInitiator,
-    StepOutcome,
     TraceRecord,
     WalkNotActive,
     WalkState,
@@ -128,7 +127,7 @@ def test_fan_guided_step_picks_unique_minimum():
     walk, out = init_walk(net, H.FAN_X, 0, reg, partial(stream, 4, "walk"))
     assert out is None and walk.path == [H.FAN_X, H.FAN_Y]
     result = step(walk, net, reg, DRW)
-    assert result.kind == EXTENDED and result.node == H.FAN_SCORED["z"]
+    assert result.kind == EXTENDED and walk.path[-1] == H.FAN_SCORED["z"]
     assert marked_nodes(net, walk.marked) == set(net.neighbors(H.FAN_X))
 
 
@@ -141,7 +140,7 @@ def test_init_records_initiator_and_second_node():
     assert walk.path == [0, 1]          # node 0 has a single neighbor
     assert walk.parents == [-1, 0]
     assert walk.cursor == 2
-    assert reg.owner[0] == 0 and reg.owner[1] == 0 and not reg.brokers
+    assert reg.owner[0] == 0 and reg.owner[1] == 0 and walk.broker is None
     assert walk.status == ACTIVE and walk.steps == 0
 
 
@@ -170,7 +169,7 @@ def test_init_takes_already_recruited_neighbor():
     assert walk is None and broker == 1
     assert trace == [TraceRecord(walk=1, step=0, outcome=INTERSECTED, node=1,
                                  cursor=2, cost=None)]
-    assert reg.owner[:2] == [1, 7] and reg.brokers == {1}
+    assert reg.owner[:2] == [1, 7]
 
 
 def test_init_on_foreign_member_intersects_in_place():
@@ -183,7 +182,7 @@ def test_init_on_foreign_member_intersects_in_place():
     assert walk is None and broker == 2
     assert trace == [TraceRecord(walk=4, step=0, outcome=INTERSECTED, node=2,
                                  cursor=1, cost=None)]
-    assert reg.owner == [-1, -1, 3] + [-1] * (net.n - 3) and reg.brokers == {2}
+    assert reg.owner == [-1, -1, 3] + [-1] * (net.n - 3)
 
 
 def test_init_isolated_initiator_raises():
@@ -199,7 +198,7 @@ def test_forced_chain_steps():
     net = H.crossing_network()
     walk, _, reg = fresh(net, 0)
     out = step(walk, net, reg, DRW)
-    assert out.kind == EXTENDED and out.node == 2
+    assert out.kind == EXTENDED
     assert walk.path == [0, 1, 2] and walk.cursor == 3
     assert marked_nodes(net, walk.marked) == {1}   # N(initiator) marked on the first step
 
@@ -212,10 +211,10 @@ def test_intersection_beats_cost():
     walk, _ = init_walk(net, 0, 0, reg, seeded(0))
     step(walk, net, reg, DRW)           # -> 2
     out = step(walk, net, reg, DRW)     # candidates {3, 7}: 7 owned
-    assert out.kind == INTERSECTED and out.node == 7
+    assert out.kind == INTERSECTED
     assert walk.status == INTERSECTED and walk.broker == 7
     assert walk.path == [0, 1, 2, 7]
-    assert reg.owner[7] == 9 and reg.brokers == {7}
+    assert reg.owner[7] == 9
 
 
 def test_step_after_termination_raises():
@@ -264,11 +263,11 @@ def test_drw_requires_marks(init_kind):
     net = H.crossing_network()
     reg = OverlayRegistry(net.n)
     walk, _ = init_walk(net, 0, 0, reg, seeded(0))
-    assert step(walk, net, reg, parse_strategy(init_kind)).node == 2
+    assert step(walk, net, reg, parse_strategy(init_kind)).kind == EXTENDED
     assert walk.steps == 1 and walk.path == [0, 1, 2] and walk.marked == 0
     trace = []
     out = step(walk, net, reg, DRW, trace)
-    assert out.kind == EXTENDED and out.node in (3, 7)
+    assert out.kind == EXTENDED and walk.path[-1] in (3, 7)
     assert marked_nodes(net, walk.marked) == {0, 2}        # N(1) only, not N(0)
     assert trace[-1].cost == 1                             # |N(3) & {0,2}| = |N(7) & {0,2}|
 
@@ -281,9 +280,9 @@ def test_unmarked_strategies_step_any_walk(strategy, init_kind):
     net = H.crossing_network()
     reg = OverlayRegistry(net.n)
     walk, _ = init_walk(net, 0, 0, reg, seeded(0))
-    assert step(walk, net, reg, parse_strategy(init_kind)).node == 2
+    assert step(walk, net, reg, parse_strategy(init_kind)).kind == EXTENDED
     out = step(walk, net, reg, strategy)
-    assert out.kind == EXTENDED and out.node in (3, 7) and walk.path[:3] == [0, 1, 2]
+    assert out.kind == EXTENDED and walk.path[:3] == [0, 1, 2] and walk.path[-1] in (3, 7)
 
 
 # --- the pocket walk: dead end, backtrack, resume ---------------------------
@@ -295,21 +294,19 @@ def test_pocket_full_trace():
     walk, out = init_walk(net, 0, 0, reg, seeded(1))
     assert out is None and walk.path == [0, 1]
 
-    kinds, nodes = [], []
+    kinds, trace = [], []
     while walk.status == ACTIVE:
-        o = step(walk, net, reg, DRW)
-        kinds.append(o.kind)
-        nodes.append(o.node)
+        kinds.append(step(walk, net, reg, DRW, trace).kind)
 
     assert kinds == [EXTENDED, EXTENDED, EXTENDED, BACKTRACKED,
                      EXTENDED, EXTENDED, INTERSECTED]
-    assert nodes == [2, 3, 4, None, 5, 6, 7]
+    assert [t.node for t in trace] == [2, 3, 4, None, 5, 6, 7]
     assert walk.path == [0, 1, 2, 3, 4, 5, 6, 7]
     assert walk.parents == [-1, 0, 1, 2, 3, 3, 5, 6]
     assert walk.steps == 7 and walk.backtracks == 1
     assert walk.status == INTERSECTED and walk.broker == 7
     # The broker 7 stays the foreign walk's; the walk owns the rest.
-    assert [reg.owner[v] for v in walk.path] == [0] * 7 + [99] and reg.brokers == {7}
+    assert [reg.owner[v] for v in walk.path] == [0] * 7 + [99]
 
 
 def test_pocket_backtrack_cursor_arithmetic():
@@ -324,7 +321,7 @@ def test_pocket_backtrack_cursor_arithmetic():
     assert out.kind == BACKTRACKED
     assert walk.cursor == 5 and len(walk.path) == 5
     out = step(walk, net, reg, DRW)     # resumes from node 3, takes bypass 5
-    assert out.kind == EXTENDED and out.node == 5
+    assert out.kind == EXTENDED
     assert walk.cursor == 6 and walk.path[-1] == 5
 
 
@@ -341,20 +338,23 @@ def test_exhaustion_after_retreat_past_initiator():
     assert walk.backtracks == 1
 
 
-# --- outcomes: immutable values, shared across walks and builds -------------
+# --- outcomes: four immutable values, shared across walks and builds --------
 
 def build_outcomes(net, cfg):
     """Every outcome step returns while build_overlay(net, cfg) runs, in
-    order, each with the newest node of the walk's path after the step."""
+    order, up to the end of the build or its failure."""
     outcomes = []
 
-    def recording(walk, *args, **kwargs):
-        out = step(walk, *args, **kwargs)
-        outcomes.append((out, walk.path[-1]))
+    def recording(*args, **kwargs):
+        out = step(*args, **kwargs)
+        outcomes.append(out)
         return out
 
     with mock.patch.object(overlay, "step", recording):
-        build_overlay(net, cfg)
+        try:
+            build_overlay(net, cfg)
+        except BuildFailed:
+            pass
     return outcomes
 
 
@@ -363,7 +363,7 @@ def test_every_step_outcome_is_frozen():
     (builds under every strategy), a backtrack (the pocket walk) or an
     exhaustion (a walk with nowhere to go)."""
     outcomes = [out for kind in STRATEGY_KINDS
-                for out, _ in build_outcomes(H.fan_network(),
+                for out in build_outcomes(H.fan_network(),
                                           OverlayBuildConfig(2, parse_strategy(kind), seed=3,
                                                              initiators=H.FAN_INITIATORS))]
     net = H.pocket_network()
@@ -377,27 +377,24 @@ def test_every_step_outcome_is_frozen():
     outcomes += [step(walk, net, reg, PRW), step(walk, net, reg, PRW)]
     assert {out.kind for out in outcomes} == {EXTENDED, INTERSECTED, BACKTRACKED, EXHAUSTED}
     for out in outcomes:
-        for name, value in (("kind", EXTENDED), ("node", 0)):
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(out, name, value)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            out.kind = EXTENDED
 
 
-def test_extensions_onto_one_node_id_share_an_outcome():
-    """Builds on two different networks that extend onto the same node id
-    get equal outcomes, StepOutcome(EXTENDED, id), for every strategy."""
-    nets = [generate_network(GraphGenConfig(n=80, r=0.2, seed=s)) for s in (5, 6)]
-    assert not np.array_equal(nets[0].positions, nets[1].positions)
-    for kind in STRATEGY_KINDS:
-        by_node = [{}, {}]
-        for net, seen in zip(nets, by_node):
-            for out, taken in build_outcomes(net, OverlayBuildConfig(4, parse_strategy(kind),
-                                                                     seed=9)):
-                if out.kind == EXTENDED:
-                    assert seen.setdefault(taken, out) == StepOutcome(EXTENDED, taken)
-        common = by_node[0].keys() & by_node[1].keys()
-        assert common, kind
-        for v in common:
-            assert by_node[0][v] == by_node[1][v], (kind, v)
+def test_every_step_outcome_is_a_shared_constant():
+    """step makes no outcome: whole builds under every strategy, on a sparse
+    network where the walks meet and on one where a walk exhausts, get the
+    module's one value of each kind, whatever node a step took."""
+    shared = {out.kind: out for out in (walk_engine._EXTENDED, walk_engine._INTERSECTED,
+                                        walk_engine._BACKTRACKED, walk_engine._EXHAUSTED)}
+    nets = [network_from_positions(np.random.default_rng(s).random((30, 2)), 0.2)
+            for s in (1, 2)]
+    outcomes = [out for net in nets for kind in STRATEGY_KINDS
+                for out in build_outcomes(net, OverlayBuildConfig(2, parse_strategy(kind),
+                                                                  seed=1))]
+    assert {out.kind for out in outcomes} == shared.keys()
+    for out in outcomes:
+        assert out is shared[out.kind]
 
 
 # --- strategy equivalences and distributions --------------------------------
@@ -428,8 +425,8 @@ def test_pure_choice_uniform_over_candidates():
         reg = OverlayRegistry(net.n)
         walk, _ = init_walk(net, 0, 0, reg, seeded(seed))
         step(walk, net, reg, PRW)       # forced onto 2
-        out = step(walk, net, reg, PRW)
-        counts[out.node] += 1
+        step(walk, net, reg, PRW)
+        counts[walk.path[-1]] += 1
     bound = 3 * (trials * 0.25) ** 0.5
     assert abs(counts[3] - trials / 2) < bound
 
@@ -443,8 +440,8 @@ def test_guided_tie_break_uniform():
         reg = OverlayRegistry(net.n)
         walk, _ = init_walk(net, 0, 0, reg, seeded(seed))
         step(walk, net, reg, DRW)
-        out = step(walk, net, reg, DRW)
-        counts[out.node] += 1
+        step(walk, net, reg, DRW)
+        counts[walk.path[-1]] += 1
     bound = 3 * (trials * 0.25) ** 0.5
     assert abs(counts[3] - trials / 2) < bound
 
