@@ -269,7 +269,10 @@ def network_from_positions(positions, r: float, seed: int = 0) -> Network:
         raise ValueError(f"positions must have shape (n, 2), got {pos.shape}")
     if not np.isfinite(pos).all():
         raise ValueError("positions must be finite numbers")
-    r = min(float(r), MAX_RADIUS)
+    r = float(r)
+    if not 0 < r < math.inf:
+        raise ValueError(f"r must be a finite number > 0, got {r!r}")
+    r = min(r, MAX_RADIUS)
     return _network(pos, _unit_disk_pairs(pos, r), r, seed)
 
 

@@ -1,16 +1,20 @@
 """Overlay construction: intersecting walks into one connected layer.
 
-One driver, run_walk_until_stop, steps a group of walks in turn until one
-lands on a node of another walk; that node becomes a broker and every other
-walk still active halts there. The first two walks run as one group, so the
-partner of the walk that meets halts where it stands. Every later walk runs
-alone until it touches any node already recruited by an earlier walk. The
-union of all recruited nodes forms the active path of the layer.
+build_overlay is the one place where walks start, halt and join. It starts
+the walks in id order. A walk that steps goes onto a waiting list; walk 0
+waits there for its partner. Every later walk that steps runs with what is
+waiting, so the first two walks form one group and every later walk runs
+alone: the driver, run_walk_until_stop, steps the group in turn until one
+walk lands on a node of another and returns that node, the broker. Every
+other walk of the group still active then halts there, where it stands; a
+walk born intersected halts what is waiting at its broker in the same way.
+The union of all recruited nodes forms the active path of the layer.
 
-The walks join the layer one at a time, in id order, and each ends on a
-broker the layer already holds, so the join order itself proves the layer
-connected. The build checks exactly that as it assembles the active path,
-one walk at a time, and keeps no edge set: the traced edges are derived
+Each halted walk joins the layer at once, in id order, and must end on a
+broker the layer already holds (walk 0's path seeds it), so the join order
+itself proves the layer connected: every traced edge is (path[i],
+path[parents[i]]) or (initiator, broker). The build checks exactly that
+as each walk joins, and keeps no edge set: the traced edges are derived
 from the walk records only when asked for.
 """
 
@@ -19,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import cycle
+from numbers import Integral
 from operator import lt
 
 from .geom_graph import Network
@@ -65,6 +70,9 @@ class OverlayBuildConfig:
         if self.step_budget is not None and self.step_budget < 1:
             raise ValueError(f"step budget must be >= 1, got {self.step_budget}")
         if self.initiators is not None:
+            if not all(isinstance(v, Integral) and not isinstance(v, bool)
+                       for v in self.initiators):
+                raise ValueError(f"explicit initiators must be integers, got {self.initiators!r}")
             self.initiators = tuple(int(v) for v in self.initiators)
             if len(self.initiators) != self.initiator_count:
                 raise ValueError("explicit initiators must match initiator_count")
@@ -79,10 +87,11 @@ class OverlayResult:
     stepped holds the walks that stepped, in id order; born maps the id of
     each walk born intersected to its broker. Most walks of a large build
     are born, and their paths, parents and status follow from the initiator
-    and the broker, so they are kept as this one dict of ints. The build
-    checked the layer as each walk joined it (see ``_assemble``), so the
-    brokers and the traced edges, which no build step reads, are derived
-    from the walk records on first access, like the walks.
+    and the broker, so they are kept as this one dict of ints. active_path
+    is the union of all the paths. The build checked each walk as it
+    joined the layer (see ``_join``), so the brokers and the traced edges,
+    which no build step reads, are derived from the walk records on first
+    access, like the walks.
     """
 
     stepped: list[WalkState]
@@ -148,10 +157,10 @@ def select_initiators(net: Network, count: int, rng) -> tuple[int, ...]:
 
 def run_walk_until_stop(walks: list[WalkState], net: Network, registry: OverlayRegistry,
                         strategy: CostStrategy, budget: int,
-                        trace: list | None = None) -> None:
-    """Step the walks in turn until one intersects; every other walk still
-    active then halts at that walk's broker. Raises BuildFailed on a spent
-    step budget or a walk backtracked past its start."""
+                        trace: list | None = None) -> int:
+    """Step the walks in turn until one intersects and return its broker.
+    The other walks are left as they stand: the build halts them. Raises
+    BuildFailed on a spent step budget or a walk backtracked past its start."""
     for walk in cycle(walks):
         if walk.steps >= budget:
             raise BuildFailed(walk.id, f"step budget {budget} spent")
@@ -159,19 +168,16 @@ def run_walk_until_stop(walks: list[WalkState], net: Network, registry: OverlayR
         if out.kind == EXHAUSTED:
             raise BuildFailed(walk.id, "exhausted: backtracked past its initiator")
         if out.kind == INTERSECTED:
-            break
-    broker = walk.broker
-    for walk in walks:
-        if walk.status == ACTIVE:
-            walk.status, walk.broker = INTERSECTED, broker
+            return walk.broker
 
 
 def build_overlay(net: Network, cfg: OverlayBuildConfig,
                   trace: list | None = None) -> OverlayResult:
     """Run the full construction and return the finished layer.
 
-    Raises BuildFailed if any walk exhausts or exceeds the step budget,
-    and TooManyInitiators if the network is smaller than initiator_count.
+    Raises BuildFailed if any walk exhausts or exceeds the step budget, or
+    if a walk's record fails the join check (see ``_join``), and
+    TooManyInitiators if the network is smaller than initiator_count.
     """
     if cfg.initiators is not None:
         initiators = cfg.initiators
@@ -183,71 +189,58 @@ def build_overlay(net: Network, cfg: OverlayBuildConfig,
     budget = cfg.step_budget if cfg.step_budget is not None else default_step_budget(net.n)
 
     registry = OverlayRegistry(net.n)
-    walks: list[WalkState] = []
+    stepped: list[WalkState] = []
     born: dict[int, int] = {}
+    active: set[int] = set()
+    waiting: list[WalkState] = []
     # init_walk calls this only for a walk that steps; most walks of a large
     # build are born intersected and never make their stream.
     walk_stream = partial(stream, cfg.seed, "walk")
-    for wid in range(cfg.initiator_count):
-        walk, broker = init_walk(net, initiators[wid], wid, registry, walk_stream, trace=trace)
-        if walk is None:
-            born[wid] = broker
-            if wid == 1:
-                # Walk 1 was born on walk 0's path: walk 0 halts there.
-                walks[0].status, walks[0].broker = INTERSECTED, broker
-            continue
-        walks.append(walk)
-        # The first pair is stepped as one group once both exist; a later
-        # walk runs alone.
-        if wid > 0:
-            run_walk_until_stop(walks if wid == 1 else [walk], net, registry,
-                                cfg.strategy, budget, trace)
-
-    return _assemble(cfg, walks, born, initiators)
-
-
-def _assemble(cfg, walks, born, initiators) -> OverlayResult:
-    """Build the active path in walk-id order, checking each walk as it joins.
-
-    Walk 0's path seeds the layer. A stepped walk's parents must form a tree
-    over its path (parents[0] == -1 and 0 <= parents[i] < i) and its broker
-    must lie on that path. Every later walk's broker must already be on the
-    layer when the walk joins; a stepped walk then adds its path and a born
-    walk its initiator. Every traced edge is (path[i], path[parents[i]]) or
-    (initiator, broker), so a layer that passes has every edge end in the
-    active path and is connected through its traced edges. Raises
-    BuildFailed naming the first walk that breaks a condition.
-    """
-    active: set[int] = set()
-    stepped = iter(walks)
     for wid, initiator in enumerate(initiators):
-        broker = born.get(wid)
-        if broker is not None:
+        walk, broker = init_walk(net, initiator, wid, registry, walk_stream, trace=trace)
+        if walk is not None:
+            waiting.append(walk)
+            if not wid:
+                continue  # Walk 0 waits for its partner.
+            broker = run_walk_until_stop(waiting, net, registry, cfg.strategy, budget, trace)
+        if waiting:
+            # Every walk of the group still active halts at the broker where
+            # it stands; then each joins the layer, in id order.
+            for other in waiting:
+                if other.status == ACTIVE:
+                    other.status, other.broker = INTERSECTED, broker
+                _join(other, active)
+            stepped += waiting
+            waiting = []
+        if walk is None:
             if broker not in active:
                 raise BuildFailed(wid, f"broker {broker} is not on the layer it joins")
             active.add(initiator)
-            continue
-        walk = next(stepped)
-        path, parents, broker = walk.path, walk.parents, walk.broker
-        n, later = len(path), parents[1:]
-        # 0 <= parents[i] < i for every i > 0, compared item by item.
-        if (parents[:1] != [-1] or len(parents) != n or min(later, default=0) < 0
-                or not all(map(lt, later, range(1, n)))):
-            raise BuildFailed(wid, "parents do not form a tree over its path")
-        if broker not in path:
-            raise BuildFailed(wid, f"broker {broker} is not on its own path")
-        # Walk 0's path seeds the layer; every later walk joins it.
-        if wid and broker not in active:
-            raise BuildFailed(wid, f"broker {broker} is not on the layer it joins")
-        active.update(path)
-    return OverlayResult(
-        stepped=walks,
-        born=born,
-        active_path=active,
-        initiators=initiators,
-        strategy_label=cfg.strategy.label,
-        seed=cfg.seed,
-    )
+            born[wid] = broker
+
+    return OverlayResult(stepped=stepped, born=born, active_path=active, initiators=initiators,
+                         strategy_label=cfg.strategy.label, seed=cfg.seed)
+
+
+def _join(walk: WalkState, active: set[int]) -> None:
+    """Add a halted walk's path to the layer once its record passes.
+
+    Its parents must form a tree over its path (parents[0] == -1 and
+    0 <= parents[i] < i), and its broker must lie on that path and, unless
+    the walk is walk 0, whose path seeds the layer, on the layer already.
+    Raises BuildFailed naming the walk and the first rule it breaks.
+    """
+    path, parents, broker = walk.path, walk.parents, walk.broker
+    n, later = len(path), parents[1:]
+    # 0 <= parents[i] < i for every i > 0, compared item by item.
+    if (parents[:1] != [-1] or len(parents) != n or min(later, default=0) < 0
+            or not all(map(lt, later, range(1, n)))):
+        raise BuildFailed(walk.id, "parents do not form a tree over its path")
+    if broker not in path:
+        raise BuildFailed(walk.id, f"broker {broker} is not on its own path")
+    if walk.id and broker not in active:
+        raise BuildFailed(walk.id, f"broker {broker} is not on the layer it joins")
+    active.update(path)
 
 
 def to_json_dict(result: OverlayResult) -> dict:

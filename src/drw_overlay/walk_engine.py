@@ -156,8 +156,7 @@ class WalkState:
     the initiator), so the traced edges stay well defined even after
     backtracking. head is the path index the next step extends from:
     len(path) - 1, except midway through a retreat, when it lies further
-    back. cursor is the older form of the same position, kept read-only
-    because the step traces record it.
+    back.
 
     rng is the walk's generator. words holds the 32-bit words of rng's raw
     output not yet drawn, last to be used first; it stays None until the
@@ -184,11 +183,6 @@ class WalkState:
     steps: int = 0
     backtracks: int = 0
     words: list[int] | None = field(default=None, repr=False)
-
-    @property
-    def cursor(self) -> int:
-        """head + 1, or head + 2 midway through a retreat."""
-        return self.head + 1 + (self.head < len(self.path) - 1)
 
 
 def _score_masks(walk: WalkState, net: Network, strategy: CostStrategy, src_index: int):
@@ -372,6 +366,9 @@ def step(walk: WalkState, net: Network, registry: OverlayRegistry,
 
 
 def _trace(trace: list, walk: WalkState, out: StepOutcome, cost: float | None) -> None:
-    node = walk.path[-1] if out.kind in (EXTENDED, INTERSECTED) else None
-    trace.append(TraceRecord(walk=walk.id, step=walk.steps, outcome=out.kind,
-                             node=node, cursor=walk.cursor, cost=cost))
+    """Record the step just taken. The cursor is head + 1, or head + 2
+    midway through a retreat."""
+    path, head = walk.path, walk.head
+    node = path[-1] if out.kind in (EXTENDED, INTERSECTED) else None
+    trace.append(TraceRecord(walk=walk.id, step=walk.steps, outcome=out.kind, node=node,
+                             cursor=head + 1 + (head < len(path) - 1), cost=cost))

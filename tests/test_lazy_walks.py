@@ -79,7 +79,7 @@ def test_born_walk_state(initiator, walk_id, owned, other, path, parents, owner)
                           strategy_label="drw", seed=0)
     walk = layer.walks[walk_id]
     assert walk.id == walk_id and walk.path == path
-    assert walk.parents == parents and walk.cursor == len(path)
+    assert walk.parents == parents and walk.head == len(path) - 1
     assert walk.status == INTERSECTED and walk.broker == owned
     assert walk.steps == walk.backtracks == 0
     assert walk.rng is None and walk.words is None

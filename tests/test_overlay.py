@@ -3,6 +3,7 @@
 from functools import partial
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,17 +19,20 @@ from drw_overlay.overlay import (
     OverlayRegistry,
     TooManyInitiators,
     build_overlay,
+    run_walk_until_stop,
     select_initiators,
     to_json_dict,
 )
 from drw_overlay.rng import stream
 from drw_overlay.walk_engine import (
+    ACTIVE,
     EXTENDED,
     INTERSECTED,
     STRATEGY_KINDS,
     CostStrategy,
     StepOutcome,
     TraceRecord,
+    default_step_budget,
     init_walk,
     parse_strategy,
     step,
@@ -106,6 +110,12 @@ def test_config_validation():
         OverlayBuildConfig(initiator_count=3, strategy=DRW, initiators=(1, 2))
     with pytest.raises(ValueError):
         OverlayBuildConfig(initiator_count=2, strategy=DRW, initiators=(1, 1))
+    # int() would turn 2.9 into node 2 and True into node 1.
+    for bad in ((2.9, True), (3, np.int64(4), 5.0), (np.True_, 3)):
+        with pytest.raises(ValueError, match="explicit initiators must be integers"):
+            OverlayBuildConfig(initiator_count=len(bad), strategy=DRW, initiators=bad)
+    numpy_ids = OverlayBuildConfig(initiator_count=2, strategy=DRW, initiators=np.array([4, 1]))
+    assert numpy_ids.initiators == (4, 1) and all(type(v) is int for v in numpy_ids.initiators)
     # A budget below one step would only fail once the build ran.
     for budget in (0, -3):
         with pytest.raises(ValueError, match=f"step budget must be >= 1, got {budget}"):
@@ -130,6 +140,17 @@ def test_crossing_build_exact():
         assert res.active_path == {0, 1, 2, 5, 6, 7}
         assert res.active_path_edges == {(0, 1), (1, 2), (2, 7), (5, 6), (6, 7)}
         assert res.total_steps == 3
+
+
+def test_driver_returns_the_broker_and_halts_no_one():
+    """On the crossing, walk 0 meets walk 1 at node 7; the driver returns 7
+    and leaves walk 1 as it stands, for the build to halt."""
+    net = H.crossing_network()
+    reg = OverlayRegistry(net.n)
+    walks = [init_walk(net, v, wid, reg, partial(stream, 0, "walk"))[0]
+             for wid, v in enumerate(H.CROSS_INITIATORS)]
+    assert run_walk_until_stop(walks, net, reg, DRW, default_step_budget(net.n)) == 7
+    assert [(w.status, w.broker) for w in walks] == [(INTERSECTED, 7), (ACTIVE, None)]
 
 
 def test_fan_build_exact():
@@ -321,21 +342,33 @@ def test_traced_edges_connect_every_layer(net, seed, data):
 STAR_SIX = OverlayBuildConfig(6, DRW, seed=5)
 
 
-def build_edited(edit):
-    """build_overlay on the star with its walk records edited by
-    edit(stepped walks by id, born) just before assembly."""
-    assemble = overlay._assemble
+def build_edited(edit=None, wid=None):
+    """build_overlay on the star with walk wid's record edited: edit(walk)
+    edits a stepped walk as soon as its group stops stepping, before any
+    walk of the group halts or joins, and edit(None) returns the broker a
+    born walk gets in place of the one init_walk returns."""
+    init, run = overlay.init_walk, overlay.run_walk_until_stop
 
-    def edited(cfg, walks, born, initiators):
-        edit({w.id: w for w in walks}, born)
-        return assemble(cfg, walks, born, initiators)
+    def edited_init(net, initiator, walk_id, *args, **kw):
+        walk, broker = init(net, initiator, walk_id, *args, **kw)
+        if walk is None and walk_id == wid:
+            broker = edit(None)
+        return walk, broker
 
-    with mock.patch.object(overlay, "_assemble", edited):
+    def edited_run(walks, *args):
+        broker = run(walks, *args)
+        for walk in walks:
+            if walk.id == wid:
+                edit(walk)
+        return broker
+
+    with mock.patch.object(overlay, "init_walk", edited_init), \
+            mock.patch.object(overlay, "run_walk_until_stop", edited_run):
         return build_overlay(H.star_network(), STAR_SIX)
 
 
 def test_star_six_records():
-    res = build_edited(lambda walks, born: None)
+    res = build_edited()
     assert [(w.id, w.path, w.parents, w.broker) for w in res.stepped] == [
         (0, [3, 2, 1], [-1, 0, 1], 3), (1, [5, 6, 0, 3], [-1, 0, 1, 2], 3),
         (2, [13, 14, 15, 0], [-1, 0, 1, 2], 0), (4, [10, 11, 12, 0], [-1, 0, 1, 2], 0)]
@@ -344,29 +377,28 @@ def test_star_six_records():
     assert set(range(16)) - res.active_path == {4, 7, 8, 9}
 
 
-def set_parent(wid, i, parent):
-    def edit(walks, born):
-        walks[wid].parents[i] = parent
+def set_parent(i, parent):
+    def edit(walk):
+        walk.parents[i] = parent
     return edit
 
 
-def set_broker(wid, broker):
-    def edit(walks, born):
-        if wid in born:
-            born[wid] = broker
-        else:
-            walks[wid].broker = broker
+def set_broker(broker):
+    def edit(walk):
+        if walk is not None:
+            walk.broker = broker
+        return broker
     return edit
 
 
 @pytest.mark.parametrize("edit, wid, reason", [
-    (set_parent(0, 1, -1), 0, "parents do not form a tree over its path"),
-    (set_parent(1, 2, 3), 1, "parents do not form a tree over its path"),
-    (set_parent(4, 3, 3), 4, "parents do not form a tree over its path"),
-    (set_broker(2, 3), 2, "broker 3 is not on its own path"),
-    (set_broker(2, 13), 2, "broker 13 is not on the layer it joins"),
-    (set_broker(3, 4), 3, "broker 4 is not on the layer it joins"),
-    (set_broker(3, 11), 3, "broker 11 is not on the layer it joins"),
+    (set_parent(1, -1), 0, "parents do not form a tree over its path"),
+    (set_parent(2, 3), 1, "parents do not form a tree over its path"),
+    (set_parent(3, 3), 4, "parents do not form a tree over its path"),
+    (set_broker(3), 2, "broker 3 is not on its own path"),
+    (set_broker(13), 2, "broker 13 is not on the layer it joins"),
+    (set_broker(4), 3, "broker 4 is not on the layer it joins"),
+    (set_broker(11), 3, "broker 11 is not on the layer it joins"),
 ], ids=["walk-0-first-edge-dropped", "parent-points-forward", "parent-is-itself",
         "stepped-broker-off-its-path", "stepped-broker-off-the-layer",
         "born-broker-off-the-layer", "born-broker-not-joined-yet"])
@@ -375,7 +407,7 @@ def test_join_check_rejects_corrupted_records(edit, wid, reason):
     walk, never a KeyError or StopIteration. Node 11 joins the layer only
     with walk 4, after walk 3."""
     with pytest.raises(BuildFailed) as err:
-        build_edited(edit)
+        build_edited(edit, wid)
     assert (err.value.walk_id, err.value.reason) == (wid, reason)
 
 

@@ -97,6 +97,7 @@ def test_scoring_and_marks_match_set_oracles(n, r, seed, kind, alpha, beta):
             want = oracle_costs(walk, net, strategy, candidates, src_index)
             assert_same_costs([rec.cost], [min(want)])
             assert rec.node in [v for v, c in zip(candidates, want) if c == rec.cost]
-        src_index = max(walk.cursor - 2, 0)
+        # The node behind the head, or the head itself midway through a retreat.
+        src_index = max(walk.head - (walk.head == len(walk.path) - 1), 0)
         assert_same_costs(candidate_costs(walk, net, strategy, everyone, src_index),
                           oracle_costs(walk, net, strategy, everyone, src_index))

@@ -139,7 +139,7 @@ def test_init_records_initiator_and_second_node():
     assert out is None
     assert walk.path == [0, 1]          # node 0 has a single neighbor
     assert walk.parents == [-1, 0]
-    assert walk.cursor == 2
+    assert walk.head == 1
     assert reg.owner[0] == 0 and reg.owner[1] == 0 and walk.broker is None
     assert walk.status == ACTIVE and walk.steps == 0
 
@@ -199,7 +199,7 @@ def test_forced_chain_steps():
     walk, _, reg = fresh(net, 0)
     out = step(walk, net, reg, DRW)
     assert out.kind == EXTENDED
-    assert walk.path == [0, 1, 2] and walk.cursor == 3
+    assert walk.path == [0, 1, 2] and walk.head == 2
     assert marked_nodes(net, walk.marked) == {1}   # N(initiator) marked on the first step
 
 
@@ -316,13 +316,13 @@ def test_pocket_backtrack_cursor_arithmetic():
     walk, _ = init_walk(net, 0, 0, reg, seeded(1))
     for _ in range(3):
         step(walk, net, reg, DRW)
-    assert walk.path == [0, 1, 2, 3, 4] and walk.cursor == 5
+    assert walk.path == [0, 1, 2, 3, 4] and walk.head == 4
     out = step(walk, net, reg, DRW)
     assert out.kind == BACKTRACKED
-    assert walk.cursor == 5 and len(walk.path) == 5
+    assert walk.head == 3 and len(walk.path) == 5
     out = step(walk, net, reg, DRW)     # resumes from node 3, takes bypass 5
     assert out.kind == EXTENDED
-    assert walk.cursor == 6 and walk.path[-1] == 5
+    assert walk.head == 5 and walk.path[-1] == 5 and len(walk.path) == 6
 
 
 def test_exhaustion_after_retreat_past_initiator():
@@ -331,7 +331,7 @@ def test_exhaustion_after_retreat_past_initiator():
     walk, _, reg = fresh(net, 0)
     assert walk.path == [0, 1]
     out = step(walk, net, reg, DRW)     # head 1 has no unvisited neighbors
-    assert out.kind == BACKTRACKED and walk.cursor == 2
+    assert out.kind == BACKTRACKED and walk.head == 0 and len(walk.path) == 2
     out = step(walk, net, reg, DRW)     # initiator has none either
     assert out.kind == EXHAUSTED
     assert walk.status == EXHAUSTED
