@@ -30,6 +30,7 @@ from .experiments import (
 from .geom_graph import (
     GraphGenConfig,
     NotConnected,
+    check_int,
     generate_network,
     load_network,
     save_network,
@@ -52,10 +53,7 @@ class _Parser(argparse.ArgumentParser):
 def positive_int(text: str) -> int:
     """argparse type for a count that must be at least 1; argparse names
     it in its message, as in "invalid positive_int value: '0'"."""
-    value = int(text)
-    if value < 1:
-        raise ValueError(text)
-    return value
+    return check_int(int(text), "count", 1)
 
 
 def build_parser() -> argparse.ArgumentParser:

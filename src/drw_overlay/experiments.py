@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from time import perf_counter
 
 from . import __version__
-from .geom_graph import GraphGenConfig, NotConnected, generate_network
+from .geom_graph import GraphGenConfig, NotConnected, check_int, check_radius, generate_network
 from .metrics import box_stats
-from .overlay import BuildFailed, OverlayBuildConfig, TooManyInitiators, build_overlay
+from .overlay import BuildFailed, OverlayBuildConfig, build_overlay
 from .rng import derive_seed
 from . import metrics as _metrics
 from .walk_engine import CostStrategy
@@ -75,11 +75,11 @@ class EmptyGroup(ValueError):
 class ScenarioConfig:
     """One sweep definition.
 
-    initiator_counts maps each node count to its sweep list. When
-    r_rescale_ref is set, the radius used for node count n is
-    r * sqrt(r_rescale_ref / n), keeping the expected degree level when the
-    sweep runs on smaller networks than the reference. No two strategies
-    may share a label, since a label names a strategy's records.
+    initiator_counts maps each node count to its sweep list. Every integer
+    goes through check_int: node and initiator counts >= 2, replications
+    and step_budget >= 1. With r_rescale_ref set, node count n uses radius
+    r * sqrt(r_rescale_ref / n), which keeps the reference's mean degree.
+    No two strategies may share a label, which names a strategy's records.
     """
 
     n_values: tuple[int, ...]
@@ -94,18 +94,19 @@ class ScenarioConfig:
     label: str = "custom"
 
     def __post_init__(self):
-        self.n_values = tuple(int(n) for n in self.n_values)
-        if self.replications < 1:
-            raise ValueError("replications must be >= 1")
-        if self.step_budget is not None and self.step_budget < 1:
-            raise ValueError(f"step budget must be >= 1, got {self.step_budget}")
-        for n in self.n_values:
-            counts = self.initiator_counts.get(n, ())
+        self.n_values = tuple(check_int(n, "n", 2) for n in self.n_values)
+        self.replications = check_int(self.replications, "replications", 1)
+        self.base_seed = check_int(self.base_seed, "base seed")
+        if self.step_budget is not None:
+            self.step_budget = check_int(self.step_budget, "step budget", 1)
+        self.initiator_counts = {n: tuple(check_int(i, "number of initiators", 2)
+                                          for i in self.initiator_counts.get(n, ()))
+                                 for n in self.n_values}
+        for n, counts in self.initiator_counts.items():
             if not counts:
                 raise ValueError(f"no initiator counts for n={n}")
-            for i in counts:
-                if i < 2 or i > n:
-                    raise ValueError(f"initiator count {i} invalid for n={n}")
+            if max(counts) > n:
+                raise ValueError(f"initiator count {max(counts)} invalid for n={n}")
         labels = [s.label for s in self.strategies]
         if len(set(labels)) < len(labels):
             raise ValueError(f"a strategy is listed twice in {','.join(labels)}")
@@ -211,7 +212,7 @@ def _run_rep_group(cfg: ScenarioConfig, n: int, rep: int) -> list[ExperimentReco
                     steps = res.total_steps
                     backtracks = res.total_backtracks
                     failed = 0
-                except (BuildFailed, TooManyInitiators):
+                except BuildFailed:
                     pass
             wall = (perf_counter() - t0) * 1000.0
             rows.append(ExperimentRecord(
@@ -322,8 +323,10 @@ def _record_problem(rec: ExperimentRecord) -> str | None:
     # Every initiator lies on its layer's active path.
     if not rec.failed and not rec.initiators <= rec.active_path_size <= rec.n:
         return "active_path_size must be in [initiators, n]"
-    if not (math.isfinite(rec.r) and rec.r > 0):
-        return "r must be positive"
+    try:
+        check_radius(rec.r)
+    except ValueError as exc:
+        return str(exc)
     if not 0 <= rec.depth <= 1:
         return "depth must be in [0, 1]"
     if not (math.isfinite(rec.wall_time_ms) and rec.wall_time_ms >= 0):

@@ -15,6 +15,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -55,23 +56,38 @@ class UnknownNode(IndexError):
     """Node id outside 0..n-1."""
 
 
+def check_int(value, name: str, low: int | None = None) -> int:
+    """value as an int. Raises ValueError unless it is an integer, not a
+    bool (numpy integers pass), and at least `low` when one is given."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    value = int(value)
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return value
+
+
+def check_radius(r) -> float:
+    """r as a float clamped to sqrt 2, the unit-square diagonal. Raises
+    ValueError unless r is a finite real number > 0 and not a bool."""
+    if isinstance(r, bool) or not isinstance(r, Real) or not 0 < r < math.inf:
+        raise ValueError(f"r must be a finite number > 0, got {r!r}")
+    return min(float(r), MAX_RADIUS)
+
+
 @dataclass
 class GraphGenConfig:
-    """Parameters for one network generation: n nodes, radius r (clamped
-    to sqrt 2) and the seed of the placement streams."""
+    """Parameters for one network generation: n >= 2 nodes and the
+    placement seed through check_int, radius r through check_radius."""
 
     n: int
     r: float
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"n must be >= 2, got {self.n}")
-        if not self.r > 0:
-            raise ValueError(f"r must be positive, got {self.r}")
-        # Anything above the unit-square diagonal is equivalent to sqrt(2).
-        if self.r > MAX_RADIUS:
-            self.r = MAX_RADIUS
+        self.n = check_int(self.n, "n", 2)
+        self.r = check_radius(self.r)
+        self.seed = check_int(self.seed, "seed")
 
 
 @dataclass(frozen=True)
@@ -269,10 +285,7 @@ def network_from_positions(positions, r: float, seed: int = 0) -> Network:
         raise ValueError(f"positions must have shape (n, 2), got {pos.shape}")
     if not np.isfinite(pos).all():
         raise ValueError("positions must be finite numbers")
-    r = float(r)
-    if not 0 < r < math.inf:
-        raise ValueError(f"r must be a finite number > 0, got {r!r}")
-    r = min(r, MAX_RADIUS)
+    r = check_radius(r)
     return _network(pos, _unit_disk_pairs(pos, r), r, seed)
 
 
@@ -359,10 +372,6 @@ def to_json_dict(net: Network) -> dict:
 _JSON_KEYS = ("n", "r", "seed", "positions", "edges")
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _json_pairs(value, kinds: str) -> np.ndarray | None:
     """A JSON list of pairs as a (k, 2) array whose dtype kind is in `kinds`, else None."""
     if value == []:
@@ -380,8 +389,8 @@ def _json_pairs(value, kinds: str) -> np.ndarray | None:
 def from_json_dict(data: dict) -> Network:
     """Inverse of to_json_dict. Raises ValueError on malformed input.
 
-    `n` and `seed` must be integers, `r` a finite number > 0 (clamped to
-    sqrt 2), positions finite numbers and edges integer pairs. The edge list
+    `n`, `seed` and `r` follow GraphGenConfig's rules except that n >= 1;
+    positions must be finite numbers and edges integer pairs. The edge list
     must be exactly the unit-disk graph of the stored positions and radius,
     in either orientation and any order, so duplicate edges, self-loops and
     edges longer than r are rejected rather than loaded, and that graph must
@@ -392,20 +401,14 @@ def from_json_dict(data: dict) -> Network:
     missing = [k for k in _JSON_KEYS if k not in data]
     if missing:
         raise ValueError(f"network JSON lacks {', '.join(missing)}")
-    n, r, seed = data["n"], data["r"], data["seed"]
-    if not (_is_int(n) and n > 0):
-        raise ValueError(f"n must be a positive integer, got {n!r}")
-    if not _is_int(seed):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
-    if not (isinstance(r, (int, float)) and not isinstance(r, bool) and 0 < r < math.inf):
-        raise ValueError(f"r must be a finite number > 0, got {r!r}")
+    n, seed = check_int(data["n"], "n", 1), check_int(data["seed"], "seed")
     positions = _json_pairs(data["positions"], "if")
     if positions is None or len(positions) != n or not np.isfinite(positions).all():
         raise ValueError(f"positions must be {n} [x, y] pairs of finite numbers")
     edges = _json_pairs(data["edges"], "i")
     if edges is None:
         raise ValueError("edges must be [u, v] pairs of integers")
-    net = network_from_positions(positions, r, seed)
+    net = network_from_positions(positions, data["r"], seed)  # checks r
     given = np.sort(edges, axis=1)
     if not np.array_equal(given[np.lexsort(given.T[::-1])], net.edges()):
         raise ValueError(f"edges are not the unit disk graph of the positions at r={net.radius!r}")

@@ -23,10 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import cycle
-from numbers import Integral
 from operator import lt
 
-from .geom_graph import Network
+from .geom_graph import Network, check_int
 from .rng import stream
 from .walk_engine import (
     ACTIVE,
@@ -56,7 +55,9 @@ class BuildFailed(RuntimeError):
 
 @dataclass
 class OverlayBuildConfig:
-    """Parameters for one overlay-layer build on a given network."""
+    """Parameters for one overlay-layer build on a given network. Every
+    integer goes through check_int: initiator_count >= 2, step_budget >= 1
+    (None: the default); explicit initiators must be distinct."""
 
     initiator_count: int
     strategy: CostStrategy
@@ -65,15 +66,16 @@ class OverlayBuildConfig:
     initiators: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if self.initiator_count < 2:
-            raise ValueError(f"need at least 2 initiators, got {self.initiator_count}")
-        if self.step_budget is not None and self.step_budget < 1:
-            raise ValueError(f"step budget must be >= 1, got {self.step_budget}")
+        self.initiator_count = check_int(self.initiator_count, "number of initiators", 2)
+        self.seed = check_int(self.seed, "seed")
+        if self.step_budget is not None:
+            self.step_budget = check_int(self.step_budget, "step budget", 1)
         if self.initiators is not None:
-            if not all(isinstance(v, Integral) and not isinstance(v, bool)
-                       for v in self.initiators):
-                raise ValueError(f"explicit initiators must be integers, got {self.initiators!r}")
-            self.initiators = tuple(int(v) for v in self.initiators)
+            try:
+                self.initiators = tuple(check_int(v, "initiator") for v in self.initiators)
+            except ValueError:
+                raise ValueError("explicit initiators must be integers, "
+                                 f"got {self.initiators!r}") from None
             if len(self.initiators) != self.initiator_count:
                 raise ValueError("explicit initiators must match initiator_count")
             if len(set(self.initiators)) != len(self.initiators):
@@ -148,9 +150,7 @@ class OverlayResult:
 
 def select_initiators(net: Network, count: int, rng) -> tuple[int, ...]:
     """Draw distinct initiator nodes uniformly, in draw order."""
-    if count < 2:
-        raise ValueError(f"need at least 2 initiators, got {count}")
-    if count > net.n:
+    if check_int(count, "number of initiators", 2) > net.n:
         raise TooManyInitiators(f"{count} initiators for {net.n} nodes")
     return tuple(rng.choice(net.n, size=count, replace=False).tolist())
 
@@ -176,16 +176,12 @@ def build_overlay(net: Network, cfg: OverlayBuildConfig,
     """Run the full construction and return the finished layer.
 
     Raises BuildFailed if any walk exhausts or exceeds the step budget, or
-    if a walk's record fails the join check (see ``_join``), and
-    TooManyInitiators if the network is smaller than initiator_count.
+    if a walk's record fails the join check (see ``_join``),
+    TooManyInitiators if the network is smaller than initiator_count, and
+    UnknownNode (from ``init_walk``) for an explicit initiator outside it.
     """
-    if cfg.initiators is not None:
-        initiators = cfg.initiators
-        for v in initiators:
-            net.neighbors(v)  # validates the id range
-    else:
-        initiators = select_initiators(net, cfg.initiator_count,
-                                       stream(cfg.seed, "initiators"))
+    initiators = cfg.initiators or select_initiators(net, cfg.initiator_count,
+                                                     stream(cfg.seed, "initiators"))
     budget = cfg.step_budget if cfg.step_budget is not None else default_step_budget(net.n)
 
     registry = OverlayRegistry(net.n)

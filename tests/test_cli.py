@@ -1,7 +1,6 @@
 """Command-line behavior: exit codes, file outputs, reproducibility."""
 
 import argparse
-import contextlib
 import csv
 import io
 import json
@@ -234,8 +233,11 @@ WEIGHTED_BUILD = ("build", "--n", "100", "--r", "0.2", "--initiators", "3",
     ("experiment", "--desk", "--strategies", "weighted", "--alpha", "inf"),
     ("gen", "--n", "100", "--r", "nan", "--out", "net.json"),
     ("build", "--n", "100", "--r", "nan", "--initiators", "3"),
+    ("gen", "--n", "100", "--r", "inf", "--out", "net.json"),
+    ("build", "--n", "100", "--r", "inf", "--initiators", "3"),
 ], ids=["build-alpha-nan", "build-alpha-inf", "build-beta-nan", "build-alpha-negative",
-        "experiment-alpha-nan", "experiment-alpha-inf", "gen-r-nan", "build-r-nan"])
+        "experiment-alpha-nan", "experiment-alpha-inf", "gen-r-nan", "build-r-nan",
+        "gen-r-inf", "build-r-inf"])
 def test_non_finite_weight_or_radius_usage_error(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)  # nothing is written, even where a parser lets one through
     code, _, err = run(capsys, *argv)
@@ -798,8 +800,12 @@ def test_fuzzed_argv_one_line_exit(tmp_path_factory, argv):
     (base / "in" / "net.json").write_text(json.dumps(to_json_dict(small)))
     (base / "in" / "records.csv").write_text(",".join(GOOD_ROW) + "\n"
                                              + ",".join(GOOD_ROW.values()) + "\n")
-    with contextlib.chdir(base / "run"), \
-            mock.patch.object(cli, "run_scenario", return_value=[]), \
-            mock.patch.object(cli, "generate_network", return_value=small):
-        code, _, err = run_captured(*argv)
+    cwd = os.getcwd()
+    os.chdir(base / "run")
+    try:
+        with mock.patch.object(cli, "run_scenario", return_value=[]), \
+                mock.patch.object(cli, "generate_network", return_value=small):
+            code, _, err = run_captured(*argv)
+    finally:
+        os.chdir(cwd)
     assert_one_line_exit(code, err)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import handnets as H
 from layers import union_find_reason
 from drw_overlay import overlay
-from drw_overlay.geom_graph import GraphGenConfig, generate_network
+from drw_overlay.geom_graph import GraphGenConfig, UnknownNode, generate_network
 from drw_overlay.metrics import active_path_size
 from drw_overlay.overlay import (
     BuildFailed,
@@ -121,6 +121,15 @@ def test_config_validation():
         with pytest.raises(ValueError, match=f"step budget must be >= 1, got {budget}"):
             OverlayBuildConfig(initiator_count=3, strategy=DRW, step_budget=budget)
     assert OverlayBuildConfig(initiator_count=3, strategy=DRW).step_budget is None
+
+
+@pytest.mark.parametrize("initiators", [(0, -1), (0, 8), (8, 0)])
+def test_out_of_range_explicit_initiator_raises_unknown_node(initiators):
+    """init_walk checks each initiator's id; -1 must not index from the end."""
+    net = H.crossing_network()
+    with pytest.raises(UnknownNode, match=f"not in 0..{net.n - 1}"):
+        build_overlay(net, OverlayBuildConfig(initiator_count=2, strategy=DRW,
+                                              initiators=initiators))
 
 
 # --- hand-traced builds -------------------------------------------------------
