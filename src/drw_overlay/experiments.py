@@ -77,8 +77,10 @@ class ScenarioConfig:
 
     initiator_counts maps each node count to its sweep list. Every integer
     goes through check_int: node and initiator counts >= 2, replications
-    and step_budget >= 1. With r_rescale_ref set, node count n uses radius
-    r * sqrt(r_rescale_ref / n), which keeps the reference's mean degree.
+    and step_budget >= 1. r must pass check_radius but is kept as given,
+    unclamped and with its type, since it feeds every derived seed. With
+    r_rescale_ref set, node count n uses radius r * sqrt(r_rescale_ref / n),
+    which keeps the reference's mean degree.
     No two strategies may share a label, which names a strategy's records.
     """
 
@@ -95,6 +97,7 @@ class ScenarioConfig:
 
     def __post_init__(self):
         self.n_values = tuple(check_int(n, "n", 2) for n in self.n_values)
+        check_radius(self.r)
         self.replications = check_int(self.replications, "replications", 1)
         self.base_seed = check_int(self.base_seed, "base seed")
         if self.step_budget is not None:

@@ -21,7 +21,7 @@ from the walk records only when asked for.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property, lru_cache
 from itertools import cycle
 from operator import lt
 
@@ -34,6 +34,7 @@ from .walk_engine import (
     CostStrategy,
     OverlayRegistry,
     WalkState,
+    WordTape,
     default_step_budget,
     init_walk,
     step,
@@ -155,6 +156,41 @@ def select_initiators(net: Network, count: int, rng) -> tuple[int, ...]:
     return tuple(rng.choice(net.n, size=count, replace=False).tolist())
 
 
+class SeedDraws:
+    """What one build seed draws, made on first use and kept for the next
+    build with that seed: the initiators per (n, count) and the WordTape of
+    each walk id's stream. Builds that share a seed draw the same
+    initiators and read the same words, so each stream is made once."""
+
+    __slots__ = ("seed", "initiators", "tapes")
+
+    def __init__(self, seed: int):
+        self.seed = seed
+        self.initiators: dict[tuple[int, int], tuple[int, ...]] = {}
+        self.tapes: dict[int, WordTape] = {}
+
+    def initiators_for(self, net: Network, count: int) -> tuple[int, ...]:
+        picks = self.initiators.get((net.n, count))
+        if picks is None:
+            picks = select_initiators(net, count, stream(self.seed, "initiators"))
+            self.initiators[net.n, count] = picks
+        return picks
+
+    def tape(self, walk_id: int) -> WordTape:
+        tape = self.tapes.get(walk_id)
+        if tape is None:
+            tape = self.tapes[walk_id] = WordTape(stream(self.seed, "walk", walk_id))
+        return tape
+
+
+@lru_cache(maxsize=1)
+def seed_draws(seed: int) -> SeedDraws:
+    """The draws of the last build seed used. A sweep gives every strategy
+    of a cell one build seed and builds them in turn, so one seed at a time
+    is enough, and memory stays bounded by one seed's tapes."""
+    return SeedDraws(seed)
+
+
 def run_walk_until_stop(walks: list[WalkState], net: Network, registry: OverlayRegistry,
                         strategy: CostStrategy, budget: int,
                         trace: list | None = None) -> int:
@@ -175,13 +211,18 @@ def build_overlay(net: Network, cfg: OverlayBuildConfig,
                   trace: list | None = None) -> OverlayResult:
     """Run the full construction and return the finished layer.
 
+    The initiators (unless cfg gives them) and the walks' words come from
+    ``seed_draws(cfg.seed)``: the first build with a seed makes its
+    streams, and the next build with the same seed replays them, which
+    gives the same bytes as fresh streams.
+
     Raises BuildFailed if any walk exhausts or exceeds the step budget, or
     if a walk's record fails the join check (see ``_join``),
     TooManyInitiators if the network is smaller than initiator_count, and
     UnknownNode (from ``init_walk``) for an explicit initiator outside it.
     """
-    initiators = cfg.initiators or select_initiators(net, cfg.initiator_count,
-                                                     stream(cfg.seed, "initiators"))
+    draws = seed_draws(cfg.seed)
+    initiators = cfg.initiators or draws.initiators_for(net, cfg.initiator_count)
     budget = cfg.step_budget if cfg.step_budget is not None else default_step_budget(net.n)
 
     registry = OverlayRegistry(net.n)
@@ -189,11 +230,11 @@ def build_overlay(net: Network, cfg: OverlayBuildConfig,
     born: dict[int, int] = {}
     active: set[int] = set()
     waiting: list[WalkState] = []
-    # init_walk calls this only for a walk that steps; most walks of a large
-    # build are born intersected and never make their stream.
-    walk_stream = partial(stream, cfg.seed, "walk")
+    # init_walk asks for a tape only for a walk that steps; most walks of a
+    # large build are born intersected and never make their stream.
+    walk_tape = draws.tape
     for wid, initiator in enumerate(initiators):
-        walk, broker = init_walk(net, initiator, wid, registry, walk_stream, trace=trace)
+        walk, broker = init_walk(net, initiator, wid, registry, walk_tape, trace=trace)
         if walk is not None:
             waiting.append(walk)
             if not wid:

@@ -148,6 +148,30 @@ class TraceRecord:
     cost: float | None
 
 
+# 64-bit raw outputs in each chunk of a word tape.
+_RAW_BATCH = 8
+
+
+class WordTape:
+    """The 32-bit words of one walk stream, kept for every walk that reads it.
+
+    raw is the stream's ``bit_generator.random_raw``. chunks[i] holds the
+    words of its (i + 1)-th call, raw(_RAW_BATCH), converted once and
+    reversed so that pop() takes them in turn. Each walk that reads the
+    tape copies chunk i once it has used chunks 0..i-1, and the first walk
+    to get past the last chunk draws the next one. So every reader sees
+    word j of the stream as its j-th word, as a fresh generator would give
+    it: NEP 19 keeps a bit generator's raw stream fixed. Neither field
+    refers back to the tape.
+    """
+
+    __slots__ = ("raw", "chunks")
+
+    def __init__(self, gen: np.random.Generator):
+        self.raw = gen.bit_generator.random_raw
+        self.chunks: list[list[int]] = []
+
+
 @dataclass(slots=True)
 class WalkState:
     """One walker. path is in recruitment order and never shrinks.
@@ -158,21 +182,22 @@ class WalkState:
     len(path) - 1, except midway through a retreat, when it lies further
     back.
 
-    rng is the walk's generator. words holds the 32-bit words of rng's raw
-    output not yet drawn, last to be used first; it stays None until the
-    first draw that needs one. marked and marked2 are node bitsets in the
+    tape is the WordTape of the walk's stream and chunk the index of the
+    tape chunk its next refill copies. words holds the copied words not yet
+    drawn, last to be used first; it stays None until the first draw that
+    needs one. marked and marked2 are node bitsets in the
     form of ``Network.neighbor_bits``: bit ``net.bit_rank[u]`` is set iff
     u is marked, and both are 0 while nothing is marked. step keeps them
     as its strategy asks: drw and weighted mark, weighted also keeps
     marked2. Slots, not a __dict__, hold the fields. A walk born
     intersected is no WalkState while its layer is built (see
     ``init_walk``); ``OverlayResult.walks`` makes one for it on first
-    access, with rng None, which leaves three containers for the cyclic
+    access, with tape None, which leaves three containers for the cyclic
     collector to track: itself, path and parents.
     """
 
     id: int
-    rng: np.random.Generator | None = None
+    tape: WordTape | None = None
     path: list[int] = field(default_factory=list)
     parents: list[int] = field(default_factory=list)
     head: int = 0
@@ -182,6 +207,7 @@ class WalkState:
     broker: int | None = None
     steps: int = 0
     backtracks: int = 0
+    chunk: int = 0
     words: list[int] | None = field(default=None, repr=False)
 
 
@@ -207,19 +233,17 @@ def _mark_two_rings(walk: WalkState, net: Network, node: int) -> None:
     walk.marked |= bits[node]
 
 
-# 64-bit raw outputs fetched per refill of a walk's word buffer.
-_RAW_BATCH = 8
-
-
 def _pick(walk: WalkState, items: list[int]) -> int:
-    """Uniform draw from items with the walk's generator.
+    """Uniform draw from items with the walk's stream.
 
-    Returns ``items[walk.rng.integers(len(items))]`` value for value, as a
-    fresh generator draws it, without a numpy call per draw. numpy draws an
-    integer below k < 2**32 by Lemire's multiply-and-reject method
-    (arXiv:1805.10941) over 32-bit words, the low then the high half of each
-    raw 64-bit output, and draws nothing for k == 1. This does the same over
-    the walk's buffer of raw words, refilled _RAW_BATCH outputs at a time.
+    Returns ``items[gen.integers(len(items))]`` value for value, where gen
+    is a fresh generator of the walk's stream, without a numpy call per
+    draw. numpy draws an integer below k < 2**32 by Lemire's
+    multiply-and-reject method (arXiv:1805.10941) over 32-bit words, the
+    low then the high half of each raw 64-bit output, and draws nothing for
+    k == 1. This does the same over the walk's buffer of words, which a
+    refill copies from the next chunk of its tape; only the tape's first
+    reader to get that far draws the chunk.
     """
     k = len(items)
     if k == 1:
@@ -227,17 +251,22 @@ def _pick(walk: WalkState, items: list[int]) -> int:
     words = walk.words
     while True:
         if not words:
-            raw = walk.rng.bit_generator.random_raw(_RAW_BATCH)
-            # Viewed as little-endian halves, each output gives its low
-            # word, then its high word; reversed, so pop() takes them in turn.
-            words = walk.words = raw.astype("<u8", copy=False).view("<u4")[::-1].tolist()
+            tape, i = walk.tape, walk.chunk
+            chunks = tape.chunks
+            if i == len(chunks):
+                # Viewed as little-endian halves, each output gives its low
+                # word, then its high word; reversed, so pop() takes them in turn.
+                raw = tape.raw(_RAW_BATCH)
+                chunks.append(raw.astype("<u8", copy=False).view("<u4")[::-1].tolist())
+            words = walk.words = chunks[i].copy()
+            walk.chunk = i + 1
         m = words.pop() * k
         if m & 0xFFFFFFFF >= (1 << 32) % k:
             return items[m >> 32]
 
 
 def init_walk(net: Network, initiator: int, walk_id: int, registry: OverlayRegistry,
-              walk_stream: Callable[[int], np.random.Generator],
+              walk_tape: Callable[[int], WordTape],
               trace: list | None = None) -> tuple[WalkState | None, int | None]:
     """Start a walk and recruit its second node.
 
@@ -249,10 +278,10 @@ def init_walk(net: Network, initiator: int, walk_id: int, registry: OverlayRegis
     the walk's broker. Returns (walk, None) for a walk that goes on to step,
     and (None, broker) for a walk born intersected: its path is [initiator]
     when broker is the initiator, else [initiator, broker], and it never
-    draws, so no WalkState or generator is spent on it. Either way the
-    trace records the walk as usual, as step 0. A walk that steps gets
-    walk_stream(walk_id) as its generator, path [initiator, v] with head 1,
-    and no marks yet.
+    draws, so no WalkState or tape is asked for. Either way the trace
+    records the walk as usual, as step 0. A walk that steps gets
+    walk_tape(walk_id) as its tape, path [initiator, v] with head 1, and no
+    marks yet; it reads the tape from its first word.
     """
     adjacency, owner = net.adjacency, registry.owner
     if not 0 <= initiator < len(adjacency):
@@ -276,7 +305,7 @@ def init_walk(net: Network, initiator: int, walk_id: int, registry: OverlayRegis
                                      cursor=1 if node == initiator else 2, cost=None))
         return None, node
 
-    walk = WalkState(id=walk_id, rng=walk_stream(walk_id), path=[initiator],
+    walk = WalkState(id=walk_id, tape=walk_tape(walk_id), path=[initiator],
                      parents=[-1, 0], head=1)
     v = _pick(walk, nbrs)
     walk.path.append(v)
@@ -296,7 +325,7 @@ def step(walk: WalkState, net: Network, registry: OverlayRegistry,
     and draws a candidate uniformly. A guided step from the newest node,
     path[-1], first marks the neighborhood of the node behind it (drw and
     weighted only), then scores each candidate as it reads its owner and
-    keeps the ties at the lowest cost for the walk's rng to break. With no
+    keeps the ties at the lowest cost for the walk's stream to break. With no
     candidate the step moves walk.head back one path index, and the next
     call resumes there without marking; at head 0 it exhausts the walk. A
     step onto another walk's node takes it, leaves its owner as it is, makes

@@ -33,11 +33,12 @@ def scenario_with(**fields):
     return ScenarioConfig(**{**SCENARIO, **fields})
 
 
-RADIUS_ENTRIES = {
+CLAMPING_ENTRIES = {
     "GraphGenConfig": lambda r: GraphGenConfig(n=10, r=r).r,
     "network_from_positions": lambda r: network_from_positions(TWO_POINTS, r).radius,
     "from_json_dict": lambda r: load_with(r=r).radius,
 }
+RADIUS_ENTRIES = {**CLAMPING_ENTRIES, "ScenarioConfig": lambda r: scenario_with(r=r).r}
 
 
 @pytest.mark.parametrize("bad", [True, "0.1", -0.3, 0.0, math.nan, math.inf],
@@ -51,11 +52,18 @@ def test_every_entry_rejects_a_bad_radius(entry, bad):
         RADIUS_ENTRIES[entry](bad)
 
 
-@pytest.mark.parametrize("entry", list(RADIUS_ENTRIES))
+@pytest.mark.parametrize("entry", list(CLAMPING_ENTRIES))
 def test_every_entry_stores_the_radius_as_a_clamped_float(entry):
     for given, stored in ((np.float32(0.5), float(np.float32(0.5))), (1, 1.0), (5, MAX_RADIUS)):
-        r = RADIUS_ENTRIES[entry](given)
+        r = CLAMPING_ENTRIES[entry](given)
         assert r == stored and type(r) is float
+
+
+def test_scenario_keeps_its_radius_as_given():
+    """A sweep's r feeds every derived seed, and the seed of 1 is not the
+    seed of 1.0, so ScenarioConfig checks r but neither clamps nor converts it."""
+    for given in (np.float32(0.5), 1, 1.0, 5):
+        assert scenario_with(r=given).r is given
 
 
 # Each integer field: (make an object with the field at a value, read the

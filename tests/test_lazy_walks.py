@@ -1,4 +1,5 @@
-"""Per-walk set-up: generators only for walks that step; the ownership record."""
+"""Per-walk set-up: streams only for walks that step, made once per build
+seed and replayed by the next build with it; the ownership record."""
 
 import pickle
 from unittest import mock
@@ -26,6 +27,7 @@ from drw_overlay.walk_engine import (
     TraceRecord,
     WalkNotActive,
     WalkState,
+    WordTape,
     init_walk,
     parse_strategy,
     step,
@@ -82,7 +84,7 @@ def test_born_walk_state(initiator, walk_id, owned, other, path, parents, owner)
     assert walk.parents == parents and walk.head == len(path) - 1
     assert walk.status == INTERSECTED and walk.broker == owned
     assert walk.steps == walk.backtracks == 0
-    assert walk.rng is None and walk.words is None
+    assert walk.tape is None and walk.words is None
     assert all(a is b for a, b in zip(layer.walks, layer.stepped))
     with pytest.raises(WalkNotActive):
         step(walk, net, reg, DRW)
@@ -95,12 +97,12 @@ def test_walk_that_draws_makes_its_generator_once():
 
     def factory(walk_id):
         made.append(walk_id)
-        return stream(4, "walk", walk_id)
+        return WordTape(stream(4, "walk", walk_id))
 
     reg = OverlayRegistry(net.n)
     walk, broker = init_walk(net, 5, 3, reg, factory)
     assert broker is None and len(walk.path) == 2
-    assert made == [3] and walk.rng is not None
+    assert made == [3] and walk.tape is not None
     out = step(walk, net, reg, DRW)
     assert made == [3]
     assert not hasattr(walk, "__dict__") and not hasattr(out, "__dict__")
@@ -108,9 +110,9 @@ def test_walk_that_draws_makes_its_generator_once():
 
 def eager_init_walk(seed):
     """Reference init_walk: every walk's stream is made up front, a born walk's too."""
-    def init(net, initiator, walk_id, registry, walk_stream, **kw):
-        gen = stream(seed, "walk", walk_id)
-        return init_walk(net, initiator, walk_id, registry, lambda _: gen, **kw)
+    def init(net, initiator, walk_id, registry, walk_tape, **kw):
+        tape = WordTape(stream(seed, "walk", walk_id))
+        return init_walk(net, initiator, walk_id, registry, lambda _: tape, **kw)
     return init
 
 
@@ -135,13 +137,41 @@ def test_streams_only_for_initiators_and_walks_that_drew():
 
     cfg = OverlayBuildConfig(net.n, CostStrategy("prw"), seed=2)
     trace = []
+    overlay.seed_draws.cache_clear()
     with mock.patch.object(overlay, "stream", counted):
         result = build_overlay(net, cfg, trace)
     born = {r.walk for r in trace if r.step == 0 and r.outcome == "intersected"}
     assert born, "the build should have walks born intersected"
     drew = [("walk", w.id) for w in result.walks if w.id not in born]
     assert labels == [("initiators",)] + drew
-    assert all((w.rng is None) == (w.id in born) for w in result.walks)
+    assert all((w.tape is None) == (w.id in born) for w in result.walks)
+
+
+def test_strategies_that_share_a_seed_make_each_stream_once():
+    """The four strategies of one build seed make the initiators' stream
+    once and each walk id's stream once, when a walk with that id first
+    draws. A build with another seed evicts them, so the first seed's next
+    build makes its streams again."""
+    net = generate_network(GraphGenConfig(n=300, r=0.1, seed=7))
+    made = []
+
+    def counted(*parts):
+        made.append(parts)
+        return stream(*parts)
+
+    overlay.seed_draws.cache_clear()
+    with mock.patch.object(overlay, "stream", counted):
+        results = [build_overlay(net, OverlayBuildConfig(20, parse_strategy(kind), seed=3))
+                   for kind in STRATEGY_KINDS]
+        shared, made[:] = made[:], []
+        build_overlay(net, OverlayBuildConfig(20, DRW, seed=4))
+        made.clear()
+        again = build_overlay(net, OverlayBuildConfig(20, DRW, seed=3))
+    drew = list(dict.fromkeys(w.id for result in results for w in result.stepped))
+    assert len(drew) < sum(len(result.stepped) for result in results)
+    assert shared == [(3, "initiators")] + [(3, "walk", wid) for wid in drew]
+    assert made == [(3, "initiators")] + [(3, "walk", w.id) for w in again.stepped]
+    assert to_json_dict(again) == to_json_dict(results[0])
 
 
 def test_born_walks_are_made_once_on_first_access():
@@ -157,7 +187,7 @@ def test_born_walks_are_made_once_on_first_access():
         assert made == drew
         walks = result.walks
     assert len(drew) < net.n and len(made) == net.n
-    assert drew == [w.id for w in walks if w.rng is not None]
+    assert drew == [w.id for w in walks if w.tape is not None]
     assert walks is result.walks
     assert [w.id for w in walks] == list(range(net.n))
     assert [w.path[0] for w in walks] == list(result.initiators)

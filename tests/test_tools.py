@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -24,6 +26,7 @@ def test_step_cost_counts_repeat_exactly():
         reports.append(json.loads(lines[0]))
     first, second = reports
     assert first["steps"] == second["steps"]
+    assert first["numpy"] == np.__version__
     assert set(first["steps"]) == set(first["us_per_step"]) == {"100", "150"}
     for n, cells in first["steps"].items():
         assert set(cells) == {"drw", "prw", "twohop", "weighted"}

@@ -18,6 +18,7 @@ from drw_overlay.overlay import (
     BuildFailed,
     OverlayBuildConfig,
     OverlayRegistry,
+    SeedDraws,
     build_overlay,
     run_walk_until_stop,
     to_json_dict,
@@ -35,6 +36,7 @@ from drw_overlay.walk_engine import (
     TraceRecord,
     WalkNotActive,
     WalkState,
+    WordTape,
     _pick,
     default_step_budget,
     init_walk,
@@ -49,8 +51,8 @@ WEIGHTED = CostStrategy("weighted", alpha=2.0, beta=0.5)
 
 
 def seeded(seed):
-    """Stream factory for init_walk: any walk draws np.random.default_rng(seed)'s stream."""
-    return lambda walk_id: np.random.default_rng(seed)
+    """Tape factory for init_walk: any walk reads np.random.default_rng(seed)'s words."""
+    return lambda walk_id: WordTape(np.random.default_rng(seed))
 
 
 def fresh(net, initiator, seed=0, walk_id=0, registry=None, **kw):
@@ -84,7 +86,7 @@ def test_strategy_labels():
 def test_fan_costs_first_neighborhood():
     """Scored fan: a=3 b=2 c=3 d=2 z=1 with marked = N(x)."""
     net = H.fan_network()
-    walk = WalkState(id=0, rng=np.random.default_rng(0))
+    walk = WalkState(id=0)
     walk.marked = mask_of(net, net.neighbors(H.FAN_X))
     for node, expected in H.FAN_COSTS.items():
         assert candidate_costs(walk, net, DRW, [node], 0)[0] == expected
@@ -92,7 +94,7 @@ def test_fan_costs_first_neighborhood():
 
 def test_fan_costs_match_naive_set_intersection():
     net = H.fan_network()
-    walk = WalkState(id=0, rng=np.random.default_rng(0))
+    walk = WalkState(id=0)
     marked = set(net.neighbors(H.FAN_X))
     walk.marked = mask_of(net, marked)
     for v in range(net.n):
@@ -110,7 +112,7 @@ def test_cost_two_hop_counts_common_neighbors():
 
 def test_cost_weighted_combines_rings():
     net = H.fan_network()
-    walk = WalkState(id=0, rng=np.random.default_rng(0))
+    walk = WalkState(id=0)
     marked, marked2 = {1, 7}, {2, 3, 11}
     walk.marked, walk.marked2 = mask_of(net, marked), mask_of(net, marked2)
     for v in range(net.n):
@@ -124,7 +126,7 @@ def test_fan_guided_step_picks_unique_minimum():
     net = H.fan_network()
     reg = OverlayRegistry(net.n)
     # steer the uniform first hop onto y (seed probed for this layout)
-    walk, out = init_walk(net, H.FAN_X, 0, reg, partial(stream, 4, "walk"))
+    walk, out = init_walk(net, H.FAN_X, 0, reg, SeedDraws(4).tape)
     assert out is None and walk.path == [H.FAN_X, H.FAN_Y]
     result = step(walk, net, reg, DRW)
     assert result.kind == EXTENDED and walk.path[-1] == H.FAN_SCORED["z"]
@@ -241,7 +243,7 @@ def test_init_walk_steps_like_build_overlay(strategy):
     want = []
     build_overlay(net, cfg, want)
     reg, got = OverlayRegistry(net.n), []
-    walks = [init_walk(net, v, wid, reg, partial(stream, cfg.seed, "walk"), trace=got)[0]
+    walks = [init_walk(net, v, wid, reg, SeedDraws(cfg.seed).tape, trace=got)[0]
              for wid, v in enumerate(cfg.initiators)]
     assert all(w.marked == w.marked2 == 0 for w in walks)
     while all(w.status == ACTIVE for w in walks):
@@ -540,39 +542,101 @@ def test_default_step_budget_scales_with_n():
 PICK_COUNTS = st.one_of(st.just(1), st.integers(2, 40), st.sampled_from([3 * 2**30, 2**32 - 1]))
 
 
+def pick_items(k):
+    return list(range(100, 100 + k)) if k <= 40 else range(k)
+
+
 @settings(max_examples=300, deadline=None)
 @given(seed=st.integers(0, 2**64 - 1), counts=st.lists(PICK_COUNTS, min_size=1, max_size=80))
 def test_pick_equals_generator_integers(seed, counts):
     """A walk's picks are default_rng(seed).integers(k)'s values, draw for
-    draw; a one-item pick takes no word."""
-    walk = WalkState(id=0, rng=np.random.default_rng(seed))
+    draw; a one-item pick takes no word. A second walk over the same tape
+    replays the chunks the first one drew and picks the same values."""
+    tape = WordTape(np.random.default_rng(seed))
+    first, replay = WalkState(id=0, tape=tape), WalkState(id=1, tape=tape)
     ref = np.random.default_rng(seed)
+    picks = []
     for i, k in enumerate(counts):
-        items = list(range(100, 100 + k)) if k <= 40 else range(k)
-        assert _pick(walk, items) == items[int(ref.integers(k))], (i, k)
-        assert (walk.words is None) == all(c == 1 for c in counts[:i + 1])
+        items = pick_items(k)
+        picks.append(_pick(first, items))
+        assert picks[-1] == items[int(ref.integers(k))], (i, k)
+        assert (first.words is None) == all(c == 1 for c in counts[:i + 1])
+    drawn = [chunk.copy() for chunk in tape.chunks]
+    assert [_pick(replay, pick_items(k)) for k in counts] == picks
+    assert tape.chunks == drawn and replay.chunk == first.chunk == len(drawn)
 
 
-def numpy_pick(walk, items):
-    """The draw as one Generator.integers call per pick."""
-    return items[int(walk.rng.integers(len(items)))]
+def numpy_picker(seed):
+    """The draw as one Generator.integers call per pick, from a fresh
+    stream(seed, "walk", id) per walk id, made here, not from any tape."""
+    gens = {}
+
+    def pick(walk, items):
+        gen = gens.get(walk.id)
+        if gen is None:
+            gen = gens[walk.id] = stream(seed, "walk", walk.id)
+        return items[int(gen.integers(len(items)))]
+    return pick
 
 
 def build_outcome(net, cfg):
-    """A build's layer JSON, or its BuildFailed walk and reason, with its trace."""
+    """A build's layer JSON, or its BuildFailed walk and reason (or the
+    IsolatedInitiator message), with its trace."""
     trace = []
     try:
         layer = to_json_dict(build_overlay(net, cfg, trace))
     except BuildFailed as err:
         layer = (err.walk_id, err.reason)
+    except IsolatedInitiator as err:
+        layer = str(err)
     return layer, trace
 
 
 def assert_same_build(net, cfg):
-    with mock.patch.object(walk_engine, "_pick", numpy_pick):
+    """The real build from a cleared seed cache, then the reference build
+    drawn by numpy_picker, then the real build again right after it, which
+    replays the seed's cached initiators and tapes: all three agree."""
+    overlay.seed_draws.cache_clear()
+    cold = build_outcome(net, cfg)
+    with mock.patch.object(walk_engine, "_pick", numpy_picker(cfg.seed)):
         ref = build_outcome(net, cfg)
+    assert cold == ref
     assert build_outcome(net, cfg) == ref
     return ref
+
+
+@st.composite
+def build_runs(draw):
+    """A small unit-disk graph (or a hand-built one) and 2-6 builds on it:
+    any strategy and initiator count, seeds from a pool of 3, so that they
+    repeat and interleave, and step budgets small enough to fail."""
+    if draw(st.integers(0, 3)) == 0:
+        net = draw(st.sampled_from(H.BUILDERS))()
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        n = draw(st.integers(4, 40))
+        net = network_from_positions(rng.random((n, 2)), draw(st.floats(0.15, 0.45)))
+    pool = draw(st.lists(st.integers(0, 2**16), min_size=3, max_size=3, unique=True))
+    builds = draw(st.lists(st.builds(
+        OverlayBuildConfig, initiator_count=st.integers(2, net.n),
+        strategy=st.sampled_from(STRATEGY_KINDS).map(parse_strategy),
+        seed=st.sampled_from(pool), step_budget=st.sampled_from((1, 3, 10, None))),
+        min_size=2, max_size=6))
+    return net, builds
+
+
+@settings(max_examples=120, deadline=None)
+@given(run=build_runs())
+def test_warm_builds_equal_cold_builds(run):
+    """Builds in sequence, each replaying what the builds before it left in
+    the seed cache, give the layer (or failure) and the step trace that
+    each build gives alone, from a cleared cache."""
+    net, builds = run
+    overlay.seed_draws.cache_clear()
+    warm = [build_outcome(net, cfg) for cfg in builds]
+    for cfg, got in zip(builds, warm):
+        overlay.seed_draws.cache_clear()
+        assert got == build_outcome(net, cfg), cfg
 
 
 def build_configs(net):

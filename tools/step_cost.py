@@ -10,6 +10,11 @@ fastest of the 5 is kept. Prints one JSON object: the exact step count of
 each cell, which repeats for a fixed seed, and its µs per step, the build
 time over the steps. The time includes each build's set-up (initiator
 draw, walk streams, layer assembly), which at I = 10 is a small share.
+
+No build shares its seed with the build before it, so none replays the
+initiators or walk words that ``overlay.seed_draws`` keeps for the last
+seed: the tool times the cold path, where every build makes its streams.
+It is the one caller that never hits that cache.
 """
 
 from __future__ import annotations
@@ -77,6 +82,7 @@ def main(argv=None) -> int:
         "us_per_step": {str(n): {k: round(best[n, k] / steps[n, k] * 1e6, 2)
                                  for k in walk_engine.STRATEGY_KINDS} for n in args.n},
         "python": sys.version.split()[0],
+        "numpy": np.__version__,
     }))
     return 0
 
