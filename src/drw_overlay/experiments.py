@@ -77,11 +77,13 @@ class ScenarioConfig:
 
     initiator_counts maps each node count to its sweep list. Every integer
     goes through check_int: node and initiator counts >= 2, replications
-    and step_budget >= 1. r must pass check_radius but is kept as given,
-    unclamped and with its type, since it feeds every derived seed. With
+    and step_budget >= 1. r must pass check_radius and be an int or a
+    float, the types a seed label encodes; it is kept as given, unclamped
+    and with its type, since it feeds every derived seed. With
     r_rescale_ref set, node count n uses radius r * sqrt(r_rescale_ref / n),
     which keeps the reference's mean degree.
-    No two strategies may share a label, which names a strategy's records.
+    n_values and strategies must not be empty, and no two strategies may
+    share a label, which names a strategy's records.
     """
 
     n_values: tuple[int, ...]
@@ -97,7 +99,11 @@ class ScenarioConfig:
 
     def __post_init__(self):
         self.n_values = tuple(check_int(n, "n", 2) for n in self.n_values)
+        if not self.n_values:
+            raise ValueError("a scenario needs at least one n")
         check_radius(self.r)
+        if not isinstance(self.r, (int, float)):
+            raise ValueError(f"r must be an int or a float, got {self.r!r}")
         self.replications = check_int(self.replications, "replications", 1)
         self.base_seed = check_int(self.base_seed, "base seed")
         if self.step_budget is not None:
@@ -111,6 +117,8 @@ class ScenarioConfig:
             if max(counts) > n:
                 raise ValueError(f"initiator count {max(counts)} invalid for n={n}")
         labels = [s.label for s in self.strategies]
+        if not labels:
+            raise ValueError("a scenario needs at least one strategy")
         if len(set(labels)) < len(labels):
             raise ValueError(f"a strategy is listed twice in {','.join(labels)}")
 

@@ -20,9 +20,11 @@ from the walk records only when asked for.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+from copy import copy
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import cycle
+from itertools import cycle, tee
 from operator import lt
 
 from .geom_graph import Network, check_int
@@ -34,10 +36,10 @@ from .walk_engine import (
     CostStrategy,
     OverlayRegistry,
     WalkState,
-    WordTape,
     default_step_budget,
     init_walk,
     step,
+    stream_words,
 )
 
 
@@ -158,16 +160,19 @@ def select_initiators(net: Network, count: int, rng) -> tuple[int, ...]:
 
 class SeedDraws:
     """What one build seed draws, made on first use and kept for the next
-    build with that seed: the initiators per (n, count) and the WordTape of
-    each walk id's stream. Builds that share a seed draw the same
-    initiators and read the same words, so each stream is made once."""
+    build with that seed: the initiators per (n, count) and, per walk id,
+    a ``tee`` of its stream's words that is never read itself. Each walk
+    reads a copy of it from the first word; the copies share one buffer,
+    so word j is drawn once and every reader gets it as its j-th word.
+    Builds that share a seed draw the same initiators and read the same
+    words, so each stream is made once."""
 
-    __slots__ = ("seed", "initiators", "tapes")
+    __slots__ = ("seed", "initiators", "streams")
 
     def __init__(self, seed: int):
         self.seed = seed
         self.initiators: dict[tuple[int, int], tuple[int, ...]] = {}
-        self.tapes: dict[int, WordTape] = {}
+        self.streams: dict[int, Iterator[int]] = {}
 
     def initiators_for(self, net: Network, count: int) -> tuple[int, ...]:
         picks = self.initiators.get((net.n, count))
@@ -176,18 +181,20 @@ class SeedDraws:
             self.initiators[net.n, count] = picks
         return picks
 
-    def tape(self, walk_id: int) -> WordTape:
-        tape = self.tapes.get(walk_id)
-        if tape is None:
-            tape = self.tapes[walk_id] = WordTape(stream(self.seed, "walk", walk_id))
-        return tape
+    def words(self, walk_id: int) -> Iterator[int]:
+        master = self.streams.get(walk_id)
+        if master is None:
+            # Readers are copies: tee(master) returns master itself as one.
+            master, = tee(stream_words(stream(self.seed, "walk", walk_id)), 1)
+            self.streams[walk_id] = master
+        return copy(master)
 
 
 @lru_cache(maxsize=1)
 def seed_draws(seed: int) -> SeedDraws:
     """The draws of the last build seed used. A sweep gives every strategy
     of a cell one build seed and builds them in turn, so one seed at a time
-    is enough, and memory stays bounded by one seed's tapes."""
+    is enough, and memory stays bounded by one seed's words."""
     return SeedDraws(seed)
 
 
@@ -214,7 +221,8 @@ def build_overlay(net: Network, cfg: OverlayBuildConfig,
     The initiators (unless cfg gives them) and the walks' words come from
     ``seed_draws(cfg.seed)``: the first build with a seed makes its
     streams, and the next build with the same seed replays them, which
-    gives the same bytes as fresh streams.
+    gives the same bytes as fresh streams. A walk drops its words when it
+    halts, so the finished layer holds no generator state.
 
     Raises BuildFailed if any walk exhausts or exceeds the step budget, or
     if a walk's record fails the join check (see ``_join``),
@@ -230,11 +238,11 @@ def build_overlay(net: Network, cfg: OverlayBuildConfig,
     born: dict[int, int] = {}
     active: set[int] = set()
     waiting: list[WalkState] = []
-    # init_walk asks for a tape only for a walk that steps; most walks of a
+    # init_walk asks for words only for a walk that steps; most walks of a
     # large build are born intersected and never make their stream.
-    walk_tape = draws.tape
+    walk_words = draws.words
     for wid, initiator in enumerate(initiators):
-        walk, broker = init_walk(net, initiator, wid, registry, walk_tape, trace=trace)
+        walk, broker = init_walk(net, initiator, wid, registry, walk_words, trace=trace)
         if walk is not None:
             waiting.append(walk)
             if not wid:
@@ -246,6 +254,7 @@ def build_overlay(net: Network, cfg: OverlayBuildConfig,
             for other in waiting:
                 if other.status == ACTIVE:
                     other.status, other.broker = INTERSECTED, broker
+                other.words = None
                 _join(other, active)
             stepped += waiting
             waiting = []

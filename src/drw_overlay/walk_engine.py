@@ -21,7 +21,7 @@ neighborhood is therefore never counted against its candidates.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -148,28 +148,13 @@ class TraceRecord:
     cost: float | None
 
 
-# 64-bit raw outputs in each chunk of a word tape.
-_RAW_BATCH = 8
-
-
-class WordTape:
-    """The 32-bit words of one walk stream, kept for every walk that reads it.
-
-    raw is the stream's ``bit_generator.random_raw``. chunks[i] holds the
-    words of its (i + 1)-th call, raw(_RAW_BATCH), converted once and
-    reversed so that pop() takes them in turn. Each walk that reads the
-    tape copies chunk i once it has used chunks 0..i-1, and the first walk
-    to get past the last chunk draws the next one. So every reader sees
-    word j of the stream as its j-th word, as a fresh generator would give
-    it: NEP 19 keeps a bit generator's raw stream fixed. Neither field
-    refers back to the tape.
-    """
-
-    __slots__ = ("raw", "chunks")
-
-    def __init__(self, gen: np.random.Generator):
-        self.raw = gen.bit_generator.random_raw
-        self.chunks: list[list[int]] = []
+def stream_words(gen: np.random.Generator) -> Iterator[int]:
+    """The 32-bit words of gen's stream in the order numpy's bounded draws
+    read them: the low, then the high half of each raw 64-bit output. The
+    raw outputs are drawn eight at a time, as the words are asked for."""
+    raw = gen.bit_generator.random_raw
+    while True:
+        yield from raw(8).astype("<u8", copy=False).view("<u4").tolist()
 
 
 @dataclass(slots=True)
@@ -182,22 +167,21 @@ class WalkState:
     len(path) - 1, except midway through a retreat, when it lies further
     back.
 
-    tape is the WordTape of the walk's stream and chunk the index of the
-    tape chunk its next refill copies. words holds the copied words not yet
-    drawn, last to be used first; it stays None until the first draw that
-    needs one. marked and marked2 are node bitsets in the
-    form of ``Network.neighbor_bits``: bit ``net.bit_rank[u]`` is set iff
-    u is marked, and both are 0 while nothing is marked. step keeps them
-    as its strategy asks: drw and weighted mark, weighted also keeps
-    marked2. Slots, not a __dict__, hold the fields. A walk born
-    intersected is no WalkState while its layer is built (see
-    ``init_walk``); ``OverlayResult.walks`` makes one for it on first
-    access, with tape None, which leaves three containers for the cyclic
-    collector to track: itself, path and parents.
+    words yields the 32-bit words of the walk's stream (see
+    ``stream_words``) from the first one the walk has not drawn; the build
+    sets it to None when the walk halts. marked and marked2 are node
+    bitsets in the form of ``Network.neighbor_bits``: bit
+    ``net.bit_rank[u]`` is set iff u is marked, and both are 0 while
+    nothing is marked. step keeps them as its strategy asks: drw and
+    weighted mark, weighted also keeps marked2. Slots, not a __dict__,
+    hold the fields. A walk born intersected is no WalkState while its
+    layer is built (see ``init_walk``); ``OverlayResult.walks`` makes one
+    for it on first access, with words None, which leaves three containers
+    for the cyclic collector to track: itself, path and parents.
     """
 
     id: int
-    tape: WordTape | None = None
+    words: Iterator[int] | None = field(default=None, repr=False)
     path: list[int] = field(default_factory=list)
     parents: list[int] = field(default_factory=list)
     head: int = 0
@@ -207,8 +191,6 @@ class WalkState:
     broker: int | None = None
     steps: int = 0
     backtracks: int = 0
-    chunk: int = 0
-    words: list[int] | None = field(default=None, repr=False)
 
 
 def _score_masks(walk: WalkState, net: Network, strategy: CostStrategy, src_index: int):
@@ -241,32 +223,20 @@ def _pick(walk: WalkState, items: list[int]) -> int:
     draw. numpy draws an integer below k < 2**32 by Lemire's
     multiply-and-reject method (arXiv:1805.10941) over 32-bit words, the
     low then the high half of each raw 64-bit output, and draws nothing for
-    k == 1. This does the same over the walk's buffer of words, which a
-    refill copies from the next chunk of its tape; only the tape's first
-    reader to get that far draws the chunk.
+    k == 1. This does the same over the walk's words.
     """
     k = len(items)
     if k == 1:
         return items[0]
     words = walk.words
     while True:
-        if not words:
-            tape, i = walk.tape, walk.chunk
-            chunks = tape.chunks
-            if i == len(chunks):
-                # Viewed as little-endian halves, each output gives its low
-                # word, then its high word; reversed, so pop() takes them in turn.
-                raw = tape.raw(_RAW_BATCH)
-                chunks.append(raw.astype("<u8", copy=False).view("<u4")[::-1].tolist())
-            words = walk.words = chunks[i].copy()
-            walk.chunk = i + 1
-        m = words.pop() * k
+        m = next(words) * k
         if m & 0xFFFFFFFF >= (1 << 32) % k:
             return items[m >> 32]
 
 
 def init_walk(net: Network, initiator: int, walk_id: int, registry: OverlayRegistry,
-              walk_tape: Callable[[int], WordTape],
+              walk_words: Callable[[int], Iterator[int]],
               trace: list | None = None) -> tuple[WalkState | None, int | None]:
     """Start a walk and recruit its second node.
 
@@ -278,10 +248,10 @@ def init_walk(net: Network, initiator: int, walk_id: int, registry: OverlayRegis
     the walk's broker. Returns (walk, None) for a walk that goes on to step,
     and (None, broker) for a walk born intersected: its path is [initiator]
     when broker is the initiator, else [initiator, broker], and it never
-    draws, so no WalkState or tape is asked for. Either way the trace
+    draws, so no WalkState or words are asked for. Either way the trace
     records the walk as usual, as step 0. A walk that steps gets
-    walk_tape(walk_id) as its tape, path [initiator, v] with head 1, and no
-    marks yet; it reads the tape from its first word.
+    walk_words(walk_id) as its words, which must start at the first word of
+    its stream, path [initiator, v] with head 1, and no marks yet.
     """
     adjacency, owner = net.adjacency, registry.owner
     if not 0 <= initiator < len(adjacency):
@@ -305,7 +275,7 @@ def init_walk(net: Network, initiator: int, walk_id: int, registry: OverlayRegis
                                      cursor=1 if node == initiator else 2, cost=None))
         return None, node
 
-    walk = WalkState(id=walk_id, tape=walk_tape(walk_id), path=[initiator],
+    walk = WalkState(id=walk_id, words=walk_words(walk_id), path=[initiator],
                      parents=[-1, 0], head=1)
     v = _pick(walk, nbrs)
     walk.path.append(v)

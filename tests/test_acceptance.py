@@ -46,9 +46,9 @@ from drw_overlay.walk_engine import (
     CostStrategy,
     INTERSECTED,
     WalkState,
-    WordTape,
     init_walk,
     step,
+    stream_words,
 )
 
 DRW = CostStrategy("drw")
@@ -126,7 +126,7 @@ def test_cost_functions_match_set_oracles():
         for wid, strat in ((0, CostStrategy("weighted")), (1, DRW)):
             start, seed = int(rng.integers(net.n)), int(rng.integers(2**32))
             w, broker = init_walk(net, start, wid, registry,
-                                  lambda _: WordTape(np.random.default_rng(seed)))
+                                  lambda _: stream_words(np.random.default_rng(seed)))
             if w is None:
                 # Walk 1 was born on walk 0's path; only its path is read.
                 w = WalkState(id=wid, path=[start] if broker == start else [start, broker],
@@ -168,7 +168,7 @@ def test_hand_built_graphs_trace_exactly():
 
     net = H.fan_network()
     walk, _ = init_walk(net, H.FAN_X, 0, OverlayRegistry(net.n),
-                        lambda _: WordTape(np.random.default_rng(0)))
+                        lambda _: stream_words(np.random.default_rng(0)))
     walk.marked = mask_of(net, net.neighbors(H.FAN_X))
     pattern = {node: candidate_costs(walk, net, DRW, [node], 0)[0]
                for node in H.FAN_COSTS}

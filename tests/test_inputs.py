@@ -3,6 +3,7 @@ applies the same check, with the same message."""
 
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -62,8 +63,21 @@ def test_every_entry_stores_the_radius_as_a_clamped_float(entry):
 def test_scenario_keeps_its_radius_as_given():
     """A sweep's r feeds every derived seed, and the seed of 1 is not the
     seed of 1.0, so ScenarioConfig checks r but neither clamps nor converts it."""
-    for given in (np.float32(0.5), 1, 1.0, 5):
+    for given in (1, 1.0, 5):
         assert scenario_with(r=given).r is given
+
+
+@pytest.mark.parametrize("fields, message", [
+    (dict(r=np.float32(0.5)), "r must be an int or a float, got np.float32(0.5)"),
+    (dict(r=Fraction(3, 10)), "r must be an int or a float, got Fraction(3, 10)"),
+    (dict(n_values=()), "a scenario needs at least one n"),
+    (dict(strategies=()), "a scenario needs at least one strategy"),
+], ids=["float32-radius", "fraction-radius", "no-n", "no-strategy"])
+def test_scenario_rejects_what_it_cannot_run(fields, message):
+    """No seed label encodes a float32 or a Fraction, and a sweep with no n
+    or no strategy has no cell to run."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        scenario_with(**fields)
 
 
 # Each integer field: (make an object with the field at a value, read the

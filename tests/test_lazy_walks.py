@@ -27,10 +27,10 @@ from drw_overlay.walk_engine import (
     TraceRecord,
     WalkNotActive,
     WalkState,
-    WordTape,
     init_walk,
     parse_strategy,
     step,
+    stream_words,
 )
 
 DRW = CostStrategy("drw")
@@ -84,7 +84,7 @@ def test_born_walk_state(initiator, walk_id, owned, other, path, parents, owner)
     assert walk.parents == parents and walk.head == len(path) - 1
     assert walk.status == INTERSECTED and walk.broker == owned
     assert walk.steps == walk.backtracks == 0
-    assert walk.tape is None and walk.words is None
+    assert walk.words is None
     assert all(a is b for a, b in zip(layer.walks, layer.stepped))
     with pytest.raises(WalkNotActive):
         step(walk, net, reg, DRW)
@@ -97,12 +97,12 @@ def test_walk_that_draws_makes_its_generator_once():
 
     def factory(walk_id):
         made.append(walk_id)
-        return WordTape(stream(4, "walk", walk_id))
+        return stream_words(stream(4, "walk", walk_id))
 
     reg = OverlayRegistry(net.n)
     walk, broker = init_walk(net, 5, 3, reg, factory)
     assert broker is None and len(walk.path) == 2
-    assert made == [3] and walk.tape is not None
+    assert made == [3] and walk.words is not None
     out = step(walk, net, reg, DRW)
     assert made == [3]
     assert not hasattr(walk, "__dict__") and not hasattr(out, "__dict__")
@@ -110,9 +110,9 @@ def test_walk_that_draws_makes_its_generator_once():
 
 def eager_init_walk(seed):
     """Reference init_walk: every walk's stream is made up front, a born walk's too."""
-    def init(net, initiator, walk_id, registry, walk_tape, **kw):
-        tape = WordTape(stream(seed, "walk", walk_id))
-        return init_walk(net, initiator, walk_id, registry, lambda _: tape, **kw)
+    def init(net, initiator, walk_id, registry, walk_words, **kw):
+        words = stream_words(stream(seed, "walk", walk_id))
+        return init_walk(net, initiator, walk_id, registry, lambda _: words, **kw)
     return init
 
 
@@ -144,7 +144,7 @@ def test_streams_only_for_initiators_and_walks_that_drew():
     assert born, "the build should have walks born intersected"
     drew = [("walk", w.id) for w in result.walks if w.id not in born]
     assert labels == [("initiators",)] + drew
-    assert all((w.tape is None) == (w.id in born) for w in result.walks)
+    assert [("walk", w.id) for w in result.stepped] == drew
 
 
 def test_strategies_that_share_a_seed_make_each_stream_once():
@@ -187,7 +187,8 @@ def test_born_walks_are_made_once_on_first_access():
         assert made == drew
         walks = result.walks
     assert len(drew) < net.n and len(made) == net.n
-    assert drew == [w.id for w in walks if w.tape is not None]
+    assert drew == [w.id for w in walks if w.id not in result.born]
+    assert all(w.words is None for w in walks)
     assert walks is result.walks
     assert [w.id for w in walks] == list(range(net.n))
     assert [w.path[0] for w in walks] == list(result.initiators)

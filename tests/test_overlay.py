@@ -49,7 +49,7 @@ def test_registry_membership_and_brokers():
     it its broker and leaves the owner as it is."""
     net = H.crossing_network()
     reg = OverlayRegistry(net.n)
-    walks = SeedDraws(0).tape
+    walks = SeedDraws(0).words
     w1, _ = init_walk(net, 5, 1, reg, walks)
     assert reg.owner == [-1] * 5 + [1, 1, -1]
     assert step(w1, net, reg, DRW) == StepOutcome(EXTENDED) and w1.path[-1] == 7
@@ -156,7 +156,7 @@ def test_driver_returns_the_broker_and_halts_no_one():
     and leaves walk 1 as it stands, for the build to halt."""
     net = H.crossing_network()
     reg = OverlayRegistry(net.n)
-    walks = [init_walk(net, v, wid, reg, SeedDraws(0).tape)[0]
+    walks = [init_walk(net, v, wid, reg, SeedDraws(0).words)[0]
              for wid, v in enumerate(H.CROSS_INITIATORS)]
     assert run_walk_until_stop(walks, net, reg, DRW, default_step_budget(net.n)) == 7
     assert [(w.status, w.broker) for w in walks] == [(INTERSECTED, 7), (ACTIVE, None)]

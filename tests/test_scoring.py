@@ -16,9 +16,9 @@ from drw_overlay.walk_engine import (
     TWO_HOP,
     WEIGHTED,
     CostStrategy,
-    WordTape,
     init_walk,
     step,
+    stream_words,
 )
 
 
@@ -76,7 +76,7 @@ def test_scoring_and_marks_match_set_oracles(n, r, seed, kind, alpha, beta):
     registry.owner[target] = 99
     trace = []
     walk, broker = init_walk(net, initiator, 0, registry,
-                             lambda _: WordTape(np.random.default_rng(seed)),
+                             lambda _: stream_words(np.random.default_rng(seed)),
                              trace=trace)
     if walk is None:
         # Born on target, a neighbour of the initiator: nothing is scored.

@@ -2,6 +2,7 @@
 
 import dataclasses
 from functools import partial
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -36,12 +37,12 @@ from drw_overlay.walk_engine import (
     TraceRecord,
     WalkNotActive,
     WalkState,
-    WordTape,
     _pick,
     default_step_budget,
     init_walk,
     parse_strategy,
     step,
+    stream_words,
 )
 
 DRW = CostStrategy("drw")
@@ -51,8 +52,8 @@ WEIGHTED = CostStrategy("weighted", alpha=2.0, beta=0.5)
 
 
 def seeded(seed):
-    """Tape factory for init_walk: any walk reads np.random.default_rng(seed)'s words."""
-    return lambda walk_id: WordTape(np.random.default_rng(seed))
+    """Words factory for init_walk: any walk reads np.random.default_rng(seed)'s words."""
+    return lambda walk_id: stream_words(np.random.default_rng(seed))
 
 
 def fresh(net, initiator, seed=0, walk_id=0, registry=None, **kw):
@@ -126,7 +127,7 @@ def test_fan_guided_step_picks_unique_minimum():
     net = H.fan_network()
     reg = OverlayRegistry(net.n)
     # steer the uniform first hop onto y (seed probed for this layout)
-    walk, out = init_walk(net, H.FAN_X, 0, reg, SeedDraws(4).tape)
+    walk, out = init_walk(net, H.FAN_X, 0, reg, SeedDraws(4).words)
     assert out is None and walk.path == [H.FAN_X, H.FAN_Y]
     result = step(walk, net, reg, DRW)
     assert result.kind == EXTENDED and walk.path[-1] == H.FAN_SCORED["z"]
@@ -243,7 +244,7 @@ def test_init_walk_steps_like_build_overlay(strategy):
     want = []
     build_overlay(net, cfg, want)
     reg, got = OverlayRegistry(net.n), []
-    walks = [init_walk(net, v, wid, reg, SeedDraws(cfg.seed).tape, trace=got)[0]
+    walks = [init_walk(net, v, wid, reg, SeedDraws(cfg.seed).words, trace=got)[0]
              for wid, v in enumerate(cfg.initiators)]
     assert all(w.marked == w.marked2 == 0 for w in walks)
     while all(w.status == ACTIVE for w in walks):
@@ -546,29 +547,43 @@ def pick_items(k):
     return list(range(100, 100 + k)) if k <= 40 else range(k)
 
 
+def counted_generator(seed, calls):
+    """default_rng(seed) as stream_words reads it, with one item appended
+    to calls per random_raw call."""
+    raw = np.random.default_rng(seed).bit_generator.random_raw
+
+    def counted(size):
+        calls.append(size)
+        return raw(size)
+    return SimpleNamespace(bit_generator=SimpleNamespace(random_raw=counted))
+
+
 @settings(max_examples=300, deadline=None)
 @given(seed=st.integers(0, 2**64 - 1), counts=st.lists(PICK_COUNTS, min_size=1, max_size=80))
 def test_pick_equals_generator_integers(seed, counts):
     """A walk's picks are default_rng(seed).integers(k)'s values, draw for
-    draw; a one-item pick takes no word. A second walk over the same tape
-    replays the chunks the first one drew and picks the same values."""
-    tape = WordTape(np.random.default_rng(seed))
-    first, replay = WalkState(id=0, tape=tape), WalkState(id=1, tape=tape)
+    draw; a one-item pick takes no word, so picks from one item alone draw
+    nothing. A second walk given the same walk id's words by SeedDraws
+    replays what the first one drew: the same picks, and no raw draw."""
+    calls, draws = [], SeedDraws(seed)
+    with mock.patch.object(overlay, "stream", lambda *parts: counted_generator(seed, calls)):
+        first = WalkState(id=0, words=draws.words(0))
+        replay = WalkState(id=1, words=draws.words(0))
     ref = np.random.default_rng(seed)
     picks = []
     for i, k in enumerate(counts):
         items = pick_items(k)
         picks.append(_pick(first, items))
         assert picks[-1] == items[int(ref.integers(k))], (i, k)
-        assert (first.words is None) == all(c == 1 for c in counts[:i + 1])
-    drawn = [chunk.copy() for chunk in tape.chunks]
+        assert (not calls) == all(c == 1 for c in counts[:i + 1])
+    drawn = len(calls)
     assert [_pick(replay, pick_items(k)) for k in counts] == picks
-    assert tape.chunks == drawn and replay.chunk == first.chunk == len(drawn)
+    assert len(calls) == drawn
 
 
 def numpy_picker(seed):
     """The draw as one Generator.integers call per pick, from a fresh
-    stream(seed, "walk", id) per walk id, made here, not from any tape."""
+    stream(seed, "walk", id) per walk id, made here, not from the seed cache."""
     gens = {}
 
     def pick(walk, items):
@@ -595,7 +610,7 @@ def build_outcome(net, cfg):
 def assert_same_build(net, cfg):
     """The real build from a cleared seed cache, then the reference build
     drawn by numpy_picker, then the real build again right after it, which
-    replays the seed's cached initiators and tapes: all three agree."""
+    replays the seed's cached initiators and words: all three agree."""
     overlay.seed_draws.cache_clear()
     cold = build_outcome(net, cfg)
     with mock.patch.object(walk_engine, "_pick", numpy_picker(cfg.seed)):
