@@ -97,9 +97,11 @@ class Network:
     Row v of the graph is ``indices[indptr[v]:indptr[v + 1]]`` (both int32),
     sorted ascending. Every other form of the graph is a view derived from
     these two arrays (and the positions, for the bit order) on first use.
-    Instances are safe to share across workers; nothing mutates them after
-    construction. `attempts` records how many placements the generator
-    tried (1 for hand-built networks).
+    The fields never change after construction. One view, ``two_rings``,
+    is a memo that weighted walks fill one node at a time; an entry, once
+    made, never changes, so instances are still safe to share across
+    workers. `attempts` records how many placements the generator tried (1
+    for hand-built networks).
     """
 
     positions: np.ndarray
@@ -155,9 +157,10 @@ class Network:
         bit would sit near n; at y ranks it sits near v's own rank, and an
         AND and popcount walk about half as many digits. Counts do not
         depend on the labels: the overlap of two neighbourhoods is still
-        ``(bits[a] & bits[b]).bit_count()``. Rows are packed from dense
-        bool blocks of at most _BITS_ROWS rows, so the n x n matrix is
-        never held whole.
+        ``(bits[a] & bits[b]).bit_count()``, and shifting the AND down by
+        ``low_rank[a]`` first drops only zero bits. Rows are packed from
+        dense bool blocks of at most _BITS_ROWS rows, so the n x n matrix
+        is never held whole.
         """
         n, indptr, indices, rank = self.n, self.indptr, self.indices, self.bit_rank
         bits: list[int] = []
@@ -169,6 +172,35 @@ class Network:
             packed = np.packbits(block, axis=1, bitorder="little")
             bits.extend(int.from_bytes(row, "little") for row in packed)
         return bits
+
+    @cached_property
+    def low_rank(self) -> list[int]:
+        """Each row's lowest set bit in ``neighbor_bits``, built on first use:
+        the least ``bit_rank`` over N(v), or 0 for an empty row.
+
+        A popcount walks every digit of its int, the zero ones too. No bit
+        of ``bits[v] & x`` lies below ``low_rank[v]``, so a score shifts
+        the AND down by it and counts the same bits in a short int.
+        """
+        low = np.zeros(self.n, dtype=np.intp)
+        # reduceat gives an empty segment the element at its start, so
+        # empty rows are left out of the starts.
+        full = np.flatnonzero(np.diff(self.indptr))
+        low[full] = np.minimum.reduceat(self.bit_rank[self.indices], self.indptr[full])
+        return low.tolist()
+
+    @cached_property
+    def two_rings(self) -> list[tuple[int, int] | None]:
+        """A memo of each node's two-hop ring, filled one node at a time.
+
+        Entry v is None until ``walk_engine._mark_two_rings`` first marks v,
+        which sets it to ``(ring >> low, low)``, where ring is the OR of
+        ``neighbor_bits[u]`` over u in N(v) and low its lowest set bit (0
+        for an isolated v). The ring is stored shifted down, so no entry
+        holds the zero digits below it. A one-off build fills only the
+        entries its weighted walks mark.
+        """
+        return [None] * self.n
 
     def neighbors(self, v: int) -> list[int]:
         """Sorted neighbor ids of v. Raises UnknownNode for ids outside the graph."""

@@ -22,7 +22,8 @@ def _encode(part) -> str:
     if isinstance(part, (int, np.integer)):
         return f"i:{int(part)}"
     if isinstance(part, float):
-        return f"f:{part!r}"
+        # float() first: numpy 2 writes np.float64(0.3) as "np.float64(0.3)".
+        return f"f:{float(part)!r}"
     if isinstance(part, str):
         return f"s:{part}"
     raise TypeError(f"unsupported seed label type: {type(part)!r}")

@@ -206,13 +206,23 @@ def _score_masks(walk: WalkState, net: Network, strategy: CostStrategy, src_inde
 def _mark_two_rings(walk: WalkState, net: Network, node: int) -> None:
     """The weighted marking: OR N(node) into marked and N(u) into marked2
     for each u in N(node), which keeps marked2 = union of N(u) over marked
-    u. An already marked u adds nothing to marked2, so none is skipped."""
-    bits = net.neighbor_bits
-    marked2 = walk.marked2
-    for u in net.adjacency[node]:
-        marked2 |= bits[u]
-    walk.marked2 = marked2
-    walk.marked |= bits[node]
+    u. An already marked u adds nothing to marked2, so none is skipped.
+
+    The OR over N(node), the node's two-hop ring, is made the first time
+    any walk on net marks node and kept in ``net.two_rings``, shifted down
+    by its lowest bit; every later mark of node is one shift and one OR.
+    """
+    rings = net.two_rings
+    entry = rings[node]
+    if entry is None:
+        bits, ring = net.neighbor_bits, 0
+        for u in net.adjacency[node]:
+            ring |= bits[u]
+        low = max((ring & -ring).bit_length() - 1, 0)
+        entry = rings[node] = (ring >> low, low)
+    ring, low = entry
+    walk.marked2 |= ring << low
+    walk.marked |= net.neighbor_bits[node]
 
 
 def _pick(walk: WalkState, items: list[int]) -> int:
@@ -295,7 +305,10 @@ def step(walk: WalkState, net: Network, registry: OverlayRegistry,
     and draws a candidate uniformly. A guided step from the newest node,
     path[-1], first marks the neighborhood of the node behind it (drw and
     weighted only), then scores each candidate as it reads its owner and
-    keeps the ties at the lowest cost for the walk's stream to break. With no
+    keeps the ties at the lowest cost for the walk's stream to break. A
+    score shifts the AND of the candidate's row and a mask down by the
+    row's lowest bit (``Network.low_rank``) before counting it, so the
+    popcount reads a short int; the count is the plain AND's. With no
     candidate the step moves walk.head back one path index, and the next
     call resumes there without marking; at head 0 it exhausts the walk. A
     step onto another walk's node takes it, leaves its owner as it is, makes
@@ -323,14 +336,15 @@ def step(walk: WalkState, net: Network, registry: OverlayRegistry,
                 walk.marked |= net.neighbor_bits[path[head - 1]]
             elif kind == WEIGHTED:
                 _mark_two_rings(walk, net, path[head - 1])
-        bits, (first, second) = net.neighbor_bits, _score_masks(walk, net, strategy, head)
+        bits, low = net.neighbor_bits, net.low_rank
+        first, second = _score_masks(walk, net, strategy, head)
         alpha, beta, best = strategy.alpha, strategy.beta, math.inf
         for v in net.adjacency[path[head]]:
             o = owner[v]
             if o < 0:
-                c = (bits[v] & first).bit_count()
+                c = ((bits[v] & first) >> low[v]).bit_count()
                 if second is not None:
-                    c = alpha * c + beta * (bits[v] & second).bit_count()
+                    c = alpha * c + beta * ((bits[v] & second) >> low[v]).bit_count()
                 if c < best:
                     best, ties = c, [v]
                 elif c == best:

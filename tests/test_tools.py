@@ -32,3 +32,21 @@ def test_step_cost_counts_repeat_exactly():
         assert set(cells) == {"drw", "prw", "twohop", "weighted"}
         assert all(isinstance(c, int) and c > 0 for c in cells.values())
         assert all(t > 0 for t in first["us_per_step"][n].values())
+
+
+def test_step_cost_against_a_tree_times_both_on_equal_steps():
+    """--against loads another checkout's package beside this one; run
+    against this tree itself, both must take the same steps. Timings are
+    only checked to be there, never compared."""
+    proc = subprocess.run([sys.executable, "tools/step_cost.py", "--n", "100", "150",
+                           "--r", "0.2", "--seed", "3", "--against", str(ROOT)],
+                          cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-4000:]
+    report = json.loads(proc.stdout)
+    assert {"steps", "us_per_step", "against", "against_us_per_step", "ratio"} <= set(report)
+    assert report["against"] == str(ROOT)
+    for key in ("steps", "us_per_step", "against_us_per_step", "ratio"):
+        assert set(report[key]) == {"100", "150"}
+        for cells in report[key].values():
+            assert set(cells) == {"drw", "prw", "twohop", "weighted"}
+            assert all(c > 0 for c in cells.values())
