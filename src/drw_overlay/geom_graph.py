@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from numbers import Integral, Real
 
@@ -90,18 +90,14 @@ class GraphGenConfig:
         self.seed = check_int(self.seed, "seed")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Network:
     """Immutable unit disk graph: positions, radius and a CSR adjacency.
 
-    Row v of the graph is ``indices[indptr[v]:indptr[v + 1]]`` (both int32),
-    sorted ascending. Every other form of the graph is a view derived from
-    these two arrays (and the positions, for the bit order) on first use.
-    The fields never change after construction. One view, ``two_rings``,
-    is a memo that weighted walks fill one node at a time; an entry, once
-    made, never changes, so instances are still safe to share across
-    workers. `attempts` records how many placements the generator tried (1
-    for hand-built networks).
+    Row v is ``indices[indptr[v]:indptr[v + 1]]`` (both int32), sorted
+    ascending; the properties below are views of it, built on first use.
+    `attempts` records how many placements the generator tried (1 for
+    hand-built networks). Networks compare and hash by identity.
     """
 
     positions: np.ndarray
@@ -109,7 +105,7 @@ class Network:
     indices: np.ndarray
     radius: float
     seed: int = 0
-    attempts: int = field(default=1, compare=False)
+    attempts: int = 1
 
     @property
     def n(self) -> int:
@@ -126,42 +122,24 @@ class Network:
 
     @cached_property
     def adjacency(self) -> list[list[int]]:
-        """The rows as Python lists, built on first use.
-
-        The step loop scans a head's candidates in a list, which is faster
-        than slicing the CSR arrays on every step. Every row refers to one
-        shared int object per node id rather than a fresh int per entry.
-        """
+        """The rows as Python lists, one shared int object per node id."""
         flat = np.array(range(self.n), dtype=object)[self.indices].tolist()
         bounds = self.indptr.tolist()
         return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
 
     @cached_property
     def bit_rank(self) -> np.ndarray:
-        """Each node's rank by y coordinate, ties in id order, built on first use.
-
-        Node u stands for bit ``bit_rank[u]`` in ``neighbor_bits`` and in a
-        walk's marks. Neighbours lie within r of each other in y, so their
-        ranks, and the bits of one neighbourhood, sit close together.
-        """
+        """Each node's rank by y coordinate, ties in id order: node u stands
+        for bit ``bit_rank[u]`` in ``neighbor_bits`` and in a walk's marks."""
         rank = np.empty(self.n, dtype=np.intp)
         rank[np.argsort(self.positions[:, 1], kind="stable")] = np.arange(self.n)
         return rank
 
     @cached_property
     def neighbor_bits(self) -> list[int]:
-        """Each N(v) as a Python int bitset, built on first use.
-
-        Bit ``bit_rank[u]`` of entry v is set iff u is a neighbour of v.
-        Ids are random in space, so with bits at ids nearly every row's top
-        bit would sit near n; at y ranks it sits near v's own rank, and an
-        AND and popcount walk about half as many digits. Counts do not
-        depend on the labels: the overlap of two neighbourhoods is still
-        ``(bits[a] & bits[b]).bit_count()``, and shifting the AND down by
-        ``low_rank[a]`` first drops only zero bits. Rows are packed from
-        dense bool blocks of at most _BITS_ROWS rows, so the n x n matrix
-        is never held whole.
-        """
+        """Each N(v) as a Python int bitset: bit ``bit_rank[u]`` of entry v
+        is set iff u is a neighbour of v. Rows are packed _BITS_ROWS at a
+        time, so the n x n matrix is never held whole."""
         n, indptr, indices, rank = self.n, self.indptr, self.indices, self.bit_rank
         bits: list[int] = []
         for lo in range(0, n, _BITS_ROWS):
@@ -175,13 +153,8 @@ class Network:
 
     @cached_property
     def low_rank(self) -> list[int]:
-        """Each row's lowest set bit in ``neighbor_bits``, built on first use:
-        the least ``bit_rank`` over N(v), or 0 for an empty row.
-
-        A popcount walks every digit of its int, the zero ones too. No bit
-        of ``bits[v] & x`` lies below ``low_rank[v]``, so a score shifts
-        the AND down by it and counts the same bits in a short int.
-        """
+        """Each row's lowest set bit in ``neighbor_bits``: the least
+        ``bit_rank`` over N(v), or 0 for an empty row."""
         low = np.zeros(self.n, dtype=np.intp)
         # reduceat gives an empty segment the element at its start, so
         # empty rows are left out of the starts.
@@ -191,15 +164,11 @@ class Network:
 
     @cached_property
     def two_rings(self) -> list[tuple[int, int] | None]:
-        """A memo of each node's two-hop ring, filled one node at a time.
-
-        Entry v is None until ``walk_engine._mark_two_rings`` first marks v,
-        which sets it to ``(ring >> low, low)``, where ring is the OR of
-        ``neighbor_bits[u]`` over u in N(v) and low its lowest set bit (0
-        for an isolated v). The ring is stored shifted down, so no entry
-        holds the zero digits below it. A one-off build fills only the
-        entries its weighted walks mark.
-        """
+        """A memo of each node's two-hop ring: entry v is None until
+        ``walk_engine._mark_two_rings`` first marks v, then ``(ring >> low,
+        low)``, where ring is the OR of ``neighbor_bits[u]`` over u in N(v)
+        and low its lowest set bit (0 for an isolated v). An entry, once
+        made, never changes."""
         return [None] * self.n
 
     def neighbors(self, v: int) -> list[int]:

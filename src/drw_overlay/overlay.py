@@ -1,21 +1,6 @@
 """Overlay construction: intersecting walks into one connected layer.
 
-build_overlay is the one place where walks start, halt and join. It starts
-the walks in id order. A walk that steps goes onto a waiting list; walk 0
-waits there for its partner. Every later walk that steps runs with what is
-waiting, so the first two walks form one group and every later walk runs
-alone: the driver, run_walk_until_stop, steps the group in turn until one
-walk lands on a node of another and returns that node, the broker. Every
-other walk of the group still active then halts there, where it stands; a
-walk born intersected halts what is waiting at its broker in the same way.
-The union of all recruited nodes forms the active path of the layer.
-
-Each halted walk joins the layer at once, in id order, and must end on a
-broker the layer already holds (walk 0's path seeds it), so the join order
-itself proves the layer connected: every traced edge is (path[i],
-path[parents[i]]) or (initiator, broker). The build checks exactly that
-as each walk joins, and keeps no edge set: the traced edges are derived
-from the walk records only when asked for.
+The walk schedule and the join rule are set out in README.md.
 """
 
 from __future__ import annotations
@@ -26,6 +11,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import cycle, tee
 from operator import lt
+from threading import get_ident
 
 from .geom_graph import Network, check_int
 from .rng import stream
@@ -87,16 +73,12 @@ class OverlayBuildConfig:
 
 @dataclass
 class OverlayResult:
-    """Finished layer: every walk Intersected, active path connected.
+    """Finished layer: every walk intersected, active path connected.
 
     stepped holds the walks that stepped, in id order; born maps the id of
-    each walk born intersected to its broker. Most walks of a large build
-    are born, and their paths, parents and status follow from the initiator
-    and the broker, so they are kept as this one dict of ints. active_path
-    is the union of all the paths. The build checked each walk as it
-    joined the layer (see ``_join``), so the brokers and the traced edges,
-    which no build step reads, are derived from the walk records on first
-    access, like the walks.
+    each walk born intersected to its broker; active_path is the union of
+    all the paths. walks, brokers and active_path_edges are derived from
+    these on first access.
     """
 
     stepped: list[WalkState]
@@ -159,13 +141,9 @@ def select_initiators(net: Network, count: int, rng) -> tuple[int, ...]:
 
 
 class SeedDraws:
-    """What one build seed draws, made on first use and kept for the next
-    build with that seed: the initiators per (n, count) and, per walk id,
-    a ``tee`` of its stream's words that is never read itself. Each walk
-    reads a copy of it from the first word; the copies share one buffer,
-    so word j is drawn once and every reader gets it as its j-th word.
-    Builds that share a seed draw the same initiators and read the same
-    words, so each stream is made once."""
+    """What one build seed draws, each made on first use: the initiators
+    per (n, count), and per walk id a ``tee`` of its stream's words, of
+    which ``words`` returns a new copy that starts at the first word."""
 
     __slots__ = ("seed", "initiators", "streams")
 
@@ -191,10 +169,9 @@ class SeedDraws:
 
 
 @lru_cache(maxsize=1)
-def seed_draws(seed: int) -> SeedDraws:
-    """The draws of the last build seed used. A sweep gives every strategy
-    of a cell one build seed and builds them in turn, so one seed at a time
-    is enough, and memory stays bounded by one seed's words."""
+def seed_draws(seed: int, thread: int) -> SeedDraws:
+    """The draws of the last build seed used, keyed by the caller's
+    ``threading.get_ident()`` so that no two threads read one tee."""
     return SeedDraws(seed)
 
 
@@ -218,18 +195,12 @@ def build_overlay(net: Network, cfg: OverlayBuildConfig,
                   trace: list | None = None) -> OverlayResult:
     """Run the full construction and return the finished layer.
 
-    The initiators (unless cfg gives them) and the walks' words come from
-    ``seed_draws(cfg.seed)``: the first build with a seed makes its
-    streams, and the next build with the same seed replays them, which
-    gives the same bytes as fresh streams. A walk drops its words when it
-    halts, so the finished layer holds no generator state.
-
     Raises BuildFailed if any walk exhausts or exceeds the step budget, or
     if a walk's record fails the join check (see ``_join``),
     TooManyInitiators if the network is smaller than initiator_count, and
     UnknownNode (from ``init_walk``) for an explicit initiator outside it.
     """
-    draws = seed_draws(cfg.seed)
+    draws = seed_draws(cfg.seed, get_ident())
     initiators = cfg.initiators or draws.initiators_for(net, cfg.initiator_count)
     budget = cfg.step_budget if cfg.step_budget is not None else default_step_budget(net.n)
 
@@ -269,13 +240,9 @@ def build_overlay(net: Network, cfg: OverlayBuildConfig,
 
 
 def _join(walk: WalkState, active: set[int]) -> None:
-    """Add a halted walk's path to the layer once its record passes.
-
-    Its parents must form a tree over its path (parents[0] == -1 and
-    0 <= parents[i] < i), and its broker must lie on that path and, unless
-    the walk is walk 0, whose path seeds the layer, on the layer already.
-    Raises BuildFailed naming the walk and the first rule it breaks.
-    """
+    """Add a halted walk's path to the layer once its record passes the
+    join check. Raises BuildFailed naming the walk and the first rule it
+    breaks."""
     path, parents, broker = walk.path, walk.parents, walk.broker
     n, later = len(path), parents[1:]
     # 0 <= parents[i] < i for every i > 0, compared item by item.

@@ -1,21 +1,6 @@
-"""Single-walker engine: tabu growth, neighborhood marking, guided extension.
-
-A walk recruits nodes one at a time starting from its initiator. Guided
-("directional") walks mark the neighborhoods of nodes behind the head and
-extend to a candidate with minimum overlap against the marked region, which
-pushes the walk away from where it has already been. Pure walks pick
-uniformly. Either way a candidate already recruited by another walk is taken
-immediately and becomes a broker, terminating the walk.
-
-Candidates are the head's neighbors that no walk owns yet (self-avoidance);
-a guided walk scores each one in the same pass that reads its owner (see
-``_score_masks``). With no candidate the head retreats one recruited node
-per step; retreating past the initiator exhausts the walk.
-
-Cost bookkeeping follows the marking discipline in which, on each normal
-extension step, the neighborhood of the node *behind* the head is folded
-into the marked set before candidates are scored. The head's own
-neighborhood is therefore never counted against its candidates.
+"""Single-walker engine: marking, cost strategies, backtracking, and the
+registry of which walk owns each node. The walk rules are set out in
+README.md.
 """
 
 from __future__ import annotations
@@ -58,16 +43,9 @@ def default_step_budget(n: int) -> int:
 
 
 class OverlayRegistry:
-    """Which walk recruited each node: all a build keeps while walks step.
-
-    owner[v] is the id of the first walk that took v, or -1, and is never
-    rewritten. A build only asks whether a node is unowned, the stepping
-    walk's own or another walk's, and one id per node answers that: a walk
-    ends where it meets another, so an active walk is the only owner of its
-    own nodes. Where a walk met another is its record's broker, so the
-    registry keeps no broker set. owner is a list because step reads single
-    items, which a list serves faster than numpy.
-    """
+    """Which walk recruited each node: owner[v] is the id of the first walk
+    that took v, or -1, and is never rewritten. A list, because step reads
+    single items, which a list serves faster than numpy."""
 
     def __init__(self, n: int):
         self.owner: list[int] = [-1] * n
@@ -119,9 +97,7 @@ def parse_strategy(token: str, alpha: float = 1.0, beta: float = 1.0) -> CostStr
 
 @dataclass(frozen=True, slots=True)
 class StepOutcome:
-    """What a step() call did. step returns one of the four shared values
-    below, one per kind, and never makes one; the node a step took is the
-    walk's path[-1].
+    """What a step() call did: one of the four shared values below.
 
     kind EXTENDED    : node appended, walk still active
     kind INTERSECTED : node appended, it already belonged to another walk,
@@ -162,22 +138,12 @@ class WalkState:
     """One walker. path is in recruitment order and never shrinks.
 
     parents[i] is the path index the i-th node was recruited from (-1 for
-    the initiator), so the traced edges stay well defined even after
-    backtracking. head is the path index the next step extends from:
+    the initiator). head is the path index the next step extends from:
     len(path) - 1, except midway through a retreat, when it lies further
-    back.
-
-    words yields the 32-bit words of the walk's stream (see
-    ``stream_words``) from the first one the walk has not drawn; the build
-    sets it to None when the walk halts. marked and marked2 are node
-    bitsets in the form of ``Network.neighbor_bits``: bit
-    ``net.bit_rank[u]`` is set iff u is marked, and both are 0 while
-    nothing is marked. step keeps them as its strategy asks: drw and
-    weighted mark, weighted also keeps marked2. Slots, not a __dict__,
-    hold the fields. A walk born intersected is no WalkState while its
-    layer is built (see ``init_walk``); ``OverlayResult.walks`` makes one
-    for it on first access, with words None, which leaves three containers
-    for the cyclic collector to track: itself, path and parents.
+    back. words yields the 32-bit words of the walk's stream (see
+    ``stream_words``) from the first one the walk has not drawn, and is
+    None once the walk halts. marked and marked2 are node bitsets in the
+    form of ``Network.neighbor_bits``, 0 while nothing is marked.
     """
 
     id: int
@@ -204,14 +170,9 @@ def _score_masks(walk: WalkState, net: Network, strategy: CostStrategy, src_inde
 
 
 def _mark_two_rings(walk: WalkState, net: Network, node: int) -> None:
-    """The weighted marking: OR N(node) into marked and N(u) into marked2
-    for each u in N(node), which keeps marked2 = union of N(u) over marked
-    u. An already marked u adds nothing to marked2, so none is skipped.
-
-    The OR over N(node), the node's two-hop ring, is made the first time
-    any walk on net marks node and kept in ``net.two_rings``, shifted down
-    by its lowest bit; every later mark of node is one shift and one OR.
-    """
+    """The weighted marking: OR N(node) into marked and the node's two-hop
+    ring, memoised in ``net.two_rings``, into marked2, which keeps marked2
+    the union of N(u) over marked u."""
     rings = net.two_rings
     entry = rings[node]
     if entry is None:
@@ -226,15 +187,9 @@ def _mark_two_rings(walk: WalkState, net: Network, node: int) -> None:
 
 
 def _pick(walk: WalkState, items: list[int]) -> int:
-    """Uniform draw from items with the walk's stream.
-
-    Returns ``items[gen.integers(len(items))]`` value for value, where gen
-    is a fresh generator of the walk's stream, without a numpy call per
-    draw. numpy draws an integer below k < 2**32 by Lemire's
-    multiply-and-reject method (arXiv:1805.10941) over 32-bit words, the
-    low then the high half of each raw 64-bit output, and draws nothing for
-    k == 1. This does the same over the walk's words.
-    """
+    """``items[gen.integers(len(items))]`` value for value, where gen is a
+    fresh generator of the walk's stream, drawn from the walk's words;
+    one item draws nothing."""
     k = len(items)
     if k == 1:
         return items[0]
@@ -248,20 +203,16 @@ def _pick(walk: WalkState, items: list[int]) -> int:
 def init_walk(net: Network, initiator: int, walk_id: int, registry: OverlayRegistry,
               walk_words: Callable[[int], Iterator[int]],
               trace: list | None = None) -> tuple[WalkState | None, int | None]:
-    """Start a walk and recruit its second node.
+    """Start walk walk_id at initiator and recruit its second node.
 
-    The second node is drawn uniformly from the initiator's neighbors. Two
-    shortcuts apply first: if the initiator already belongs to another walk
-    the new walk is born intersected at the initiator itself, and if some
-    neighbor already belongs to another walk the walk takes the first such
-    neighbor in id order. Either way that node keeps its owner and becomes
-    the walk's broker. Returns (walk, None) for a walk that goes on to step,
-    and (None, broker) for a walk born intersected: its path is [initiator]
-    when broker is the initiator, else [initiator, broker], and it never
-    draws, so no WalkState or words are asked for. Either way the trace
-    records the walk as usual, as step 0. A walk that steps gets
-    walk_words(walk_id) as its words, which must start at the first word of
-    its stream, path [initiator, v] with head 1, and no marks yet.
+    Returns (walk, None) for a walk that goes on to step: path
+    [initiator, v] with head 1, no marks, and walk_words(walk_id) as its
+    words, which must start at the first word of its stream. Returns
+    (None, broker) for a walk born intersected, whose path is [initiator]
+    when broker is the initiator, else [initiator, broker]; it draws
+    nothing, and walk_words is not called. Either way the trace records
+    the walk as step 0. Raises UnknownNode for an initiator outside the
+    network and IsolatedInitiator for one with no neighbors.
     """
     adjacency, owner = net.adjacency, registry.owner
     if not 0 <= initiator < len(adjacency):
@@ -297,24 +248,10 @@ def init_walk(net: Network, initiator: int, walk_id: int, registry: OverlayRegis
 
 def step(walk: WalkState, net: Network, registry: OverlayRegistry,
          strategy: CostStrategy, trace: list | None = None) -> StepOutcome:
-    """Advance the walk by one transition and report what happened.
-
-    One pass reads the owners of the head's neighbors in id order: the
-    first neighbor another walk owns wins outright, and the unowned ones
-    are the candidates. A prw step takes its branch first, reads no marks
-    and draws a candidate uniformly. A guided step from the newest node,
-    path[-1], first marks the neighborhood of the node behind it (drw and
-    weighted only), then scores each candidate as it reads its owner and
-    keeps the ties at the lowest cost for the walk's stream to break. A
-    score shifts the AND of the candidate's row and a mask down by the
-    row's lowest bit (``Network.low_rank``) before counting it, so the
-    popcount reads a short int; the count is the plain AND's. With no
-    candidate the step moves walk.head back one path index, and the next
-    call resumes there without marking; at head 0 it exhausts the walk. A
-    step onto another walk's node takes it, leaves its owner as it is, makes
-    it the walk's broker and ends the walk INTERSECTED. A walk keeps one
-    strategy. The outcome is the shared StepOutcome of its kind; a step that
-    extends or meets took the walk's new path[-1].
+    """Advance the walk by one transition and return the shared
+    StepOutcome of its kind; a step that extends or meets took the walk's
+    new path[-1]. Every step of a walk must be given the same strategy.
+    Raises WalkNotActive for a walk that has already ended.
     """
     if walk.status != ACTIVE:
         raise WalkNotActive(f"walk {walk.id} is {walk.status}")

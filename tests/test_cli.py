@@ -44,7 +44,8 @@ def mask_wall_time(text: str) -> str:
 
 def test_cli_import_leaves_scipy_out():
     """Every command starts by importing the CLI; scipy alone would add
-    about 0.3 s to that, so the package must not pull it in. The process
+    about 0.3 s to that, so the package must not pull it in, as
+    pyproject.toml lists numpy as its one dependency. The process
     pool's modules load only when a sweep runs with --jobs above 1."""
     code = ("import sys, drw_overlay.cli; print(sorted(m for m in sys.modules "
             "if m.split('.')[0] in ('scipy', 'concurrent', 'multiprocessing')))")

@@ -2,6 +2,8 @@
 seed and replayed by the next build with it; the ownership record."""
 
 import pickle
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import pytest
@@ -172,6 +174,25 @@ def test_strategies_that_share_a_seed_make_each_stream_once():
     assert shared == [(3, "initiators")] + [(3, "walk", wid) for wid in drew]
     assert made == [(3, "initiators")] + [(3, "walk", w.id) for w in again.stepped]
     assert to_json_dict(again) == to_json_dict(results[0])
+
+
+def test_threads_that_build_with_one_seed_give_the_serial_layers():
+    """Builds on a thread pool, switching threads every microsecond so that
+    they interleave mid-build, raise nothing and give the serial layers:
+    no thread reads a tee of another thread's seed draws."""
+    net = generate_network(GraphGenConfig(n=300, r=0.1, seed=7))
+    cfgs = [OverlayBuildConfig(10, parse_strategy(kind), seed=seed)
+            for seed in range(8) for kind in STRATEGY_KINDS]
+    serial = [to_json_dict(build_overlay(net, cfg)) for cfg in cfgs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            futures = [pool.submit(build_overlay, net, cfg) for _ in range(5) for cfg in cfgs]
+            threaded = [to_json_dict(f.result(timeout=120)) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial * 5
 
 
 def test_born_walks_are_made_once_on_first_access():

@@ -98,6 +98,16 @@ def assert_pickles(net):
     assert (back.low_rank, back.neighbor_bits) == (net.low_rank, net.neighbor_bits)
 
 
+def test_networks_compare_and_hash_by_identity():
+    """A network's fields are numpy arrays, whose == gives no single truth
+    value; a pickled copy compares unequal without raising, and a network
+    can be a set member or a dict key."""
+    net = HAND_NETS[0]
+    back = pickle.loads(pickle.dumps(net))
+    assert net == net and back != net
+    assert len({net, back, net}) == 2
+
+
 def check_views(net, masks, seeds):
     assert_low_rank(net)
     assert_shift_keeps_counts(net, masks)

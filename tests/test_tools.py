@@ -2,6 +2,8 @@
 
 `tools/step_cost.py` times walk steps by strategy and n; its step counts
 are exact, so two runs with one seed must agree on them.
+`tools/src_lines.py` splits the package's lines into code, docstring and
+other lines.
 """
 
 import json
@@ -50,3 +52,38 @@ def test_step_cost_against_a_tree_times_both_on_equal_steps():
         for cells in report[key].values():
             assert set(cells) == {"drw", "prw", "twohop", "weighted"}
             assert all(c > 0 for c in cells.values())
+
+
+def src_lines(root):
+    proc = subprocess.run([sys.executable, "tools/src_lines.py", str(root)],
+                          cwd=ROOT, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr[-4000:]
+    return json.loads(proc.stdout)
+
+
+def test_src_lines_splits_every_module_of_the_package():
+    report = src_lines(ROOT / "src")
+    modules, total = report["modules"], report["total"]
+    assert "drw_overlay/overlay.py" in modules
+    for name, split in modules.items():
+        lines = len((ROOT / "src" / name).read_text(encoding="utf-8").splitlines())
+        assert split["lines"] == lines
+        assert split["code"] + split["docstring"] + split["other"] == lines
+        assert min(split.values()) >= 0
+    for key in ("code", "docstring", "other", "lines"):
+        assert total[key] == sum(split[key] for split in modules.values())
+
+
+def test_src_lines_counts_a_known_module(tmp_path):
+    (tmp_path / "m.py").write_text(
+        '"""Module\ndocstring."""\n'
+        "\n"
+        "# a comment\n"
+        "x = (1,\n"
+        "     2)  # trailing\n"
+        "def f():\n"
+        '    """One line."""\n'
+        '    return """not a\n'
+        'docstring"""\n', encoding="utf-8")
+    assert src_lines(tmp_path)["modules"]["m.py"] == {
+        "code": 5, "docstring": 3, "other": 2, "lines": 10}

@@ -15,8 +15,9 @@ The networks are reused by every repeat, so the two-hop rings weighted
 builds keep on them (``Network.two_rings``) are warm after the first.
 
 No build shares its seed with the build before it, so none replays the
-initiators or walk words that ``overlay.seed_draws`` keeps for the last
-seed: the tool times the cold path, where every build makes its streams.
+initiators or walk words that ``overlay.seed_draws`` keeps, per thread,
+for the last seed: the tool times the cold path, where every build makes
+its streams.
 It is the one caller that never hits that cache.
 
 With --against DIR, the package under DIR/src is loaded as a second module
