@@ -69,10 +69,18 @@ def check_int(value, name: str, low: int | None = None) -> int:
 
 def check_radius(r) -> float:
     """r as a float clamped to sqrt 2, the unit-square diagonal. Raises
-    ValueError unless r is a finite real number > 0 and not a bool."""
-    if isinstance(r, bool) or not isinstance(r, Real) or not 0 < r < math.inf:
+    ValueError unless r is a real number, not a bool, whose float is finite
+    and > 0: an r too large for a float counts as not finite, and one whose
+    float rounds to 0.0 as not > 0."""
+    value = math.nan
+    if isinstance(r, Real) and not isinstance(r, bool):
+        try:
+            value = float(r)
+        except OverflowError:
+            value = math.inf
+    if not 0 < value < math.inf:
         raise ValueError(f"r must be a finite number > 0, got {r!r}")
-    return min(float(r), MAX_RADIUS)
+    return min(value, MAX_RADIUS)
 
 
 @dataclass

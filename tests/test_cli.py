@@ -336,6 +336,7 @@ def build_from_json(tmp_path, capsys, data, *extra):
     path_json(seed=True),
     path_json(r="0.06"),
     path_json(r=math.inf, edges=[[u, v] for u in range(4) for v in range(u + 1, 4)]),
+    path_json(r=10**400, edges=[[u, v] for u in range(4) for v in range(u + 1, 4)]),
     path_json(positions=[[str(x), str(y)] for x, y in PATH_POSITIONS]),
     path_json(edges=5),
     path_json(edges=[["0", "1"], ["1", "2"], ["2", "3"]]),
@@ -343,8 +344,9 @@ def build_from_json(tmp_path, capsys, data, *extra):
     path_json(edges=[[0, True], [True, 2], [2, 3]]),
     path_json(positions=[[x, True] for x, _ in PATH_POSITIONS]),  # the path moved to y=1
 ], ids=["missing-seed", "duplicate-edge", "self-loop", "edge-too-long", "edge-missing",
-        "n-float", "seed-float", "seed-bool", "r-string", "r-infinite", "positions-strings",
-        "edges-not-a-list", "edges-strings", "edges-floats", "edges-bool", "positions-bool"])
+        "n-float", "seed-float", "seed-bool", "r-string", "r-infinite", "r-overflow",
+        "positions-strings", "edges-not-a-list", "edges-strings", "edges-floats", "edges-bool",
+        "positions-bool"])
 def test_build_malformed_net_exit_2(tmp_path, capsys, data):
     code, _, err = build_from_json(tmp_path, capsys, data)
     assert code == 2

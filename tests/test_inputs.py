@@ -42,12 +42,16 @@ CLAMPING_ENTRIES = {
 RADIUS_ENTRIES = {**CLAMPING_ENTRIES, "ScenarioConfig": lambda r: scenario_with(r=r).r}
 
 
-@pytest.mark.parametrize("bad", [True, "0.1", -0.3, 0.0, math.nan, math.inf],
-                         ids=["True", "str", "negative", "zero", "nan", "inf"])
+@pytest.mark.parametrize("bad", [True, "0.1", -0.3, 0.0, math.nan, math.inf, 10**400,
+                                 Fraction(1, 10**400)],
+                         ids=["True", "str", "negative", "zero", "nan", "inf", "int-overflow",
+                              "fraction-underflow"])
 @pytest.mark.parametrize("entry", list(RADIUS_ENTRIES))
 def test_every_entry_rejects_a_bad_radius(entry, bad):
     """-0.3 would build the 0.3 graph, 0.0 a graph with no edges, nan would
-    fail deep in the pair search and inf would be clamped like any large r."""
+    fail deep in the pair search and inf would be clamped like any large r.
+    An int too large for a float is infinite to float(), which raises
+    OverflowError, and a Fraction below the least float becomes 0.0."""
     message = f"^r must be a finite number > 0, got {re.escape(repr(bad))}$"
     with pytest.raises(ValueError, match=message):
         RADIUS_ENTRIES[entry](bad)

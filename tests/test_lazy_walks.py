@@ -1,5 +1,7 @@
 """Per-walk set-up: streams only for walks that step, made once per build
-seed and replayed by the next build with it; the ownership record."""
+seed and replayed by the next build with it. That a replayed build gives
+what fresh streams give, and that the owner list matches the walks' paths,
+tests/test_reference.py checks against the reference build."""
 
 import pickle
 import sys
@@ -7,11 +9,8 @@ from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import handnets as H
-from layers import union_find_reason
 from drw_overlay import overlay
 from drw_overlay.geom_graph import GraphGenConfig, generate_network
 from drw_overlay.overlay import (
@@ -110,25 +109,6 @@ def test_walk_that_draws_makes_its_generator_once():
     assert not hasattr(walk, "__dict__") and not hasattr(out, "__dict__")
 
 
-def eager_init_walk(seed):
-    """Reference init_walk: every walk's stream is made up front, a born walk's too."""
-    def init(net, initiator, walk_id, registry, walk_words, **kw):
-        words = stream_words(stream(seed, "walk", walk_id))
-        return init_walk(net, initiator, walk_id, registry, lambda _: words, **kw)
-    return init
-
-
-def test_lazy_build_matches_eager_reference():
-    net = H.star_network()
-    for kind in STRATEGY_KINDS:
-        for count in (2, 5, net.n):
-            cfg = OverlayBuildConfig(count, parse_strategy(kind), seed=11)
-            lazy = to_json_dict(build_overlay(net, cfg))
-            with mock.patch.object(overlay, "init_walk", eager_init_walk(cfg.seed)):
-                eager = to_json_dict(build_overlay(net, cfg))
-            assert lazy == eager, (kind, count)
-
-
 def test_streams_only_for_initiators_and_walks_that_drew():
     net = H.star_network()
     labels = []
@@ -215,49 +195,3 @@ def test_born_walks_are_made_once_on_first_access():
     assert [w.path[0] for w in walks] == list(result.initiators)
     assert totals == (sum(w.steps for w in walks), sum(w.backtracks for w in walks))
     assert to_json_dict(pickle.loads(pickle.dumps(result))) == to_json_dict(result)
-
-
-# --- the ownership record ----------------------------------------------------
-
-class CapturedRegistry(OverlayRegistry):
-    instances: list = []
-
-    def __init__(self, n):
-        super().__init__(n)
-        CapturedRegistry.instances.append(self)
-
-
-@settings(max_examples=300, deadline=None)
-@given(n=st.integers(4, 30), r=st.sampled_from((0.35, 0.5, 0.7)), net_seed=st.integers(0, 2**16),
-       seed=st.integers(0, 2**16), data=st.data())
-def test_owner_list_matches_walk_paths(n, r, net_seed, seed, data):
-    """owner[v] is the first walk to take v: the one walk whose path holds v
-    with no intersected trace record at v. A node off the layer has owner
-    -1, the brokers are the nodes on two or more paths and the nodes the
-    intersected trace records name, every walk ends intersected and the
-    layer is connected over its traced edges. Checked for every strategy,
-    with I from 2 to n."""
-    net = generate_network(GraphGenConfig(n=n, r=r, seed=net_seed))
-    count = data.draw(st.integers(2, n), label="initiators")
-    for kind in STRATEGY_KINDS:
-        CapturedRegistry.instances = []
-        trace = []
-        with mock.patch.object(overlay, "OverlayRegistry", CapturedRegistry):
-            result = build_overlay(net, OverlayBuildConfig(count, parse_strategy(kind), seed=seed),
-                                   trace=trace)
-        (registry,) = CapturedRegistry.instances
-        met = {(rec.walk, rec.node) for rec in trace if rec.outcome == INTERSECTED}
-        takers: dict[int, list[int]] = {}
-        on_paths: dict[int, int] = {}
-        for walk in result.walks:
-            assert walk.status == INTERSECTED, (kind, walk.id)
-            for v in walk.path:
-                on_paths[v] = on_paths.get(v, 0) + 1
-                if (walk.id, v) not in met:
-                    takers.setdefault(v, []).append(walk.id)
-        assert result.active_path == set(on_paths) == set(takers)
-        assert registry.owner == [takers[v][0] if v in takers else -1 for v in range(n)]
-        assert all(len(ids) == 1 for ids in takers.values()), kind
-        shared = {v for v, k in on_paths.items() if k >= 2}
-        assert result.brokers == shared == {v for _, v in met}, kind
-        assert union_find_reason(result.active_path, result.active_path_edges) is None, kind

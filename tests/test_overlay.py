@@ -1,11 +1,11 @@
-"""Overlay construction: hand-traced builds and structural invariants."""
+"""Overlay construction: hand-traced builds, the join check and structural
+invariants. tests/test_reference.py checks every build it makes, and that
+each finished layer is connected over its traced edges."""
 
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import handnets as H
 from layers import union_find_reason
@@ -28,13 +28,11 @@ from drw_overlay.walk_engine import (
     ACTIVE,
     EXTENDED,
     INTERSECTED,
-    STRATEGY_KINDS,
     CostStrategy,
     StepOutcome,
     TraceRecord,
     default_step_budget,
     init_walk,
-    parse_strategy,
     step,
 )
 
@@ -303,47 +301,6 @@ def test_too_many_initiators_at_build():
 def test_union_find_oracle(nodes, edges, reason):
     """The oracle rejects each broken layer, never with a KeyError."""
     assert union_find_reason(nodes, edges) == reason
-
-
-def eager_edges(result):
-    """The traced edges read off the build's own records, as each build made
-    them eagerly before the set became lazy: every stepped walk's parents,
-    and (initiator, broker) for each walk born next to its broker."""
-    edges = set()
-    for walk in result.stepped:
-        for i, parent in enumerate(walk.parents):
-            if parent >= 0:
-                edges.add(tuple(sorted((walk.path[i], walk.path[parent]))))
-    for wid, broker in result.born.items():
-        if broker != result.initiators[wid]:
-            edges.add(tuple(sorted((result.initiators[wid], broker))))
-    return edges
-
-
-@st.composite
-def small_networks(draw):
-    """A connected unit-disk network of 4 to 30 nodes, or a hand-traced one."""
-    if draw(st.booleans()):
-        return draw(st.sampled_from(H.BUILDERS))()
-    return generate_network(GraphGenConfig(n=draw(st.integers(4, 30)),
-                                           r=draw(st.sampled_from((0.35, 0.5, 0.7))),
-                                           seed=draw(st.integers(0, 2**16))))
-
-
-@settings(max_examples=300, deadline=None)
-@given(net=small_networks(), seed=st.integers(0, 2**16), data=st.data())
-def test_traced_edges_connect_every_layer(net, seed, data):
-    """Every build that passes the join check has a layer the union-find
-    oracle accepts: each end of a traced edge on the active path, and the
-    edges joining all of it. The lazy edge set equals the eager one. All
-    four strategies, I from 2 to n, so walks are born intersected too."""
-    count = data.draw(st.integers(2, net.n), label="initiators")
-    for kind in STRATEGY_KINDS:
-        res = build_overlay(net, OverlayBuildConfig(count, parse_strategy(kind), seed=seed))
-        edges = res.active_path_edges
-        assert all(a in res.active_path and b in res.active_path for a, b in edges), kind
-        assert union_find_reason(res.active_path, edges) is None, kind
-        assert edges == eager_edges(res), kind
 
 
 # The star build the corrupted-record cases edit: walks 0, 1, 2 and 4 step,

@@ -3,9 +3,11 @@
 `tools/step_cost.py` times walk steps by strategy and n; its step counts
 are exact, so two runs with one seed must agree on them.
 `tools/src_lines.py` splits the package's lines into code, docstring and
-other lines.
+other lines. `tools/mutants.py`'s table is checked to apply; the mutants
+themselves are not run here.
 """
 
+import importlib.util
 import json
 import subprocess
 import sys
@@ -87,3 +89,17 @@ def test_src_lines_counts_a_known_module(tmp_path):
         'docstring"""\n', encoding="utf-8")
     assert src_lines(tmp_path)["modules"]["m.py"] == {
         "code": 5, "docstring": 3, "other": 2, "lines": 10}
+
+
+def test_every_mutant_row_applies_to_one_place():
+    """Each row's source string occurs exactly once in its file, differs
+    from its replacement, and each test id names a test function there."""
+    spec = importlib.util.spec_from_file_location("mutants", ROOT / "tools" / "mutants.py")
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    for name, file, source, replacement, tests in mutants.MUTANTS:
+        assert (ROOT / file).read_text(encoding="utf-8").count(source) == 1, name
+        assert source != replacement and tests, name
+        for test in tests:
+            path, function = test.split("::")
+            assert f"\ndef {function}(" in (ROOT / path).read_text(encoding="utf-8"), test

@@ -1,7 +1,8 @@
-"""Walk engine behavior on hand-built networks and random graphs."""
+"""Walk engine behavior on hand-built networks and random graphs, one
+step or one pick at a time. Whole builds, with their draws and their bit
+layout, are compared with the reference build in tests/test_reference.py."""
 
 import dataclasses
-from functools import partial
 from types import SimpleNamespace
 from unittest import mock
 
@@ -22,9 +23,7 @@ from drw_overlay.overlay import (
     SeedDraws,
     build_overlay,
     run_walk_until_stop,
-    to_json_dict,
 )
-from drw_overlay.rng import stream
 from drw_overlay.walk_engine import (
     ACTIVE,
     BACKTRACKED,
@@ -579,138 +578,3 @@ def test_pick_equals_generator_integers(seed, counts):
     drawn = len(calls)
     assert [_pick(replay, pick_items(k)) for k in counts] == picks
     assert len(calls) == drawn
-
-
-def numpy_picker(seed):
-    """The draw as one Generator.integers call per pick, from a fresh
-    stream(seed, "walk", id) per walk id, made here, not from the seed cache."""
-    gens = {}
-
-    def pick(walk, items):
-        gen = gens.get(walk.id)
-        if gen is None:
-            gen = gens[walk.id] = stream(seed, "walk", walk.id)
-        return items[int(gen.integers(len(items)))]
-    return pick
-
-
-def build_outcome(net, cfg):
-    """A build's layer JSON, or its BuildFailed walk and reason (or the
-    IsolatedInitiator message), with its trace."""
-    trace = []
-    try:
-        layer = to_json_dict(build_overlay(net, cfg, trace))
-    except BuildFailed as err:
-        layer = (err.walk_id, err.reason)
-    except IsolatedInitiator as err:
-        layer = str(err)
-    return layer, trace
-
-
-def assert_same_build(net, cfg):
-    """The real build from a cleared seed cache, then the reference build
-    drawn by numpy_picker, then the real build again right after it, which
-    replays the seed's cached initiators and words: all three agree."""
-    overlay.seed_draws.cache_clear()
-    cold = build_outcome(net, cfg)
-    with mock.patch.object(walk_engine, "_pick", numpy_picker(cfg.seed)):
-        ref = build_outcome(net, cfg)
-    assert cold == ref
-    assert build_outcome(net, cfg) == ref
-    return ref
-
-
-@st.composite
-def build_runs(draw):
-    """A small unit-disk graph (or a hand-built one) and 2-6 builds on it:
-    any strategy and initiator count, seeds from a pool of 3, so that they
-    repeat and interleave, and step budgets small enough to fail."""
-    if draw(st.integers(0, 3)) == 0:
-        net = draw(st.sampled_from(H.BUILDERS))()
-    else:
-        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-        n = draw(st.integers(4, 40))
-        net = network_from_positions(rng.random((n, 2)), draw(st.floats(0.15, 0.45)))
-    pool = draw(st.lists(st.integers(0, 2**16), min_size=3, max_size=3, unique=True))
-    builds = draw(st.lists(st.builds(
-        OverlayBuildConfig, initiator_count=st.integers(2, net.n),
-        strategy=st.sampled_from(STRATEGY_KINDS).map(parse_strategy),
-        seed=st.sampled_from(pool), step_budget=st.sampled_from((1, 3, 10, None))),
-        min_size=2, max_size=6))
-    return net, builds
-
-
-@settings(max_examples=120, deadline=None)
-@given(run=build_runs())
-def test_warm_builds_equal_cold_builds(run):
-    """Builds in sequence, each replaying what the builds before it left in
-    the seed cache, give the layer (or failure) and the step trace that
-    each build gives alone, from a cleared cache."""
-    net, builds = run
-    overlay.seed_draws.cache_clear()
-    warm = [build_outcome(net, cfg) for cfg in builds]
-    for cfg, got in zip(builds, warm):
-        overlay.seed_draws.cache_clear()
-        assert got == build_outcome(net, cfg), cfg
-
-
-def build_configs(net):
-    """Every strategy, I in {2, 10, 150} (at most n), build seeds 1 and 2."""
-    for kind in STRATEGY_KINDS:
-        for count in sorted({min(c, net.n) for c in (2, 10, 150)}):
-            for seed in (1, 2):
-                yield OverlayBuildConfig(count, parse_strategy(kind), seed=seed)
-
-
-BUILD_NETS = pytest.mark.parametrize("make_net", [
-    partial(generate_network, GraphGenConfig(n=300, r=0.1, seed=7)),
-    H.fan_network, H.crossing_network, H.star_network, H.pocket_network,
-], ids=["n300", "fan", "crossing", "star", "pocket"])
-
-
-@BUILD_NETS
-def test_builds_equal_generator_integers_builds(make_net):
-    """Whole builds drawn by _pick and by Generator.integers give the same
-    layer and the same step trace."""
-    net = make_net()
-    for cfg in build_configs(net):
-        assert_same_build(net, cfg)
-
-
-def test_budget_failure_equals_generator_integers_build():
-    """Walk 5 of this build needs 25 steps (probed), so a budget of 20
-    fails it after walks 0-4 have drawn; both draws fail it the same way."""
-    net = generate_network(GraphGenConfig(n=300, r=0.1, seed=7))
-    layer, trace = assert_same_build(net, OverlayBuildConfig(150, DRW, seed=1, step_budget=20))
-    assert layer == (5, "step budget 20 spent")
-    assert {r.walk for r in trace} >= set(range(6))
-
-
-# --- bit layout: y ranks against node ids -----------------------------------
-
-def id_layout(net):
-    """net with node u at bit u of its bitsets and marks, not at its y rank."""
-    net.__dict__["bit_rank"] = np.arange(net.n)
-    net.__dict__["neighbor_bits"] = [sum(1 << u for u in row) for row in net.adjacency]
-    return net
-
-
-@BUILD_NETS
-def test_builds_do_not_depend_on_bit_layout(make_net):
-    """Overlap counts do not depend on which bit stands for which node, so
-    builds on y-ranked and on id-placed bitsets give the same layer and the
-    same step trace."""
-    net, ref = make_net(), id_layout(make_net())
-    assert net.bit_rank.tolist() != list(range(net.n))
-    for cfg in build_configs(net):
-        assert build_outcome(net, cfg) == build_outcome(ref, cfg)
-
-
-@pytest.mark.parametrize("strategy", [DRW, WEIGHTED], ids=["drw", "weighted"])
-def test_budget_failure_does_not_depend_on_bit_layout(strategy):
-    net = generate_network(GraphGenConfig(n=300, r=0.1, seed=7))
-    ref = id_layout(generate_network(GraphGenConfig(n=300, r=0.1, seed=7)))
-    cfg = OverlayBuildConfig(150, strategy, seed=1, step_budget=20)
-    failed, trace = build_outcome(net, cfg)
-    assert isinstance(failed, tuple) and failed[1] == "step budget 20 spent"
-    assert (failed, trace) == build_outcome(ref, cfg)
