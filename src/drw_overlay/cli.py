@@ -96,12 +96,15 @@ def build_parser() -> argparse.ArgumentParser:
                      help="protocol scale factor in (0, 1]")
     exp.add_argument("--strategies", default="drw,prw",
                      help="comma-separated strategy tokens")
-    exp.add_argument("--alpha", type=float, default=1.0)
-    exp.add_argument("--beta", type=float, default=1.0)
+    exp.add_argument("--alpha", type=float, default=1.0,
+                     help="first-ring weight for the weighted strategy")
+    exp.add_argument("--beta", type=float, default=1.0,
+                     help="second-ring weight for the weighted strategy")
     exp.add_argument("--desk", action="store_true",
                      help="small node counts (200-1000) with rescaled radius")
     exp.add_argument("--seed", type=int, default=0, help="base seed")
-    exp.add_argument("--step-budget", type=positive_int, default=None)
+    exp.add_argument("--step-budget", type=positive_int, default=None,
+                     help="per-walk step cap (default 50*n)")
     exp.add_argument("--out-dir", default=".",
                      help="directory for records.csv and summary.csv")
     exp.add_argument("--jobs", type=positive_int, default=1,
@@ -186,6 +189,7 @@ def _cmd_experiment(args) -> int:
     summary_path = out_dir / "summary.csv"
     write_records_csv(records, records_path, metadata=meta)
     bad = failed_cells(records)
+    failed_builds = sum(rec.failed for rec in records)
     # Summarize the re-read file, not the in-memory records, so the summary
     # is a pure function of records.csv and `stats` reproduces it exactly.
     try:
@@ -196,8 +200,12 @@ def _cmd_experiment(args) -> int:
     print(f"cells={cfg.cell_count}")
     print(f"rows={len(records)}")
     print(f"failed_cells={len(bad)}")
+    print(f"failed_builds={failed_builds}")
     print(f"records={records_path}")
     print(f"summary={summary_path}")
+    if failed_builds:
+        print(f"drw-overlay: {failed_builds} of {len(records)} builds failed; "
+              "summary.csv leaves them out", file=sys.stderr)
     if bad:
         for cell in bad:
             print(f"failed: n={cell[0]} strategy={cell[1]} "

@@ -13,7 +13,7 @@ from itertools import cycle, tee
 from operator import lt
 from threading import get_ident
 
-from .geom_graph import Network, check_int
+from .geom_graph import Network, UnknownNode, check_int
 from .rng import stream
 from .walk_engine import (
     ACTIVE,
@@ -22,6 +22,7 @@ from .walk_engine import (
     CostStrategy,
     OverlayRegistry,
     WalkState,
+    born_trace_record,
     default_step_budget,
     init_walk,
     step,
@@ -198,45 +199,67 @@ def build_overlay(net: Network, cfg: OverlayBuildConfig,
     Raises BuildFailed if any walk exhausts or exceeds the step budget, or
     if a walk's record fails the join check (see ``_join``),
     TooManyInitiators if the network is smaller than initiator_count, and
-    UnknownNode (from ``init_walk``) for an explicit initiator outside it.
+    UnknownNode, before any walk starts, for an explicit initiator outside
+    it.
     """
     draws = seed_draws(cfg.seed, get_ident())
     initiators = cfg.initiators or draws.initiators_for(net, cfg.initiator_count)
     budget = cfg.step_budget if cfg.step_budget is not None else default_step_budget(net.n)
 
+    if cfg.initiators:  # drawn initiators are in range by construction
+        lo, hi = min(initiators), max(initiators)
+        if lo < 0 or hi >= net.n:
+            raise UnknownNode(f"node {lo if lo < 0 else hi} not in 0..{net.n - 1}")
+
     registry = OverlayRegistry(net.n)
+    owner, adjacency = registry.owner, net.adjacency
     stepped: list[WalkState] = []
     born: dict[int, int] = {}
     active: set[int] = set()
     waiting: list[WalkState] = []
-    # init_walk asks for words only for a walk that steps; most walks of a
-    # large build are born intersected and never make their stream.
-    walk_words = draws.words
     for wid, initiator in enumerate(initiators):
-        walk, broker = init_walk(net, initiator, wid, registry, walk_words, trace=trace)
-        if walk is not None:
-            waiting.append(walk)
-            if not wid:
-                continue  # Walk 0 waits for its partner.
-            broker = run_walk_until_stop(waiting, net, registry, cfg.strategy, budget, trace)
+        # init_walk's birth rule, inline, so that a born walk makes no call:
+        # it is born on its initiator if another walk owns it, else it
+        # claims the initiator and is born on its first owned neighbour.
+        broker = initiator
+        if owner[initiator] < 0:
+            for broker in adjacency[initiator]:
+                if owner[broker] >= 0:
+                    owner[initiator] = wid
+                    break
+            else:  # no owned neighbour (or none: init_walk raises) and the walk steps
+                waiting.append(init_walk(net, initiator, wid, registry, draws.words,
+                                         trace=trace)[0])
+                if wid:  # walk 0 waits for its partner
+                    broker = run_walk_until_stop(waiting, net, registry, cfg.strategy, budget,
+                                                 trace)
+                    _halt_and_join(waiting, broker, active, stepped)
+                continue
+        if trace is not None:
+            trace.append(born_trace_record(wid, initiator, broker))
         if waiting:
-            # Every walk of the group still active halts at the broker where
-            # it stands; then each joins the layer, in id order.
-            for other in waiting:
-                if other.status == ACTIVE:
-                    other.status, other.broker = INTERSECTED, broker
-                other.words = None
-                _join(other, active)
-            stepped += waiting
-            waiting = []
-        if walk is None:
-            if broker not in active:
-                raise BuildFailed(wid, f"broker {broker} is not on the layer it joins")
-            active.add(initiator)
-            born[wid] = broker
+            _halt_and_join(waiting, broker, active, stepped)
+        if broker not in active:
+            raise BuildFailed(wid, f"broker {broker} is not on the layer it joins")
+        active.add(initiator)
+        born[wid] = broker
 
     return OverlayResult(stepped=stepped, born=born, active_path=active, initiators=initiators,
                          strategy_label=cfg.strategy.label, seed=cfg.seed)
+
+
+def _halt_and_join(group: list[WalkState], broker: int, active: set[int],
+                   stepped: list[WalkState]) -> None:
+    """Halt every walk of the group still active at the broker, where it
+    stands; then join each to the layer in id order, move it to stepped
+    and empty the group."""
+    for walk in group:
+        if walk.status == ACTIVE:
+            walk.status, walk.broker = INTERSECTED, broker
+        walk.words = None
+        _join(walk, active)
+    stepped += group
+    group.clear()
 
 
 def _join(walk: WalkState, active: set[int]) -> None:

@@ -213,6 +213,10 @@ def init_walk(net: Network, initiator: int, walk_id: int, registry: OverlayRegis
     nothing, and walk_words is not called. Either way the trace records
     the walk as step 0. Raises UnknownNode for an initiator outside the
     network and IsolatedInitiator for one with no neighbors.
+
+    ``build_overlay`` settles born walks itself, with the same birth rule
+    inline, and calls this only for a walk that steps; the whole rule here
+    serves callers that start a single walk.
     """
     adjacency, owner = net.adjacency, registry.owner
     if not 0 <= initiator < len(adjacency):
@@ -232,8 +236,7 @@ def init_walk(net: Network, initiator: int, walk_id: int, registry: OverlayRegis
     if other >= 0:
         # Born intersected: node keeps its owner and becomes the broker.
         if trace is not None:
-            trace.append(TraceRecord(walk=walk_id, step=0, outcome=INTERSECTED, node=node,
-                                     cursor=1 if node == initiator else 2, cost=None))
+            trace.append(born_trace_record(walk_id, initiator, node))
         return None, node
 
     walk = WalkState(id=walk_id, words=walk_words(walk_id), path=[initiator],
@@ -244,6 +247,13 @@ def init_walk(net: Network, initiator: int, walk_id: int, registry: OverlayRegis
     if trace is not None:
         _trace(trace, walk, _EXTENDED, cost=None)
     return walk, None
+
+
+def born_trace_record(walk_id: int, initiator: int, broker: int) -> TraceRecord:
+    """The step-0 record of a walk born intersected at broker: cursor 1 on
+    its initiator, 2 on its second node."""
+    return TraceRecord(walk=walk_id, step=0, outcome=INTERSECTED, node=broker,
+                       cursor=1 if broker == initiator else 2, cost=None)
 
 
 def step(walk: WalkState, net: Network, registry: OverlayRegistry,

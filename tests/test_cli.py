@@ -81,6 +81,14 @@ def test_help_documents_flags(capsys):
     for flag in ("--net", "--n", "--r", "--initiators", "--strategy",
                  "--alpha", "--beta", "--seed", "--out"):
         assert flag in text
+    # experiment explains its walk flags in the words build uses.
+    main(["experiment", "--help"])
+    text = capsys.readouterr().out
+    for flag, words in (("--alpha", "first-ring weight for the weighted strategy"),
+                        ("--beta", "second-ring weight for the weighted strategy"),
+                        ("--step-budget", "per-walk step cap (default 50*n)")):
+        assert flag in text
+        assert words in " ".join(text.split())
 
 
 # --- gen -----------------------------------------------------------------------
@@ -421,6 +429,20 @@ def test_experiment_metadata_block(desk_run):
     assert head[0].startswith("# overlay-experiment v")
     assert any("scenario=desk scale=0.02" in l for l in head)
     assert any("r_rescale_ref=1000" in l for l in head)
+
+
+def test_experiment_reports_partial_failures(tmp_path, capsys):
+    """A sweep where some builds fail, but no cell fails outright, exits 0
+    and counts the failed builds on stdout and in one stderr line."""
+    code, out, err = run(capsys, "experiment", "--desk", "--scale", "0.02",
+                         "--step-budget", "150", "--seed", "1",
+                         "--out-dir", str(tmp_path))
+    failed = sum(rec.failed for rec in read_records_csv(tmp_path / "records.csv"))
+    assert code == 0 and 0 < failed < 440
+    report = dict(line.split("=", 1) for line in out.splitlines())
+    assert (report["rows"], report["failed_cells"]) == ("440", "0")
+    assert report["failed_builds"] == str(failed)
+    assert err == f"drw-overlay: {failed} of 440 builds failed; summary.csv leaves them out\n"
 
 
 def test_experiment_scale_out_of_range(capsys):

@@ -2,6 +2,7 @@
 invariants. tests/test_reference.py checks every build it makes, and that
 each finished layer is connected over its traced edges."""
 
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -123,11 +124,31 @@ def test_config_validation():
 
 @pytest.mark.parametrize("initiators", [(0, -1), (0, 8), (8, 0)])
 def test_out_of_range_explicit_initiator_raises_unknown_node(initiators):
-    """init_walk checks each initiator's id; -1 must not index from the end."""
+    """build_overlay checks each initiator's id; -1 must not index from the end."""
     net = H.crossing_network()
     with pytest.raises(UnknownNode, match=f"not in 0..{net.n - 1}"):
         build_overlay(net, OverlayBuildConfig(initiator_count=2, strategy=DRW,
                                               initiators=initiators))
+
+
+def test_out_of_range_initiator_fails_before_any_walk():
+    """Walks 0 and 1 would step; the check on walk 2's initiator comes
+    first, so no stream is made and no owner written."""
+    net = H.crossing_network()
+    registries = []
+
+    def registry(n):
+        registries.append(OverlayRegistry(n))
+        return registries[-1]
+
+    cfg = OverlayBuildConfig(initiator_count=3, strategy=DRW, seed=7_654_321,
+                             initiators=(0, 5, 8))
+    with mock.patch.object(overlay, "stream", wraps=stream) as made, \
+            mock.patch.object(overlay, "OverlayRegistry", registry), \
+            pytest.raises(UnknownNode, match="node 8 not in 0..7"):
+        build_overlay(net, cfg)
+    assert not made.called
+    assert all(reg.owner == [-1] * net.n for reg in registries)
 
 
 # --- hand-traced builds -------------------------------------------------------
@@ -308,18 +329,13 @@ def test_union_find_oracle(nodes, edges, reason):
 STAR_SIX = OverlayBuildConfig(6, DRW, seed=5)
 
 
-def build_edited(edit=None, wid=None):
-    """build_overlay on the star with walk wid's record edited: edit(walk)
-    edits a stepped walk as soon as its group stops stepping, before any
-    walk of the group halts or joins, and edit(None) returns the broker a
-    born walk gets in place of the one init_walk returns."""
-    init, run = overlay.init_walk, overlay.run_walk_until_stop
-
-    def edited_init(net, initiator, walk_id, *args, **kw):
-        walk, broker = init(net, initiator, walk_id, *args, **kw)
-        if walk is None and walk_id == wid:
-            broker = edit(None)
-        return walk, broker
+def build_edited(edit=None, wid=None, initiators=None, owned=None):
+    """build_overlay on the star, from STAR_SIX or from its seed and the
+    given initiators, with one thing corrupted: edit(walk) edits stepped
+    walk wid's record as soon as its group stops stepping, before any walk
+    of the group halts or joins, and owned ({node: walk id}) is written
+    into the registry before the first walk starts."""
+    run, registry = overlay.run_walk_until_stop, overlay.OverlayRegistry
 
     def edited_run(walks, *args):
         broker = run(walks, *args)
@@ -328,9 +344,16 @@ def build_edited(edit=None, wid=None):
                 edit(walk)
         return broker
 
-    with mock.patch.object(overlay, "init_walk", edited_init), \
-            mock.patch.object(overlay, "run_walk_until_stop", edited_run):
-        return build_overlay(H.star_network(), STAR_SIX)
+    def edited_registry(n):
+        reg = registry(n)
+        for node, owner in (owned or {}).items():
+            reg.owner[node] = owner
+        return reg
+
+    cfg = STAR_SIX if initiators is None else replace(STAR_SIX, initiators=initiators)
+    with mock.patch.object(overlay, "run_walk_until_stop", edited_run), \
+            mock.patch.object(overlay, "OverlayRegistry", edited_registry):
+        return build_overlay(H.star_network(), cfg)
 
 
 def test_star_six_records():
@@ -346,34 +369,39 @@ def test_star_six_records():
 def set_parent(i, parent):
     def edit(walk):
         walk.parents[i] = parent
-    return edit
+    return {"edit": edit}
 
 
 def set_broker(broker):
     def edit(walk):
-        if walk is not None:
-            walk.broker = broker
-        return broker
-    return edit
+        walk.broker = broker
+    return {"edit": edit}
 
 
-@pytest.mark.parametrize("edit, wid, reason", [
+def born_on(initiator, owned):
+    """Walk 3 starts on initiator, after walk 1 is born on walk 0's path
+    and walk 2 steps, with the registry holding owned from the start."""
+    return {"initiators": (3, 2, 13, initiator, 14, 5), "owned": owned}
+
+
+@pytest.mark.parametrize("change, wid, reason", [
     (set_parent(1, -1), 0, "parents do not form a tree over its path"),
     (set_parent(2, 3), 1, "parents do not form a tree over its path"),
     (set_parent(3, 3), 4, "parents do not form a tree over its path"),
     (set_broker(3), 2, "broker 3 is not on its own path"),
     (set_broker(13), 2, "broker 13 is not on the layer it joins"),
-    (set_broker(4), 3, "broker 4 is not on the layer it joins"),
-    (set_broker(11), 3, "broker 11 is not on the layer it joins"),
+    # Node 4 is owned by no walk; walk 3 is born on it.
+    (born_on(4, {4: 99}), 3, "broker 4 is not on the layer it joins"),
+    # Node 11 is owned by walk 4, which has not joined; walk 3 is born next to it.
+    (born_on(10, {11: 4}), 3, "broker 11 is not on the layer it joins"),
 ], ids=["walk-0-first-edge-dropped", "parent-points-forward", "parent-is-itself",
         "stepped-broker-off-its-path", "stepped-broker-off-the-layer",
         "born-broker-off-the-layer", "born-broker-not-joined-yet"])
-def test_join_check_rejects_corrupted_records(edit, wid, reason):
+def test_join_check_rejects_corrupted_records(change, wid, reason):
     """Each corrupted record fails the build as a BuildFailed naming its
-    walk, never a KeyError or StopIteration. Node 11 joins the layer only
-    with walk 4, after walk 3."""
+    walk, never a KeyError or StopIteration."""
     with pytest.raises(BuildFailed) as err:
-        build_edited(edit, wid)
+        build_edited(wid=wid, **change)
     assert (err.value.walk_id, err.value.reason) == (wid, reason)
 
 

@@ -174,6 +174,17 @@ def test_init_takes_already_recruited_neighbor():
     assert reg.owner[:2] == [1, 7]
 
 
+def test_init_takes_first_owned_neighbor():
+    """Node 2's neighbours are 1, 3 and 7; with 3 and 7 owned, the walk is
+    born on 3, the first owned one in id order, and claims its initiator."""
+    net = H.crossing_network()
+    reg = OverlayRegistry(net.n)
+    reg.owner[3], reg.owner[7] = 5, 6
+    walk, broker = init_walk(net, 2, 8, reg, seeded(0))
+    assert walk is None and broker == 3
+    assert reg.owner == [-1, -1, 8, 5, -1, -1, -1, 6]
+
+
 def test_init_on_foreign_member_intersects_in_place():
     """Born on its initiator 2, which walk 3 owns: path [2], cursor 1."""
     net = H.crossing_network()

@@ -30,6 +30,8 @@ REFERENCE = ["tests/test_reference.py::test_builds_equal_reference_builds",
 MARKING = ("walk.marked |= net.neighbor_bits[path[head - 1]]\n"
            "            elif kind == WEIGHTED:\n"
            "                _mark_two_rings(walk, net, path[head - 1])")
+BORN_JOIN = ["tests/test_overlay.py::test_join_check_rejects_corrupted_records"]
+INIT_BORN = ["tests/test_walk_engine.py::test_init_takes_first_owned_neighbor"]
 CACHE_KEY = ("picks = self.initiators.get((net.n, count))\n"
              "        if picks is None:\n"
              "            picks = select_initiators(net, count, stream(self.seed, \"initiators\"))\n"
@@ -55,7 +57,16 @@ MUTANTS = [
      REFERENCE),
     ("marking-lagged-too-little", ENGINE, MARKING, MARKING.replace("head - 1", "head"), REFERENCE),
     ("ties-to-last-candidate", ENGINE, "v = _pick(walk, ties)", "v = ties[-1]", REFERENCE),
-    ("walk-zero-steps-alone", OVERLAY, "if not wid:", "if False:", REFERENCE),
+    ("walk-zero-steps-alone", OVERLAY, "if wid:", "if True:", REFERENCE),
+    # The birth rule has two copies: the build loop's and init_walk's.
+    ("born-on-last-owned-neighbour", OVERLAY, "for broker in adjacency[initiator]:",
+     "for broker in reversed(adjacency[initiator]):", REFERENCE),
+    ("born-initiator-unclaimed", OVERLAY, "owner[initiator] = wid\n                    break",
+     "break", REFERENCE),
+    ("born-broker-unchecked", OVERLAY, "if broker not in active:", "if False:", BORN_JOIN),
+    ("init-on-last-owned-neighbour", ENGINE, "for node in nbrs:", "for node in reversed(nbrs):",
+     INIT_BORN),
+    ("init-initiator-unclaimed", ENGINE, "        owner[initiator] = walk_id\n", "", INIT_BORN),
     ("born-path-reversed", OVERLAY, "else ([initiator, broker], [-1, 0]))",
      "else ([broker, initiator], [-1, 0]))", REFERENCE),
     ("born-edge-untraced", OVERLAY, "else ([initiator, broker], [-1, 0]))",
