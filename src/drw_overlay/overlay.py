@@ -21,8 +21,8 @@ from .walk_engine import (
     INTERSECTED,
     CostStrategy,
     OverlayRegistry,
+    TraceRecord,
     WalkState,
-    born_trace_record,
     default_step_budget,
     init_walk,
     step,
@@ -198,9 +198,10 @@ def build_overlay(net: Network, cfg: OverlayBuildConfig,
 
     Raises BuildFailed if any walk exhausts or exceeds the step budget, or
     if a walk's record fails the join check (see ``_join``),
-    TooManyInitiators if the network is smaller than initiator_count, and
+    TooManyInitiators if the network is smaller than initiator_count,
     UnknownNode, before any walk starts, for an explicit initiator outside
-    it.
+    it, and IsolatedInitiator for a walk that must step from a node with no
+    neighbours.
     """
     draws = seed_draws(cfg.seed, get_ident())
     initiators = cfg.initiators or draws.initiators_for(net, cfg.initiator_count)
@@ -218,16 +219,16 @@ def build_overlay(net: Network, cfg: OverlayBuildConfig,
     active: set[int] = set()
     waiting: list[WalkState] = []
     for wid, initiator in enumerate(initiators):
-        # init_walk's birth rule, inline, so that a born walk makes no call:
-        # it is born on its initiator if another walk owns it, else it
-        # claims the initiator and is born on its first owned neighbour.
+        # The birth rule: a walk is born on its initiator if another walk
+        # owns it, else it claims the initiator and is born on its first
+        # owned neighbour; with none, it steps.
         broker = initiator
         if owner[initiator] < 0:
             for broker in adjacency[initiator]:
                 if owner[broker] >= 0:
                     owner[initiator] = wid
                     break
-            else:  # no owned neighbour (or none: init_walk raises) and the walk steps
+            else:  # the walk steps; init_walk raises if it has no neighbour
                 waiting.append(init_walk(net, initiator, wid, registry, draws.words,
                                          trace=trace)[0])
                 if wid:  # walk 0 waits for its partner
@@ -236,7 +237,8 @@ def build_overlay(net: Network, cfg: OverlayBuildConfig,
                     _halt_and_join(waiting, broker, active, stepped)
                 continue
         if trace is not None:
-            trace.append(born_trace_record(wid, initiator, broker))
+            trace.append(TraceRecord(walk=wid, step=0, outcome=INTERSECTED, node=broker,
+                                     cursor=1 if broker == initiator else 2, cost=None))
         if waiting:
             _halt_and_join(waiting, broker, active, stepped)
         if broker not in active:

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geom_graph import Network, UnknownNode
+from .geom_graph import Network
 
 # Strategy kinds (also the CLI tokens).
 PURE = "prw"
@@ -202,43 +202,22 @@ def _pick(walk: WalkState, items: list[int]) -> int:
 
 def init_walk(net: Network, initiator: int, walk_id: int, registry: OverlayRegistry,
               walk_words: Callable[[int], Iterator[int]],
-              trace: list | None = None) -> tuple[WalkState | None, int | None]:
-    """Start walk walk_id at initiator and recruit its second node.
+              trace: list | None = None) -> tuple[WalkState, None]:
+    """Start walk walk_id at initiator and draw its second node.
 
-    Returns (walk, None) for a walk that goes on to step: path
-    [initiator, v] with head 1, no marks, and walk_words(walk_id) as its
-    words, which must start at the first word of its stream. Returns
-    (None, broker) for a walk born intersected, whose path is [initiator]
-    when broker is the initiator, else [initiator, broker]; it draws
-    nothing, and walk_words is not called. Either way the trace records
-    the walk as step 0. Raises UnknownNode for an initiator outside the
-    network and IsolatedInitiator for one with no neighbors.
-
-    ``build_overlay`` settles born walks itself, with the same birth rule
-    inline, and calls this only for a walk that steps; the whole rule here
-    serves callers that start a single walk.
+    Precondition: no walk owns the initiator or any of its neighbors
+    (``build_overlay`` settles every other walk's birth itself). The walk
+    gets path [initiator, v] with head 1, no marks, and walk_words(walk_id)
+    as its words, which must start at the first word of its stream; the
+    trace records step 0. Returns the pair (walk, None), whose second item
+    the benchmark's tracer reads (ROADMAP item 6). Raises IsolatedInitiator
+    for an initiator with no neighbors.
     """
-    adjacency, owner = net.adjacency, registry.owner
-    if not 0 <= initiator < len(adjacency):
-        raise UnknownNode(f"node {initiator} not in 0..{len(adjacency) - 1}")
-    # The new walk owns no node yet and the graph has no self-loops, so
-    # every owner of the initiator or of a neighbor is another walk.
-    node, other = initiator, owner[initiator]
-    if other < 0:
-        nbrs = adjacency[initiator]
-        if not nbrs:
-            raise IsolatedInitiator(f"initiator {initiator} has no neighbors")
-        owner[initiator] = walk_id
-        for node in nbrs:
-            other = owner[node]
-            if other >= 0:
-                break
-    if other >= 0:
-        # Born intersected: node keeps its owner and becomes the broker.
-        if trace is not None:
-            trace.append(born_trace_record(walk_id, initiator, node))
-        return None, node
-
+    nbrs = net.adjacency[initiator]
+    if not nbrs:
+        raise IsolatedInitiator(f"initiator {initiator} has no neighbors")
+    owner = registry.owner
+    owner[initiator] = walk_id
     walk = WalkState(id=walk_id, words=walk_words(walk_id), path=[initiator],
                      parents=[-1, 0], head=1)
     v = _pick(walk, nbrs)
@@ -247,13 +226,6 @@ def init_walk(net: Network, initiator: int, walk_id: int, registry: OverlayRegis
     if trace is not None:
         _trace(trace, walk, _EXTENDED, cost=None)
     return walk, None
-
-
-def born_trace_record(walk_id: int, initiator: int, broker: int) -> TraceRecord:
-    """The step-0 record of a walk born intersected at broker: cursor 1 on
-    its initiator, 2 on its second node."""
-    return TraceRecord(walk=walk_id, step=0, outcome=INTERSECTED, node=broker,
-                       cursor=1 if broker == initiator else 2, cost=None)
 
 
 def step(walk: WalkState, net: Network, registry: OverlayRegistry,

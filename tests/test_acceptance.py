@@ -125,12 +125,15 @@ def test_cost_functions_match_set_oracles():
         walks = []
         for wid, strat in ((0, CostStrategy("weighted")), (1, DRW)):
             start, seed = int(rng.integers(net.n)), int(rng.integers(2**32))
-            w, broker = init_walk(net, start, wid, registry,
-                                  lambda _: stream_words(np.random.default_rng(seed)))
-            if w is None:
-                # Walk 1 was born on walk 0's path; only its path is read.
-                w = WalkState(id=wid, path=[start] if broker == start else [start, broker],
+            owned = [v for v in (start, *net.adjacency[start]) if registry.owner[v] >= 0]
+            if owned:
+                # Walk 1 is born on walk 0's path (see README's walk rules);
+                # only its path is read.
+                w = WalkState(id=wid, path=[start] if owned[0] == start else [start, owned[0]],
                               status=INTERSECTED)
+            else:
+                w, _ = init_walk(net, start, wid, registry,
+                                 lambda _: stream_words(np.random.default_rng(seed)))
             for _ in range(8):
                 if w.status != ACTIVE:
                     break

@@ -16,7 +16,6 @@ from drw_overlay.geom_graph import GraphGenConfig, generate_network
 from drw_overlay.overlay import (
     OverlayBuildConfig,
     OverlayRegistry,
-    OverlayResult,
     build_overlay,
     to_json_dict,
 )
@@ -37,10 +36,6 @@ from drw_overlay.walk_engine import (
 DRW = CostStrategy("drw")
 
 
-def unused_factory(walk_id):
-    raise AssertionError("a walk born intersected made its generator")
-
-
 def counting_walk_states(made):
     """Patch WalkState construction to append each new walk's id to made."""
     original = WalkState.__init__
@@ -53,42 +48,50 @@ def counting_walk_states(made):
 
 # --- generators only for walks that step -------------------------------------
 
-@pytest.mark.parametrize("initiator, walk_id, owned, other, path, parents, owner", [
-    # born at its owned initiator, ids in build order
-    (2, 4, 2, 3, [2], [-1], [-1, -1, 3, -1, -1, -1, -1, -1]),
-    # born at an owned neighbour, which stays its first owner's
-    (0, 1, 1, 7, [0, 1], [-1, 0], [1, 7, -1, -1, -1, -1, -1, -1]),
+@pytest.mark.parametrize("initiator, path, parents, owner", [
+    # born at its initiator, which walk 0 owns
+    (2, [2], [-1], [0, 0, 0, -1, -1, 1, 1, 1]),
+    # born at its owned neighbour 2, which stays walk 0's; it claims node 3
+    (3, [3, 2], [-1, 0], [0, 0, 0, 2, -1, 1, 1, 1]),
 ], ids=["initiator", "neighbor"])
-def test_born_walk_state(initiator, walk_id, owned, other, path, parents, owner):
-    """A walk born intersected gets no WalkState from init_walk: no generator,
-    no factory call, one trace record and its broker back. The layer makes
-    its finished WalkState, with no slot dict, which takes no further step."""
+def test_born_walk_state(initiator, path, parents, owner):
+    """Walk 2, born intersected once walks 0 and 1 meet on the crossing,
+    gets no WalkState and no words during the build: one step-0 trace
+    record and its owner entry. The layer makes its finished WalkState,
+    with no slot dict, which takes no further step."""
     net = H.crossing_network()
-    reg = OverlayRegistry(net.n)
-    reg.owner[owned] = other
-    trace = []
-    made = []
-    with counting_walk_states(made):
-        walk, broker = init_walk(net, initiator, walk_id, reg, unused_factory, trace=trace)
-    assert walk is None and broker == owned and made == []
-    assert trace == [TraceRecord(walk=walk_id, step=0, outcome="intersected", node=owned,
-                                 cursor=len(path), cost=None)]
-    assert reg.owner == owner
+    cfg = OverlayBuildConfig(3, DRW, initiators=H.CROSS_INITIATORS + (initiator,))
+    made, worded, registries, trace = [], [], [], []
+    words, registry = overlay.SeedDraws.words, overlay.OverlayRegistry
 
-    # Walks 0..walk_id-1 stepped; the layer makes walk walk_id from its record.
-    layer = OverlayResult(stepped=[WalkState(id=k) for k in range(walk_id)],
-                          born={walk_id: broker}, active_path=set(path),
-                          initiators=tuple(range(10, 10 + walk_id)) + (initiator,),
-                          strategy_label="drw", seed=0)
-    walk = layer.walks[walk_id]
-    assert walk.id == walk_id and walk.path == path
+    def counted_words(draws, walk_id):
+        worded.append(walk_id)
+        return words(draws, walk_id)
+
+    def kept_registry(n):
+        registries.append(registry(n))
+        return registries[-1]
+
+    with counting_walk_states(made), \
+            mock.patch.object(overlay.SeedDraws, "words", counted_words), \
+            mock.patch.object(overlay, "OverlayRegistry", kept_registry):
+        layer = build_overlay(net, cfg, trace)
+    broker = path[-1]
+    assert made == worded == [0, 1] and layer.born == {2: broker}
+    assert [r for r in trace if r.walk == 2] == [
+        TraceRecord(walk=2, step=0, outcome=INTERSECTED, node=broker, cursor=len(path),
+                    cost=None)]
+    assert registries[0].owner == owner
+
+    walk = layer.walks[2]
+    assert walk.id == 2 and walk.path == path
     assert walk.parents == parents and walk.head == len(path) - 1
-    assert walk.status == INTERSECTED and walk.broker == owned
+    assert walk.status == INTERSECTED and walk.broker == broker
     assert walk.steps == walk.backtracks == 0
     assert walk.words is None
     assert all(a is b for a, b in zip(layer.walks, layer.stepped))
     with pytest.raises(WalkNotActive):
-        step(walk, net, reg, DRW)
+        step(walk, net, registries[0], DRW)
     assert not hasattr(walk, "__dict__")
 
 

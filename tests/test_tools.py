@@ -9,6 +9,7 @@ themselves are not run here.
 
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -93,13 +94,27 @@ def test_src_lines_counts_a_known_module(tmp_path):
 
 def test_every_mutant_row_applies_to_one_place():
     """Each row's source string occurs exactly once in its file, differs
-    from its replacement, and each test id names a test function there."""
+    from its replacement, and each test id names a test function there, or
+    one case of one (``path::function[case]``), which pytest collects as
+    exactly one item."""
     spec = importlib.util.spec_from_file_location("mutants", ROOT / "tools" / "mutants.py")
     mutants = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mutants)
+    cases = set()
     for name, file, source, replacement, tests in mutants.MUTANTS:
         assert (ROOT / file).read_text(encoding="utf-8").count(source) == 1, name
         assert source != replacement and tests, name
         for test in tests:
             path, function = test.split("::")
+            function, case, _ = function.partition("[")
             assert f"\ndef {function}(" in (ROOT / path).read_text(encoding="utf-8"), test
+            if case:
+                cases.add(test)
+    if not cases:  # with no ids, pytest would collect the whole suite
+        return
+    proc = subprocess.run([sys.executable, "-m", "pytest", "--collect-only", "-q", "-p",
+                           "no:cacheprovider", *sorted(cases)], cwd=ROOT, capture_output=True,
+                          text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert proc.returncode == 0, proc.stdout[-4000:]
+    assert sorted(line for line in proc.stdout.splitlines() if "::" in line) == sorted(cases)

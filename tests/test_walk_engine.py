@@ -33,7 +33,6 @@ from drw_overlay.walk_engine import (
     STRATEGY_KINDS,
     CostStrategy,
     IsolatedInitiator,
-    TraceRecord,
     WalkNotActive,
     WalkState,
     _pick,
@@ -158,44 +157,6 @@ def test_init_second_node_uniform():
     bound = 3 * (trials * (1 / 3) * (2 / 3)) ** 0.5
     for node, got in counts.items():
         assert abs(got - expect) < bound, (node, got)
-
-
-def test_init_takes_already_recruited_neighbor():
-    """Born at node 1, which walk 7 owns: path [0, 1], so the trace's cursor
-    is 2, and node 1 stays walk 7's."""
-    net = H.crossing_network()
-    reg = OverlayRegistry(net.n)
-    reg.owner[1] = 7
-    trace = []
-    walk, broker = init_walk(net, 0, 1, reg, seeded(0), trace=trace)
-    assert walk is None and broker == 1
-    assert trace == [TraceRecord(walk=1, step=0, outcome=INTERSECTED, node=1,
-                                 cursor=2, cost=None)]
-    assert reg.owner[:2] == [1, 7]
-
-
-def test_init_takes_first_owned_neighbor():
-    """Node 2's neighbours are 1, 3 and 7; with 3 and 7 owned, the walk is
-    born on 3, the first owned one in id order, and claims its initiator."""
-    net = H.crossing_network()
-    reg = OverlayRegistry(net.n)
-    reg.owner[3], reg.owner[7] = 5, 6
-    walk, broker = init_walk(net, 2, 8, reg, seeded(0))
-    assert walk is None and broker == 3
-    assert reg.owner == [-1, -1, 8, 5, -1, -1, -1, 6]
-
-
-def test_init_on_foreign_member_intersects_in_place():
-    """Born on its initiator 2, which walk 3 owns: path [2], cursor 1."""
-    net = H.crossing_network()
-    reg = OverlayRegistry(net.n)
-    reg.owner[2] = 3
-    trace = []
-    walk, broker = init_walk(net, 2, 4, reg, seeded(0), trace=trace)
-    assert walk is None and broker == 2
-    assert trace == [TraceRecord(walk=4, step=0, outcome=INTERSECTED, node=2,
-                                 cursor=1, cost=None)]
-    assert reg.owner == [-1, -1, 3] + [-1] * (net.n - 3)
 
 
 def test_init_isolated_initiator_raises():

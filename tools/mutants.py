@@ -3,7 +3,8 @@
     python3 tools/mutants.py [NAME ...] [--root DIR] [--tests ID ...]
 
 Each row of MUTANTS names a file, an exact source string that occurs once
-in it, its replacement and the test ids that must fail. Per row (or per
+in it, its replacement and the test ids that must fail, each a test
+function or one case of it (``path::function[case]``). Per row (or per
 NAME), the tree at DIR (default: this checkout) is copied to a temporary
 directory, the row applied, and pytest run on the row's ids, or on the
 --tests ids for every row. One JSON line per row lists the ids that failed
@@ -30,8 +31,8 @@ REFERENCE = ["tests/test_reference.py::test_builds_equal_reference_builds",
 MARKING = ("walk.marked |= net.neighbor_bits[path[head - 1]]\n"
            "            elif kind == WEIGHTED:\n"
            "                _mark_two_rings(walk, net, path[head - 1])")
-BORN_JOIN = ["tests/test_overlay.py::test_join_check_rejects_corrupted_records"]
-INIT_BORN = ["tests/test_walk_engine.py::test_init_takes_first_owned_neighbor"]
+BORN_JOIN = [f"tests/test_overlay.py::test_join_check_rejects_corrupted_records[born-{case}]"
+             for case in ("broker-off-the-layer", "broker-not-joined-yet")]
 CACHE_KEY = ("picks = self.initiators.get((net.n, count))\n"
              "        if picks is None:\n"
              "            picks = select_initiators(net, count, stream(self.seed, \"initiators\"))\n"
@@ -58,15 +59,15 @@ MUTANTS = [
     ("marking-lagged-too-little", ENGINE, MARKING, MARKING.replace("head - 1", "head"), REFERENCE),
     ("ties-to-last-candidate", ENGINE, "v = _pick(walk, ties)", "v = ties[-1]", REFERENCE),
     ("walk-zero-steps-alone", OVERLAY, "if wid:", "if True:", REFERENCE),
-    # The birth rule has two copies: the build loop's and init_walk's.
+    # The birth rule, in the build loop, and the start of a walk that steps.
     ("born-on-last-owned-neighbour", OVERLAY, "for broker in adjacency[initiator]:",
      "for broker in reversed(adjacency[initiator]):", REFERENCE),
     ("born-initiator-unclaimed", OVERLAY, "owner[initiator] = wid\n                    break",
      "break", REFERENCE),
     ("born-broker-unchecked", OVERLAY, "if broker not in active:", "if False:", BORN_JOIN),
-    ("init-on-last-owned-neighbour", ENGINE, "for node in nbrs:", "for node in reversed(nbrs):",
-     INIT_BORN),
-    ("init-initiator-unclaimed", ENGINE, "        owner[initiator] = walk_id\n", "", INIT_BORN),
+    ("born-cursor-swapped", OVERLAY, "cursor=1 if broker == initiator else 2",
+     "cursor=2 if broker == initiator else 1", REFERENCE),
+    ("stepping-initiator-unclaimed", ENGINE, "    owner[initiator] = walk_id\n", "", REFERENCE),
     ("born-path-reversed", OVERLAY, "else ([initiator, broker], [-1, 0]))",
      "else ([broker, initiator], [-1, 0]))", REFERENCE),
     ("born-edge-untraced", OVERLAY, "else ([initiator, broker], [-1, 0]))",
