@@ -445,6 +445,16 @@ def test_experiment_reports_partial_failures(tmp_path, capsys):
     assert err == f"drw-overlay: {failed} of 440 builds failed; summary.csv leaves them out\n"
 
 
+def test_experiment_counts_cells_alike_when_every_build_fails(tmp_path, capsys):
+    """cells= and failed_cells= both count (n, strategy, I) cells, so a
+    sweep whose builds all fail reports the two equal."""
+    code, out, _ = run(capsys, "experiment", "--desk", "--scale", "0.02",
+                       "--step-budget", "1", "--seed", "1", "--out-dir", str(tmp_path))
+    report = dict(line.split("=", 1) for line in out.splitlines())
+    assert code == 2 and report["failed_builds"] == report["rows"] == "440"
+    assert report["cells"] == report["failed_cells"] == "44"
+
+
 def test_experiment_scale_out_of_range(capsys):
     assert main(["experiment", "--scale", "1.5"]) == 1
     assert main(["experiment", "--scale", "0"]) == 1

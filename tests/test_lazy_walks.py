@@ -104,8 +104,8 @@ def test_walk_that_draws_makes_its_generator_once():
         return stream_words(stream(4, "walk", walk_id))
 
     reg = OverlayRegistry(net.n)
-    walk, broker = init_walk(net, 5, 3, reg, factory)
-    assert broker is None and len(walk.path) == 2
+    walk, _ = init_walk(net, 5, 3, reg, factory)
+    assert len(walk.path) == 2
     assert made == [3] and walk.words is not None
     out = step(walk, net, reg, DRW)
     assert made == [3]

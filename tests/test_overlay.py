@@ -1,6 +1,9 @@
-"""Overlay construction: hand-traced builds, the join check and structural
-invariants. tests/test_reference.py checks every build it makes, and that
-each finished layer is connected over its traced edges."""
+"""Overlay construction: the registry, initiator selection, config
+validation, the walk schedule on hand-built graphs and the join check.
+tests/test_reference.py checks every build it makes, and that each finished
+layer is connected over its traced edges; the acceptance checklist traces
+the fan, crossing and star builds by hand and checks the structural
+invariants of random builds."""
 
 from dataclasses import replace
 from unittest import mock
@@ -12,7 +15,6 @@ import handnets as H
 from layers import union_find_reason
 from drw_overlay import overlay
 from drw_overlay.geom_graph import GraphGenConfig, UnknownNode, generate_network
-from drw_overlay.metrics import active_path_size
 from drw_overlay.overlay import (
     BuildFailed,
     OverlayBuildConfig,
@@ -31,7 +33,6 @@ from drw_overlay.walk_engine import (
     INTERSECTED,
     CostStrategy,
     StepOutcome,
-    TraceRecord,
     default_step_budget,
     init_walk,
     step,
@@ -151,24 +152,7 @@ def test_out_of_range_initiator_fails_before_any_walk():
     assert all(reg.owner == [-1] * net.n for reg in registries)
 
 
-# --- hand-traced builds -------------------------------------------------------
-
-def test_crossing_build_exact():
-    """Two forced corridors meet at the junction neighbor."""
-    net = H.crossing_network()
-    for strategy in (DRW, PRW, CostStrategy("twohop")):
-        cfg = OverlayBuildConfig(initiator_count=2, strategy=strategy,
-                                 seed=0, initiators=H.CROSS_INITIATORS)
-        res = build_overlay(net, cfg)
-        w0, w1 = res.walks
-        assert w0.path == [0, 1, 2, 7] and w0.steps == 2 and w0.backtracks == 0
-        assert w1.path == [5, 6, 7] and w1.steps == 1
-        assert w0.broker == 7 and w1.broker == 7
-        assert res.brokers == {7}
-        assert res.active_path == {0, 1, 2, 5, 6, 7}
-        assert res.active_path_edges == {(0, 1), (1, 2), (2, 7), (5, 6), (6, 7)}
-        assert res.total_steps == 3
-
+# --- the walk schedule on hand-built graphs ----------------------------------
 
 def test_driver_returns_the_broker_and_halts_no_one():
     """On the crossing, walk 0 meets walk 1 at node 7; the driver returns 7
@@ -179,57 +163,6 @@ def test_driver_returns_the_broker_and_halts_no_one():
              for wid, v in enumerate(H.CROSS_INITIATORS)]
     assert run_walk_until_stop(walks, net, reg, DRW, default_step_budget(net.n)) == 7
     assert [(w.status, w.broker) for w in walks] == [(INTERSECTED, 7), (ACTIVE, None)]
-
-
-def test_fan_build_exact():
-    """Guided walk crosses the scored fan through z and meets the corridor."""
-    net = H.fan_network()
-    cfg = OverlayBuildConfig(initiator_count=2, strategy=DRW,
-                             seed=4, initiators=H.FAN_INITIATORS)
-    res = build_overlay(net, cfg)
-    w0, w1 = res.walks
-    z = H.FAN_SCORED["z"]
-    assert w0.path == [0, 1, z, 15] and w0.steps == 2
-    assert w1.path == [13, 14, 15] and w1.steps == 1
-    assert res.brokers == {15}
-    assert res.active_path == {0, 1, z, 13, 14, 15}
-    assert active_path_size(res) == 6
-    # the scored fan nodes stay out of the layer except for z
-    for name, node in H.FAN_SCORED.items():
-        if name != "z":
-            assert node not in res.active_path
-
-
-def test_star_build_exact():
-    """Five tip walks all funnel into the hub; the hub is the only broker."""
-    net = H.star_network()
-    for strategy in (DRW, PRW):
-        cfg = OverlayBuildConfig(initiator_count=5, strategy=strategy,
-                                 seed=0, initiators=H.STAR_TIPS)
-        res = build_overlay(net, cfg)
-        assert len(res.walks) == 5
-        for k, walk in enumerate(res.walks):
-            tip = 1 + 3 * k
-            assert walk.path == [tip, tip + 1, tip + 2, 0]
-            assert walk.steps == 2
-            assert walk.broker == 0
-        assert res.brokers == {0}
-        assert res.active_path == set(range(16))
-        assert res.total_steps == 10
-        assert res.total_backtracks == 0
-
-
-def test_star_trace_records():
-    net = H.star_network()
-    trace: list[TraceRecord] = []
-    cfg = OverlayBuildConfig(initiator_count=5, strategy=DRW,
-                             seed=0, initiators=H.STAR_TIPS)
-    build_overlay(net, cfg, trace=trace)
-    assert {t.walk for t in trace} == {0, 1, 2, 3, 4}
-    kinds = [t.outcome for t in trace if t.walk == 1]
-    assert kinds == ["extended", "extended", "intersected"]
-    hits = [t for t in trace if t.outcome == "intersected"]
-    assert all(t.node == 0 for t in hits) and len(hits) == 4
 
 
 @pytest.mark.parametrize("initiators, seed, halted, path, steps, broker", [
@@ -405,66 +338,7 @@ def test_join_check_rejects_corrupted_records(change, wid, reason):
     assert (err.value.walk_id, err.value.reason) == (wid, reason)
 
 
-# --- invariants over random builds ---------------------------------------------
-
-def check_layer(net, res, initiator_count):
-    assert len(res.walks) == initiator_count
-    reg_nodes = set()
-    for walk in res.walks:
-        assert walk.status == "intersected"
-        assert walk.broker in walk.path
-        reg_nodes.update(walk.path)
-        for i, parent in enumerate(walk.parents):
-            if parent >= 0:
-                assert walk.path[i] in net.neighbors(walk.path[parent])
-    assert res.active_path == reg_nodes
-    assert res.brokers <= res.active_path
-    for b in res.brokers:
-        owners = [w for w in res.walks if b in w.path]
-        assert len(owners) >= 2
-    # initiators all recruited
-    for v in res.initiators:
-        assert v in res.active_path
-    # connectivity via traced edges
-    assert union_find_reason(res.active_path, res.active_path_edges) is None
-
-
-def test_random_build_invariants():
-    for seed in range(8):
-        net = generate_network(GraphGenConfig(n=150, r=0.12, seed=seed))
-        for strategy in (DRW, PRW):
-            for count in (2, 5, 10):
-                cfg = OverlayBuildConfig(initiator_count=count,
-                                         strategy=strategy, seed=seed)
-                res = build_overlay(net, cfg)
-                check_layer(net, res, count)
-
-
-def test_membership_monotone_across_walks():
-    """Each later walk only ever adds members; earlier paths are untouched."""
-    net = generate_network(GraphGenConfig(n=200, r=0.1, seed=11))
-    cfg = OverlayBuildConfig(initiator_count=8, strategy=DRW, seed=7)
-    res = build_overlay(net, cfg)
-    sizes = []
-    seen = set()
-    for walk in res.walks:
-        seen.update(walk.path)
-        sizes.append(len(seen))
-    assert sizes == sorted(sizes)
-    assert sizes[-1] == len(res.active_path)
-
-
-def test_later_walks_end_on_earlier_members():
-    net = generate_network(GraphGenConfig(n=200, r=0.1, seed=13))
-    cfg = OverlayBuildConfig(initiator_count=10, strategy=DRW, seed=3)
-    res = build_overlay(net, cfg)
-    for wid in range(2, 10):
-        walk = res.walks[wid]
-        earlier = set()
-        for prev in res.walks[:wid]:
-            earlier.update(prev.path)
-        assert walk.broker in earlier
-
+# --- determinism and the JSON form -------------------------------------------
 
 def test_build_deterministic():
     net = generate_network(GraphGenConfig(n=180, r=0.11, seed=4))

@@ -3,8 +3,9 @@
 `tools/step_cost.py` times walk steps by strategy and n; its step counts
 are exact, so two runs with one seed must agree on them.
 `tools/src_lines.py` splits the package's lines into code, docstring and
-other lines. `tools/mutants.py`'s table is checked to apply; the mutants
-themselves are not run here.
+other lines. `tools/mutants.py`'s table is checked to apply, and its report
+is checked on a canned pytest summary; the mutants themselves are not run
+here.
 """
 
 import importlib.util
@@ -92,16 +93,20 @@ def test_src_lines_counts_a_known_module(tmp_path):
         "code": 5, "docstring": 3, "other": 2, "lines": 10}
 
 
+def load_mutants():
+    spec = importlib.util.spec_from_file_location("mutants", ROOT / "tools" / "mutants.py")
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    return mutants
+
+
 def test_every_mutant_row_applies_to_one_place():
     """Each row's source string occurs exactly once in its file, differs
     from its replacement, and each test id names a test function there, or
     one case of one (``path::function[case]``), which pytest collects as
     exactly one item."""
-    spec = importlib.util.spec_from_file_location("mutants", ROOT / "tools" / "mutants.py")
-    mutants = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mutants)
     cases = set()
-    for name, file, source, replacement, tests in mutants.MUTANTS:
+    for name, file, source, replacement, tests in load_mutants().MUTANTS:
         assert (ROOT / file).read_text(encoding="utf-8").count(source) == 1, name
         assert source != replacement and tests, name
         for test in tests:
@@ -118,3 +123,32 @@ def test_every_mutant_row_applies_to_one_place():
                           env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
     assert proc.returncode == 0, proc.stdout[-4000:]
     assert sorted(line for line in proc.stdout.splitlines() if "::" in line) == sorted(cases)
+
+
+def test_mutant_report_counts_failures_new_under_the_row():
+    """A test caught the row when it fails under it and not unmutated; an
+    asked directory, file or function counts as failed when a caught test
+    lies under it, and a test id when its file failed to collect."""
+    mutants = load_mutants()
+    under_row = mutants.summary_failures(
+        "..F.F\n"
+        "=========================== short test summary info ============================\n"
+        "FAILED tests/test_a.py::test_one - AssertionError: assert 1 == 2\n"
+        "FAILED tests/test_a.py::test_cases[b] - Assert...\n"
+        "FAILED tests/test_b.py::test_slow - Failed: Timeout\n"
+        "ERROR tests/test_c.py - ImportError: cannot import name 'x'\n"
+        "3 failed, 2 passed, 1 error in 1.23s\n")
+    unmutated = mutants.summary_failures("FAILED tests/test_b.py::test_slow - Failed: Timeout\n")
+    asked = ["tests/", "tests/test_a.py", "tests/test_a.py::test_cases[a]",
+             "tests/test_a.py::test_cases[b]", "tests/test_a.py::test_on",
+             "tests/test_b.py", "tests/test_b.py::test_slow", "tests/test_c.py::test_any"]
+    assert mutants.report("row", asked, under_row, unmutated) == {
+        "mutant": "row",
+        "failed": ["tests/", "tests/test_a.py", "tests/test_a.py::test_cases[b]",
+                   "tests/test_c.py::test_any"],
+        "passed": ["tests/test_a.py::test_cases[a]", "tests/test_a.py::test_on",
+                   "tests/test_b.py", "tests/test_b.py::test_slow"],
+        "caught": ["tests/test_a.py::test_cases[b]", "tests/test_a.py::test_one",
+                   "tests/test_c.py"]}
+    assert mutants.report("row", asked, "source occurs 0 times in f.py", unmutated) == {
+        "mutant": "row", "error": "source occurs 0 times in f.py"}

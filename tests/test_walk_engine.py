@@ -54,10 +54,10 @@ def seeded(seed):
     return lambda walk_id: stream_words(np.random.default_rng(seed))
 
 
-def fresh(net, initiator, seed=0, walk_id=0, registry=None, **kw):
-    reg = registry if registry is not None else OverlayRegistry(net.n)
-    walk, out = init_walk(net, initiator, walk_id, reg, seeded(seed), **kw)
-    return walk, out, reg
+def fresh(net, initiator, seed=0):
+    reg = OverlayRegistry(net.n)
+    walk, _ = init_walk(net, initiator, 0, reg, seeded(seed))
+    return walk, reg
 
 
 # --- strategy parsing -------------------------------------------------------
@@ -125,8 +125,8 @@ def test_fan_guided_step_picks_unique_minimum():
     net = H.fan_network()
     reg = OverlayRegistry(net.n)
     # steer the uniform first hop onto y (seed probed for this layout)
-    walk, out = init_walk(net, H.FAN_X, 0, reg, SeedDraws(4).words)
-    assert out is None and walk.path == [H.FAN_X, H.FAN_Y]
+    walk, _ = init_walk(net, H.FAN_X, 0, reg, SeedDraws(4).words)
+    assert walk.path == [H.FAN_X, H.FAN_Y]
     result = step(walk, net, reg, DRW)
     assert result.kind == EXTENDED and walk.path[-1] == H.FAN_SCORED["z"]
     assert marked_nodes(net, walk.marked) == set(net.neighbors(H.FAN_X))
@@ -136,8 +136,7 @@ def test_fan_guided_step_picks_unique_minimum():
 
 def test_init_records_initiator_and_second_node():
     net = H.crossing_network()
-    walk, out, reg = fresh(net, 0)
-    assert out is None
+    walk, reg = fresh(net, 0)
     assert walk.path == [0, 1]          # node 0 has a single neighbor
     assert walk.parents == [-1, 0]
     assert walk.head == 1
@@ -151,7 +150,7 @@ def test_init_second_node_uniform():
     counts = {1: 0, 3: 0, 7: 0}
     trials = 3000
     for seed in range(trials):
-        walk, _, _ = fresh(net, 2, seed=seed)
+        walk, _ = fresh(net, 2, seed=seed)
         counts[walk.path[1]] += 1
     expect = trials / 3
     bound = 3 * (trials * (1 / 3) * (2 / 3)) ** 0.5
@@ -170,7 +169,7 @@ def test_init_isolated_initiator_raises():
 
 def test_forced_chain_steps():
     net = H.crossing_network()
-    walk, _, reg = fresh(net, 0)
+    walk, reg = fresh(net, 0)
     out = step(walk, net, reg, DRW)
     assert out.kind == EXTENDED
     assert walk.path == [0, 1, 2] and walk.head == 2
@@ -265,8 +264,8 @@ def test_pocket_full_trace():
     net = H.pocket_network()
     reg = OverlayRegistry(net.n)
     reg.owner[7] = 99                 # terminal node held by a foreign walk
-    walk, out = init_walk(net, 0, 0, reg, seeded(1))
-    assert out is None and walk.path == [0, 1]
+    walk, _ = init_walk(net, 0, 0, reg, seeded(1))
+    assert walk.path == [0, 1]
 
     kinds, trace = [], []
     while walk.status == ACTIVE:
@@ -302,7 +301,7 @@ def test_pocket_backtrack_cursor_arithmetic():
 def test_exhaustion_after_retreat_past_initiator():
     """Two isolated corridor nodes: the walk dead-ends and exhausts."""
     net = network_from_positions([[0.3, 0.5], [0.4, 0.5]], r=0.15)
-    walk, _, reg = fresh(net, 0)
+    walk, reg = fresh(net, 0)
     assert walk.path == [0, 1]
     out = step(walk, net, reg, DRW)     # head 1 has no unvisited neighbors
     assert out.kind == BACKTRACKED and walk.head == 0 and len(walk.path) == 2
@@ -347,7 +346,7 @@ def test_every_step_outcome_is_frozen():
     while walk.status == ACTIVE:
         outcomes.append(step(walk, net, reg, DRW))
     net = network_from_positions([[0.3, 0.5], [0.4, 0.5]], r=0.15)
-    walk, _, reg = fresh(net, 0)
+    walk, reg = fresh(net, 0)
     outcomes += [step(walk, net, reg, PRW), step(walk, net, reg, PRW)]
     assert {out.kind for out in outcomes} == {EXTENDED, INTERSECTED, BACKTRACKED, EXHAUSTED}
     for out in outcomes:
@@ -382,10 +381,8 @@ def test_weighted_alpha_only_equals_first_neighborhood():
         for strat in (DRW, weighted):
             reg = OverlayRegistry(net.n)
             reg.owner[net.n - 1] = 50  # give the walk something to hit
-            walk, out = init_walk(net, 0, 0, reg, seeded(seed))
-            if out is None:
-                run_walk_until_stop([walk], net, reg, strat,
-                                    default_step_budget(net.n))
+            walk, _ = init_walk(net, 0, 0, reg, seeded(seed))
+            run_walk_until_stop([walk], net, reg, strat, default_step_budget(net.n))
             paths.append(list(walk.path))
         assert paths[0] == paths[1]
 
@@ -426,9 +423,8 @@ def test_same_seed_same_walk():
     for _ in range(2):
         reg = OverlayRegistry(net.n)
         reg.owner[net.n - 1] = 50
-        walk, out = init_walk(net, 0, 0, reg, seeded(42))
-        if out is None:
-            run_walk_until_stop([walk], net, reg, DRW, default_step_budget(net.n))
+        walk, _ = init_walk(net, 0, 0, reg, seeded(42))
+        run_walk_until_stop([walk], net, reg, DRW, default_step_budget(net.n))
         runs.append((list(walk.path), walk.steps, walk.backtracks, walk.status))
     assert runs[0] == runs[1]
 
@@ -443,10 +439,8 @@ def test_walk_invariants_random_networks():
             reg = OverlayRegistry(net.n)
             target = net.n // 2
             reg.owner[target] = 50
-            walk, out = init_walk(net, 0, 0, reg, seeded(seed))
-            if out is None:
-                run_walk_until_stop([walk], net, reg, strat,
-                                    default_step_budget(net.n))
+            walk, _ = init_walk(net, 0, 0, reg, seeded(seed))
+            run_walk_until_stop([walk], net, reg, strat, default_step_budget(net.n))
             assert len(set(walk.path)) == len(walk.path)
             for i, parent in enumerate(walk.parents):
                 if parent == -1:
@@ -464,9 +458,8 @@ def test_twohop_walk_terminates_and_stays_tabu():
     strat = CostStrategy("twohop")
     reg = OverlayRegistry(net.n)
     reg.owner[100] = 50
-    walk, out = init_walk(net, 0, 0, reg, seeded(9))
-    if out is None:
-        run_walk_until_stop([walk], net, reg, strat, default_step_budget(net.n))
+    walk, _ = init_walk(net, 0, 0, reg, seeded(9))
+    run_walk_until_stop([walk], net, reg, strat, default_step_budget(net.n))
     assert walk.status == INTERSECTED
     assert marked_nodes(net, walk.marked) == set()   # twohop never maintains marks
 
@@ -475,7 +468,7 @@ def test_twohop_walk_terminates_and_stays_tabu():
 
 def test_budget_zero_raises_immediately():
     net = H.crossing_network()
-    walk, _, reg = fresh(net, 0)
+    walk, reg = fresh(net, 0)
     with pytest.raises(BuildFailed) as err:
         run_walk_until_stop([walk], net, reg, DRW, 0)
     assert err.value.walk_id == 0 and err.value.reason == "step budget 0 spent"

@@ -4,12 +4,21 @@
 
 Each row of MUTANTS names a file, an exact source string that occurs once
 in it, its replacement and the test ids that must fail, each a test
-function or one case of it (``path::function[case]``). Per row (or per
-NAME), the tree at DIR (default: this checkout) is copied to a temporary
-directory, the row applied, and pytest run on the row's ids, or on the
---tests ids for every row. One JSON line per row lists the ids that failed
-and those that passed, or why the row did not apply. Exits 1 if any id
-passed or any row did not apply.
+function or one case of it (``path::function[case]``). The tree at DIR
+(default: this checkout) is copied to a temporary directory and pytest run
+there, once unmutated and then once per row (or per NAME) with the row
+applied, on the row's ids, or on the --tests ids for every row. A test
+caught a row when it fails under the row and passes unmutated. One JSON
+line per row lists the asked ids with a caught test under them ("failed":
+a file or directory id counts when any test in it was caught) and those
+without ("passed"), and every caught test by the id pytest gives it
+("caught"); or why the row did not apply. Exits 1 if any asked id passed
+or any row did not apply.
+
+``--tests tests`` prints the whole suite's catch matrix. In it,
+tests/test_tools.py::test_every_mutant_row_applies_to_one_place fails
+under every row, since it reads the mutated tree and finds the row's
+source string gone; that failure is not a catch.
 """
 
 from __future__ import annotations
@@ -33,6 +42,9 @@ MARKING = ("walk.marked |= net.neighbor_bits[path[head - 1]]\n"
            "                _mark_two_rings(walk, net, path[head - 1])")
 BORN_JOIN = [f"tests/test_overlay.py::test_join_check_rejects_corrupted_records[born-{case}]"
              for case in ("broker-off-the-layer", "broker-not-joined-yet")]
+GUIDED_MEETS = ("                    ties.append(v)\n"
+                "            elif o != wid:\n"
+                "                break")
 CACHE_KEY = ("picks = self.initiators.get((net.n, count))\n"
              "        if picks is None:\n"
              "            picks = select_initiators(net, count, stream(self.seed, \"initiators\"))\n"
@@ -79,26 +91,76 @@ MUTANTS = [
      'rank[np.argsort(self.positions[:, 1], kind="stable")] = np.arange(self.n)',
      'rank[np.argsort(self.positions[:, 1], kind="stable")] = '
      'np.minimum(np.arange(self.n), self.n - 2)', REFERENCE),
+    # A cheaper unowned candidate, scanned before it, wins over an owned neighbour.
+    ("guided-skips-owned-neighbour", ENGINE, GUIDED_MEETS,
+     GUIDED_MEETS.replace("elif o != wid:", "elif o != wid and not ties:")
+     + "\n            else:\n                o = -1", REFERENCE),
+    ("twohop-scored-against-head", ENGINE,
+     "net.neighbor_bits[walk.path[src_index - 1]] if src_index else 0",
+     "net.neighbor_bits[walk.path[src_index]] if src_index else 0", REFERENCE),
+    ("two-ring-marking-skips-first-ring", ENGINE, "    walk.marked |= net.neighbor_bits[node]\n",
+     "", REFERENCE),
+    # Twohop scores against no mark, so marking for it only costs time.
+    ("twohop-marks-rings", ENGINE, MARKING, MARKING.replace("elif kind == WEIGHTED:", "else:"),
+     ["tests/test_scoring.py::test_scoring_and_marks_match_set_oracles"]),
+    ("retreat-to-initiator", ENGINE, "walk.head = head - 1", "walk.head = 0", REFERENCE),
+    ("exhausted-one-node-early", ENGINE, "if head == 0:", "if head == 1:", REFERENCE),
+    ("step-on-ended-walk", ENGINE, "if walk.status != ACTIVE:", "if False:",
+     [f"tests/test_lazy_walks.py::test_born_walk_state[{case}]"
+      for case in ("initiator", "neighbor")]),
+    ("isolated-initiator-unchecked", ENGINE, "if not nbrs:", "if False:",
+     ["tests/test_walk_engine.py::test_init_isolated_initiator_raises"]),
+    ("intersection-outcome-made-per-step", ENGINE, "out = _INTERSECTED",
+     "out = StepOutcome(INTERSECTED)",
+     ["tests/test_walk_engine.py::test_every_step_outcome_is_a_shared_constant"]),
+    ("budget-check-one-step-late", OVERLAY, "if walk.steps >= budget:", "if walk.steps > budget:",
+     ["tests/test_reference.py::test_budget_failure_equals_reference_build"]),
+    ("initiators-drawn-with-replacement", OVERLAY, "replace=False", "replace=True", REFERENCE),
 ]
 
 
-def run_row(root: Path, row: tuple, tests: list[str]) -> dict:
-    name, file, source, replacement, _ = row
+def pytest_failures(root: Path, tests: list[str], row: tuple | None = None) -> set[str] | str:
+    """The ids pytest reports failed or in error on tests, run in a copy of
+    the tree at root with row applied (none: unmutated), or why the row
+    does not apply."""
     with tempfile.TemporaryDirectory() as tmp:
         tree = Path(tmp) / "tree"
         shutil.copytree(root, tree, ignore=shutil.ignore_patterns(
             ".git", ".bench_out", ".hypothesis", ".pytest_cache", "__pycache__"))
-        text = (tree / file).read_text(encoding="utf-8")
-        if text.count(source) != 1:
-            return {"mutant": name, "error": f"source occurs {text.count(source)} times in {file}"}
-        (tree / file).write_text(text.replace(source, replacement), encoding="utf-8")
+        if row is not None:
+            _, file, source, replacement, _ = row
+            text = (tree / file).read_text(encoding="utf-8")
+            if text.count(source) != 1:
+                return f"source occurs {text.count(source)} times in {file}"
+            (tree / file).write_text(text.replace(source, replacement), encoding="utf-8")
         proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-rfE", "-p",
-                               "no:cacheprovider", *tests], cwd=tree, capture_output=True,
-                              text=True, env={**os.environ, "PYTHONPATH": str(tree / "src")})
-    bad = re.findall(r"^(?:FAILED|ERROR) (\S+)", proc.stdout, re.M)
-    failed = [t for t in tests if any(b == t or b.startswith((t + "[", t + "::"))
-                                      or t.startswith(b + "::") for b in bad)]
-    return {"mutant": name, "failed": failed, "passed": [t for t in tests if t not in failed]}
+                               "no:cacheprovider", "--continue-on-collection-errors", *tests],
+                              cwd=tree, capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(tree / "src")})
+    return summary_failures(proc.stdout)
+
+
+def summary_failures(stdout: str) -> set[str]:
+    """The ids a ``pytest -rfE`` summary names as failed or in error."""
+    return set(re.findall(r"^(?:FAILED|ERROR) (\S+)", stdout, re.M))
+
+
+def under(test: str, asked: str) -> bool:
+    """Whether test is the asked id, one of its cases or a test in the file
+    or directory it names, or is a file whose collection error covers it."""
+    asked = asked.rstrip("/")
+    return (test == asked or test.startswith((asked + "[", asked + "::", asked + "/"))
+            or asked.startswith(test + "::"))
+
+
+def report(name: str, tests: list[str], failures: set[str] | str, unmutated: set[str]) -> dict:
+    """One row's JSON line from the ids that failed under it and unmutated."""
+    if isinstance(failures, str):
+        return {"mutant": name, "error": failures}
+    caught = sorted(failures - unmutated)
+    failed = [t for t in tests if any(under(c, t) for c in caught)]
+    return {"mutant": name, "failed": failed, "passed": [t for t in tests if t not in failed],
+            "caught": caught}
 
 
 def main(argv: list[str]) -> int:
@@ -107,11 +169,14 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--root", type=Path, default=ROOT)
     parser.add_argument("--tests", nargs="+")
     args = parser.parse_args(argv)
+    rows = [row for row in MUTANTS if not args.names or row[0] in args.names]
+    if not rows:
+        return 0
+    unmutated = pytest_failures(args.root, args.tests or sorted({t for r in rows for t in r[4]}))
     status = 0
-    for row in MUTANTS:
-        if args.names and row[0] not in args.names:
-            continue
-        line = run_row(args.root, row, args.tests or row[4])
+    for row in rows:
+        tests = args.tests or row[4]
+        line = report(row[0], tests, pytest_failures(args.root, tests, row), unmutated)
         print(json.dumps(line), flush=True)
         status |= bool(line.get("error") or line["passed"])
     return status
