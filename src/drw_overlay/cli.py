@@ -197,7 +197,7 @@ def _cmd_experiment(args) -> int:
         write_summary_csv(rows, summary_path, metadata=meta)
     except EmptyGroup:
         summary_path = None
-    print(f"cells={cfg.cell_count * len(cfg.strategies)}")
+    print(f"cells={cfg.cell_count}")
     print(f"rows={len(records)}")
     print(f"failed_cells={len(bad)}")
     print(f"failed_builds={failed_builds}")

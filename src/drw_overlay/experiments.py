@@ -76,10 +76,10 @@ class ScenarioConfig:
     """One sweep definition.
 
     initiator_counts maps each node count to its sweep list. Every integer
-    goes through check_int: node and initiator counts >= 2, replications
-    and step_budget >= 1. r must pass check_radius and be an int or a
-    float, the types a seed label encodes; it is kept as given, unclamped
-    and with its type, since it feeds every derived seed. With
+    goes through check_int: node and initiator counts >= 2, replications,
+    step_budget and r_rescale_ref >= 1. r must pass check_radius and be an
+    int or a float, the types a seed label encodes; it is kept as given,
+    unclamped and with its type, since it feeds every derived seed. With
     r_rescale_ref set, node count n uses radius r * sqrt(r_rescale_ref / n),
     which keeps the reference's mean degree.
     n_values and strategies must not be empty, and no two strategies may
@@ -108,6 +108,8 @@ class ScenarioConfig:
         self.base_seed = check_int(self.base_seed, "base seed")
         if self.step_budget is not None:
             self.step_budget = check_int(self.step_budget, "step budget", 1)
+        if self.r_rescale_ref is not None:
+            self.r_rescale_ref = check_int(self.r_rescale_ref, "r_rescale_ref", 1)
         self.initiator_counts = {n: tuple(check_int(i, "number of initiators", 2)
                                           for i in self.initiator_counts.get(n, ()))
                                  for n in self.n_values}
@@ -129,8 +131,8 @@ class ScenarioConfig:
 
     @property
     def cell_count(self) -> int:
-        """Cells counted per the sweep grid, strategies not multiplied in."""
-        return sum(len(self.initiator_counts[n]) for n in self.n_values)
+        """The sweep's (n, strategy, I) cells, the unit of failed_cells."""
+        return len(self.strategies) * sum(len(self.initiator_counts[n]) for n in self.n_values)
 
 
 def _protocol(label, n_values, lists, scale, strategies, base_seed, step_budget,

@@ -42,10 +42,9 @@ FAN_POSITIONS = [
     (0.9466, 0.1008),  # 14 u2
     (0.8187, 0.2918),  # 15 u3
 ]
-FAN_X, FAN_Y = 0, 1
+FAN_X = 0
 FAN_SCORED = {"a": 2, "b": 3, "c": 4, "d": 5, "z": 6}
 FAN_COSTS = {2: 3, 3: 2, 4: 3, 5: 2, 6: 1}
-FAN_CORRIDOR = (13, 14, 15)
 FAN_INITIATORS = (0, 13)
 
 
@@ -100,7 +99,6 @@ def _star_positions():
 
 
 STAR_POSITIONS = _star_positions()
-STAR_HUB = 0
 STAR_TIPS = tuple(1 + 3 * k for k in range(STAR_ARMS))
 
 

@@ -68,7 +68,7 @@ def test_full_protocol_cell_counts():
     assert len(cfg.initiator_counts[1000]) == 20
     assert len(cfg.initiator_counts[2000]) == 21
     assert len(cfg.initiator_counts[3000]) == 22
-    assert cfg.cell_count == 63
+    assert cfg.cell_count == 126         # 63 (n, I) cells, each under drw and prw
     assert 1750 in cfg.initiator_counts[2000]
     assert 875 in cfg.initiator_counts[1000]
     assert 2625 in cfg.initiator_counts[3000]

@@ -107,6 +107,8 @@ INT_FIELDS = {
                                  lambda c: c.base_seed, 3, None),
     "ScenarioConfig.step_budget": (lambda v: scenario_with(step_budget=v),
                                    lambda c: c.step_budget, 3, 1),
+    "ScenarioConfig.r_rescale_ref": (lambda v: scenario_with(r_rescale_ref=v),
+                                     lambda c: c.r_rescale_ref, 1000, 1),
     "ScenarioConfig.initiator_counts": (lambda v: scenario_with(initiator_counts={60: (2, v)}),
                                         lambda c: c.initiator_counts[60][1], 4, 2),
 }

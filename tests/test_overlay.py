@@ -1,9 +1,9 @@
-"""Overlay construction: the registry, initiator selection, config
-validation, the walk schedule on hand-built graphs and the join check.
-tests/test_reference.py checks every build it makes, and that each finished
-layer is connected over its traced edges; the acceptance checklist traces
-the fan, crossing and star builds by hand and checks the structural
-invariants of random builds."""
+"""Overlay construction: the registry's lookup, initiator selection,
+config validation and the join check. tests/test_reference.py checks
+every build it makes, hand inputs with their failures included, and that
+each finished layer is connected over its traced edges; the acceptance
+checklist traces the fan, crossing and star builds by hand and checks the
+structural invariants of random builds."""
 
 from dataclasses import replace
 from unittest import mock
@@ -19,47 +19,18 @@ from drw_overlay.overlay import (
     BuildFailed,
     OverlayBuildConfig,
     OverlayRegistry,
-    SeedDraws,
     TooManyInitiators,
     build_overlay,
-    run_walk_until_stop,
     select_initiators,
     to_json_dict,
 )
 from drw_overlay.rng import stream
-from drw_overlay.walk_engine import (
-    ACTIVE,
-    EXTENDED,
-    INTERSECTED,
-    CostStrategy,
-    StepOutcome,
-    default_step_budget,
-    init_walk,
-    step,
-)
+from drw_overlay.walk_engine import CostStrategy
 
 DRW = CostStrategy("drw")
-PRW = CostStrategy("prw")
 
 
 # --- registry ----------------------------------------------------------------
-
-def test_registry_membership_and_brokers():
-    """The walk that takes a node owns it; a walk that meets it there makes
-    it its broker and leaves the owner as it is."""
-    net = H.crossing_network()
-    reg = OverlayRegistry(net.n)
-    walks = SeedDraws(0).words
-    w1, _ = init_walk(net, 5, 1, reg, walks)
-    assert reg.owner == [-1] * 5 + [1, 1, -1]
-    assert step(w1, net, reg, DRW) == StepOutcome(EXTENDED) and w1.path[-1] == 7
-    w0, _ = init_walk(net, 0, 0, reg, walks)
-    assert step(w0, net, reg, DRW) == StepOutcome(EXTENDED) and w0.path[-1] == 2
-    assert reg.owner == [0, 0, 0, -1, -1, 1, 1, 1] and w0.broker is None
-    assert step(w0, net, reg, DRW) == StepOutcome(INTERSECTED)
-    assert w0.path == [0, 1, 2, 7] and w0.broker == 7
-    assert reg.owner == [0, 0, 0, -1, -1, 1, 1, 1] and w1.broker is None
-
 
 def test_registry_other_walk_at():
     """other_walk_at names the owner only to a walk other than the owner."""
@@ -74,21 +45,9 @@ def test_registry_other_walk_at():
 
 # --- initiator selection ------------------------------------------------------
 
-def test_select_initiators_distinct_and_in_range():
-    net = generate_network(GraphGenConfig(n=60, r=0.25, seed=1))
-    picks = select_initiators(net, 10, stream(0, "initiators"))
-    assert len(picks) == 10
-    assert len(set(picks)) == 10
-    assert all(0 <= v < net.n for v in picks)
-
-
-def test_select_initiators_all_nodes_is_permutation():
-    net = generate_network(GraphGenConfig(n=25, r=0.4, seed=2))
-    picks = select_initiators(net, 25, stream(3, "initiators"))
-    assert sorted(picks) == list(range(25))
-
-
 def test_select_initiators_plain_ints_in_draw_order():
+    """The picks are Generator.choice's draw without replacement, in draw
+    order and as plain ints: distinct ids in 0..n-1."""
     net = generate_network(GraphGenConfig(n=60, r=0.25, seed=1))
     picks = select_initiators(net, 10, stream(4, "initiators"))
     assert type(picks) is tuple and all(type(v) is int for v in picks)
@@ -150,90 +109,6 @@ def test_out_of_range_initiator_fails_before_any_walk():
         build_overlay(net, cfg)
     assert not made.called
     assert all(reg.owner == [-1] * net.n for reg in registries)
-
-
-# --- the walk schedule on hand-built graphs ----------------------------------
-
-def test_driver_returns_the_broker_and_halts_no_one():
-    """On the crossing, walk 0 meets walk 1 at node 7; the driver returns 7
-    and leaves walk 1 as it stands, for the build to halt."""
-    net = H.crossing_network()
-    reg = OverlayRegistry(net.n)
-    walks = [init_walk(net, v, wid, reg, SeedDraws(0).words)[0]
-             for wid, v in enumerate(H.CROSS_INITIATORS)]
-    assert run_walk_until_stop(walks, net, reg, DRW, default_step_budget(net.n)) == 7
-    assert [(w.status, w.broker) for w in walks] == [(INTERSECTED, 7), (ACTIVE, None)]
-
-
-@pytest.mark.parametrize("initiators, seed, halted, path, steps, broker", [
-    # walk 0 meets walk 1 at 7 on its second step; walk 1 has taken one
-    ((0, 5), 0, 1, [5, 6, 7], 1, 7),
-    # walk 0 takes 2 (seed probed); walk 1 is born on its initiator 1
-    ((1, 0), 3, 0, [1, 2], 0, 1),
-    # walk 0 takes 0 (seed probed); walk 1 is born on its second node 0
-    ((1, 0), 0, 0, [1, 0], 0, 0),
-], ids=["met-while-stepping", "born-on-initiator", "born-on-second-node"])
-def test_pair_walk_halts_where_it_stands(initiators, seed, halted, path, steps, broker):
-    """The partner stops as soon as the pair is bridged, also when the
-    second walk is born on the first one's path."""
-    net = H.crossing_network()
-    cfg = OverlayBuildConfig(initiator_count=2, strategy=DRW,
-                             seed=seed, initiators=initiators)
-    res = build_overlay(net, cfg)
-    walk = res.walks[halted]
-    assert walk.path == path and walk.steps == steps
-    assert walk.status == "intersected"
-    assert [w.broker for w in res.walks] == [broker, broker]
-
-
-def test_initiator_already_member_immediate_broker():
-    """A later initiator may already sit on an earlier walk's path."""
-    net = H.star_network()
-    # walk 2's initiator is the hub, recruited by walk 0 in the pair phase
-    cfg = OverlayBuildConfig(initiator_count=3, strategy=DRW,
-                             seed=0, initiators=(1, 4, 0))
-    res = build_overlay(net, cfg)
-    w2 = res.walks[2]
-    assert w2.path == [0] and w2.steps == 0
-    assert w2.status == "intersected" and w2.broker == 0
-    assert 0 in res.brokers
-
-
-def test_build_failed_when_no_meeting_possible():
-    """Walks on disjoint corridors exhaust instead of meeting."""
-    from drw_overlay.geom_graph import network_from_positions
-    split = network_from_positions(
-        [[0.1, 0.2], [0.2, 0.2], [0.3, 0.2],
-         [0.1, 0.8], [0.2, 0.8], [0.3, 0.8]], r=0.12)
-    cfg = OverlayBuildConfig(initiator_count=2, strategy=DRW,
-                             seed=0, initiators=(0, 3), step_budget=100)
-    with pytest.raises(BuildFailed):
-        build_overlay(split, cfg)
-
-
-def test_build_failed_on_tiny_budget():
-    net = generate_network(GraphGenConfig(n=300, r=0.08, seed=5))
-    cfg = OverlayBuildConfig(initiator_count=2, strategy=PRW,
-                             seed=0, step_budget=1)
-    with pytest.raises(BuildFailed):
-        build_overlay(net, cfg)
-
-
-@pytest.mark.parametrize("initiators, budget, walk_id", [
-    ((0, 9), 2, 0),      # pair phase: walk 0 spends its 2 steps first
-    ((0, 1, 9), 3, 2),   # walk 1 is born on walk 0's path; walk 2 needs 7 steps
-], ids=["pair-phase", "later-walk"])
-def test_budget_hit_fails_with_one_reason(initiators, budget, walk_id):
-    """A budget hit, in the first pair or in a later walk, names the walk
-    and the spent budget."""
-    from drw_overlay.geom_graph import network_from_positions
-    line = network_from_positions([[0.05 + 0.1 * i, 0.5] for i in range(10)], r=0.11)
-    cfg = OverlayBuildConfig(initiator_count=len(initiators), strategy=DRW, seed=0,
-                             initiators=initiators, step_budget=budget)
-    with pytest.raises(BuildFailed) as err:
-        build_overlay(line, cfg)
-    assert err.value.walk_id == walk_id
-    assert err.value.reason == f"step budget {budget} spent"
 
 
 def test_too_many_initiators_at_build():

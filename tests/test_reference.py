@@ -17,7 +17,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import handnets as H
@@ -118,8 +118,31 @@ def build_runs(draw):
     return net, draw(st.lists(build_configs(net, seeds), min_size=2, max_size=6))
 
 
+DRW = CostStrategy("drw")
+# Two three-node chains with no edge between them, and a line of ten nodes.
+SPLIT = network_from_positions([(x, y) for y in (0.2, 0.8) for x in (0.1, 0.2, 0.3)], 0.12)
+LINE = network_from_positions([(0.05 + 0.1 * i, 0.5) for i in range(10)], 0.11)
+
+
 @settings(max_examples=300, deadline=None)
 @given(run=build_runs())
+# Hand inputs, each with what both builds give. On the crossing: walk 0
+# meets walk 1 at 7 while walk 1 stands after one step; walk 1 is born on
+# walk 0's initiator 1; walk 1 is born on walk 0's second node 0.
+@example(run=(H.crossing_network(), [OverlayBuildConfig(2, DRW, seed=0, initiators=(0, 5))]))
+@example(run=(H.crossing_network(), [OverlayBuildConfig(2, DRW, seed=3, initiators=(1, 0))]))
+@example(run=(H.crossing_network(), [OverlayBuildConfig(2, DRW, seed=0, initiators=(1, 0))]))
+# Walk 2's initiator, the star's hub, is already walk 0's: its broker is 0.
+@example(run=(H.star_network(), [OverlayBuildConfig(3, DRW, seed=0, initiators=(1, 4, 0))]))
+# (0, "exhausted: backtracked past its initiator")
+@example(run=(SPLIT, [OverlayBuildConfig(2, DRW, seed=0, initiators=(0, 3), step_budget=100)]))
+# (0, "step budget 1 spent")
+@example(run=(generate_network(GraphGenConfig(n=300, r=0.08, seed=5)),
+              [OverlayBuildConfig(2, CostStrategy("prw"), seed=0, step_budget=1)]))
+# (0, "step budget 2 spent") in the pair; (2, "step budget 3 spent") after
+# walk 1 is born on walk 0's path.
+@example(run=(LINE, [OverlayBuildConfig(2, DRW, seed=0, initiators=(0, 9), step_budget=2)]))
+@example(run=(LINE, [OverlayBuildConfig(3, DRW, seed=0, initiators=(0, 1, 9), step_budget=3)]))
 def test_builds_equal_reference_builds(run):
     net, cfgs = run
     for cfg in cfgs:
