@@ -45,6 +45,20 @@ def test_registry_other_walk_at():
 
 # --- initiator selection ------------------------------------------------------
 
+def test_select_initiators_distinct_and_in_range():
+    net = generate_network(GraphGenConfig(n=60, r=0.25, seed=1))
+    picks = select_initiators(net, 10, stream(0, "initiators"))
+    assert len(picks) == 10
+    assert len(set(picks)) == 10
+    assert all(0 <= v < net.n for v in picks)
+
+
+def test_select_initiators_all_nodes_is_permutation():
+    net = generate_network(GraphGenConfig(n=25, r=0.4, seed=2))
+    picks = select_initiators(net, 25, stream(3, "initiators"))
+    assert sorted(picks) == list(range(25))
+
+
 def test_select_initiators_plain_ints_in_draw_order():
     """The picks are Generator.choice's draw without replacement, in draw
     order and as plain ints: distinct ids in 0..n-1."""
