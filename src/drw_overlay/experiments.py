@@ -83,7 +83,8 @@ class ScenarioConfig:
     r_rescale_ref set, node count n uses radius r * sqrt(r_rescale_ref / n),
     which keeps the reference's mean degree.
     n_values and strategies must not be empty, and no two strategies may
-    share a label, which names a strategy's records.
+    share a label, which names a strategy's records. scale must lie in
+    (0, 1], and label, echoed in the CSV metadata, must be one line of text.
     """
 
     n_values: tuple[int, ...]
@@ -123,6 +124,9 @@ class ScenarioConfig:
             raise ValueError("a scenario needs at least one strategy")
         if len(set(labels)) < len(labels):
             raise ValueError(f"a strategy is listed twice in {','.join(labels)}")
+        _check_scale(self.scale)
+        if not isinstance(self.label, str) or "\n" in self.label or "\r" in self.label:
+            raise ValueError(f"label must be one line of text, got {self.label!r}")
 
     def effective_radius(self, n: int) -> float:
         if self.r_rescale_ref is None:
@@ -135,6 +139,11 @@ class ScenarioConfig:
         return len(self.strategies) * sum(len(self.initiator_counts[n]) for n in self.n_values)
 
 
+def _check_scale(scale) -> None:
+    if not 0 < scale <= 1:
+        raise ValueError(f"scale must be in (0, 1], got {scale}")
+
+
 def _protocol(label, n_values, lists, scale, strategies, base_seed, step_budget,
               r_rescale_ref=None) -> ScenarioConfig:
     """The protocol's scaling rule, shared by both scenario makers.
@@ -143,8 +152,7 @@ def _protocol(label, n_values, lists, scale, strategies, base_seed, step_budget,
     to scale*n, replications shrink to scale*100 with a floor of 10, and
     the strategies default to drw and prw.
     """
-    if not 0 < scale <= 1:
-        raise ValueError(f"scale must be in (0, 1], got {scale}")
+    _check_scale(scale)  # before round(), which raises OverflowError on inf
     return ScenarioConfig(
         n_values=n_values, r=FULL_R,
         initiator_counts={n: tuple(i for i in lists[n] if i <= scale * n) for n in n_values},

@@ -32,6 +32,7 @@ import handnets as H
 from costs import candidate_costs
 from layers import union_find_reason
 from marks import mask_of, marked_nodes
+from walltime import mask_wall_time
 from drw_overlay.cli import main
 from drw_overlay.experiments import ScenarioConfig, run_scenario
 from drw_overlay.geom_graph import GraphGenConfig, generate_network
@@ -361,16 +362,6 @@ def test_depth_saturates_while_size_grows(paired_records):
 
 
 # --- 9. deterministic command-line output --------------------------------------------
-
-def mask_wall_time(text: str) -> str:
-    out = []
-    for line in text.splitlines():
-        if line.startswith("#") or line.startswith("n,"):
-            out.append(line)
-        else:
-            out.append(line.rsplit(",", 1)[0] + ",0")
-    return "\n".join(out)
-
 
 def test_cli_output_is_reproducible(tmp_path, capsys):
     problems = []

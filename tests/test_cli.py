@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from walltime import mask_wall_time
 from drw_overlay import cli
 from drw_overlay.cli import main
 from drw_overlay.experiments import RECORD_COLUMNS, read_records_csv, summarize
@@ -28,16 +29,6 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def mask_wall_time(text: str) -> str:
-    out = []
-    for line in text.splitlines():
-        if line.startswith("#") or line.startswith("n,"):
-            out.append(line)
-        else:
-            out.append(line.rsplit(",", 1)[0] + ",0")
-    return "\n".join(out)
 
 
 # --- start-up ---------------------------------------------------------------
@@ -55,18 +46,7 @@ def test_cli_import_leaves_scipy_out():
     assert proc.stdout == "[]\n"
 
 
-# --- parsing and exit codes --------------------------------------------------
-
-def test_no_command_is_usage_error(capsys):
-    code, _, _ = run(capsys, )
-    assert code == 1
-
-
-def test_unknown_flag_is_usage_error(capsys):
-    code, _, _ = run(capsys, "gen", "--n", "5", "--r", "0.5",
-                     "--out", "x.json", "--bogus")
-    assert code == 1
-
+# --- help ----------------------------------------------------------------------
 
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
@@ -124,19 +104,6 @@ def test_gen_deterministic_files(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_gen_subcritical_radius_exit_2(tmp_path, capsys):
-    code, _, err = run(capsys, "gen", "--n", "300", "--r", "0.001",
-                       "--out", str(tmp_path / "no.json"))
-    assert code == 2
-    assert "attempts" in err
-
-
-def test_gen_bad_n_usage_error(tmp_path, capsys):
-    code, _, _ = run(capsys, "gen", "--n", "1", "--r", "0.5",
-                     "--out", str(tmp_path / "x.json"))
-    assert code == 1
-
-
 # --- build -----------------------------------------------------------------------
 
 def test_build_from_generated_network(tmp_path, capsys):
@@ -183,77 +150,6 @@ def test_build_weighted_accepts_alpha_beta(capsys):
     assert stdout.startswith("active_path_size=")
 
 
-def test_build_one_initiator_usage_error(capsys):
-    code, _, err = run(capsys, "build", "--n", "100", "--r", "0.2",
-                       "--initiators", "1")
-    assert code == 1
-    assert "initiators" in err
-
-
-def test_build_requires_net_or_n(capsys):
-    code, _, _ = run(capsys, "build", "--initiators", "3")
-    assert code == 1
-    code, _, _ = run(capsys, "build", "--n", "100", "--initiators", "3")
-    assert code == 1
-
-
-def test_build_net_with_r_usage_error(tmp_path, capsys):
-    """--net fixes the radius, so --r with it is rejected, as --n is."""
-    net_path = tmp_path / "net.json"
-    run(capsys, "gen", "--n", "150", "--r", "0.15", "--seed", "2", "--out", str(net_path))
-    for extra in (["--r", "0.01"], ["--n", "150"], ["--n", "150", "--r", "0.15"]):
-        code, stdout, err = run(capsys, "build", "--net", str(net_path), *extra,
-                                "--initiators", "3")
-        assert code == 1 and stdout == "", extra
-        assert err.startswith("drw-overlay: error: ") and len(err.splitlines()) == 1, extra
-
-
-def test_build_unknown_strategy_usage_error(capsys):
-    code, _, _ = run(capsys, "build", "--n", "100", "--r", "0.2",
-                     "--initiators", "3", "--strategy", "bfs")
-    assert code == 1
-
-
-def test_build_failure_exit_2(tmp_path, capsys):
-    """Tiny budget cannot finish the pair phase on a sparse network."""
-    code, _, err = run(capsys, "build", "--n", "300", "--r", "0.08",
-                       "--initiators", "2", "--seed", "0",
-                       "--step-budget", "1")
-    assert code == 2
-    assert "failed" in err or "budget" in err
-
-
-def test_build_missing_net_file_exit_2(capsys):
-    code, _, _ = run(capsys, "build", "--net", "/nonexistent/u.json",
-                     "--initiators", "3")
-    assert code == 2
-
-
-WEIGHTED_BUILD = ("build", "--n", "100", "--r", "0.2", "--initiators", "3",
-                  "--strategy", "weighted")
-
-
-@pytest.mark.parametrize("argv", [
-    WEIGHTED_BUILD + ("--alpha", "nan"),
-    WEIGHTED_BUILD + ("--alpha", "inf"),
-    WEIGHTED_BUILD + ("--beta", "nan"),
-    WEIGHTED_BUILD + ("--alpha", "-1"),
-    ("experiment", "--desk", "--strategies", "weighted", "--alpha", "nan"),
-    ("experiment", "--desk", "--strategies", "weighted", "--alpha", "inf"),
-    ("gen", "--n", "100", "--r", "nan", "--out", "net.json"),
-    ("build", "--n", "100", "--r", "nan", "--initiators", "3"),
-    ("gen", "--n", "100", "--r", "inf", "--out", "net.json"),
-    ("build", "--n", "100", "--r", "inf", "--initiators", "3"),
-], ids=["build-alpha-nan", "build-alpha-inf", "build-beta-nan", "build-alpha-negative",
-        "experiment-alpha-nan", "experiment-alpha-inf", "gen-r-nan", "build-r-nan",
-        "gen-r-inf", "build-r-inf"])
-def test_non_finite_weight_or_radius_usage_error(tmp_path, monkeypatch, capsys, argv):
-    monkeypatch.chdir(tmp_path)  # nothing is written, even where a parser lets one through
-    code, _, err = run(capsys, *argv)
-    assert code == 1
-    assert len(err.splitlines()) == 1
-
-
 @pytest.mark.parametrize("token", ["DRW", " drw"])
 def test_build_strategy_token_parsed_like_strategies(tmp_path, capsys, token):
     """--strategy goes through parse_strategy, as --strategies does: case and
@@ -268,27 +164,6 @@ def test_build_strategy_token_parsed_like_strategies(tmp_path, capsys, token):
     assert layers[0] == layers[1]
 
 
-BUILD_ARGV = ("build", "--n", "100", "--r", "0.2", "--initiators", "3")
-EXPERIMENT_ARGV = ("experiment", "--desk", "--scale", "0.02")
-
-
-@pytest.mark.parametrize("argv", [
-    BUILD_ARGV + ("--bogus",),
-    BUILD_ARGV + ("--step-budget", "0"),
-    EXPERIMENT_ARGV + ("--bogus",),
-    EXPERIMENT_ARGV + ("--step-budget", "0"),
-    EXPERIMENT_ARGV + ("--jobs", "x"),
-    EXPERIMENT_ARGV + ("--jobs", "0"),
-], ids=["build-bogus", "build-step-budget-0", "experiment-bogus",
-        "experiment-step-budget-0", "experiment-jobs-x", "experiment-jobs-0"])
-def test_argparse_usage_error_is_one_line(tmp_path, monkeypatch, capsys, argv):
-    monkeypatch.chdir(tmp_path)
-    with mock.patch.object(cli, "run_scenario") as sweep:
-        code, out, err = run(capsys, *argv)
-    assert code == 1 and out == "" and not sweep.called
-    assert err.startswith("drw-overlay: error: ") and len(err.splitlines()) == 1
-
-
 def test_gen_memory_error_exit_2(tmp_path, capsys):
     """An allocation that fails is a runtime failure, not a usage error."""
     out = tmp_path / "net.json"
@@ -296,14 +171,6 @@ def test_gen_memory_error_exit_2(tmp_path, capsys):
         code, stdout, err = run(capsys, "gen", "--n", "10", "--r", "0.5", "--out", str(out))
     assert code == 2 and stdout == "" and not out.exists()
     assert err == "drw-overlay: MemoryError\n"
-
-
-def test_build_step_budget_below_one_usage_error(capsys):
-    for budget in ("0", "-3"):
-        code, _, err = run(capsys, "build", "--n", "100", "--r", "0.2",
-                           "--initiators", "3", "--step-budget", budget)
-        assert code == 1
-        assert "--step-budget" in err
 
 
 # A path 0-1-2 with 0.05-long edges at r=0.06; node 3 is isolated.
@@ -455,47 +322,6 @@ def test_experiment_counts_cells_alike_when_every_build_fails(tmp_path, capsys):
     assert report["cells"] == report["failed_cells"] == "44"
 
 
-def test_experiment_scale_out_of_range(capsys):
-    assert main(["experiment", "--scale", "1.5"]) == 1
-    assert main(["experiment", "--scale", "0"]) == 1
-    capsys.readouterr()
-
-
-def test_experiment_empty_initiator_grid_usage_error(capsys):
-    assert main(["experiment", "--scale", "0.001"]) == 1
-    assert "no initiator counts for n=1000" in capsys.readouterr().err
-
-
-def test_experiment_bad_strategy_token(capsys):
-    assert main(["experiment", "--strategies", "drw,dfs"]) == 1
-    capsys.readouterr()
-
-
-def test_experiment_repeated_strategy_usage_error(tmp_path, capsys):
-    out_dir = tmp_path / "out"
-    code, out, err = run(capsys, "experiment", "--desk", "--scale", "0.02",
-                         "--strategies", "drw,DRW", "--out-dir", str(out_dir))
-    assert code == 1 and out == "" and not out_dir.exists()
-    assert len(err.splitlines()) == 1 and "listed twice" in err
-
-
-def test_experiment_step_budget_below_one_usage_error(capsys):
-    for budget in ("0", "-3"):
-        assert main(["experiment", "--step-budget", budget]) == 1
-        assert "--step-budget" in capsys.readouterr().err
-
-
-def test_experiment_out_dir_file_exit_2(tmp_path, capsys):
-    """--out-dir is made before the sweep, so a path naming a file fails at once."""
-    taken = tmp_path / "taken"
-    taken.write_text("")
-    with mock.patch.object(cli, "run_scenario") as sweep:
-        code, out, err = run(capsys, "experiment", "--desk", "--scale", "0.02",
-                             "--out-dir", str(taken))
-    assert code == 2 and out == "" and not sweep.called
-    assert err.startswith("drw-overlay: ") and len(err.splitlines()) == 1
-
-
 def test_experiment_jobs_invariance(tmp_path, capsys):
     outs = []
     for jobs, sub in (("1", "j1"), ("4", "j4")):
@@ -533,17 +359,6 @@ def test_stats_custom_grouping(desk_run, capsys):
     assert stdout.splitlines()[0].startswith("strategy,metric,")
 
 
-def test_stats_unknown_group_column(desk_run, capsys):
-    code, _, _ = run(capsys, "stats", "--in",
-                     str(desk_run / "records.csv"), "--group", "nope")
-    assert code == 1
-    # A column listed twice would print a duplicate column.
-    code, out, err = run(capsys, "stats", "--in",
-                         str(desk_run / "records.csv"), "--group", "n,n")
-    assert (code, out) == (1, "")
-    assert err == "drw-overlay: error: group column 'n' is listed twice\n"
-
-
 def test_stats_group_rule_is_the_library_rule(tmp_path, capsys):
     """`stats` rejects an unknown --group column with summarize's message,
     before it opens the records file."""
@@ -553,21 +368,6 @@ def test_stats_group_rule_is_the_library_rule(tmp_path, capsys):
                          "--group", "n,nope")
     assert (code, out) == (1, "")
     assert err == f"drw-overlay: error: {exc.value}\n"
-
-
-def test_stats_empty_input_exit_2(tmp_path, capsys):
-    p = tmp_path / "empty.csv"
-    p.write_text("n,r,strategy,initiators,rep,seed,active_path_size,"
-                 "depth,total_steps,total_backtracks,failed,wall_time_ms\n")
-    code, _, err = run(capsys, "stats", "--in", str(p))
-    assert code == 2
-
-
-def test_stats_malformed_input_exit_2(tmp_path, capsys):
-    p = tmp_path / "bad.csv"
-    p.write_text("who,what\n1,2\n")
-    code, _, _ = run(capsys, "stats", "--in", str(p))
-    assert code == 2
 
 
 GOOD_ROW = dict(n="1000", r="0.05", strategy="drw", initiators="10", rep="0",
@@ -654,9 +454,130 @@ def test_stats_rows_of_other_replications_accepted(tmp_path, capsys, other):
     assert (code, err) == (0, "")
 
 
-def test_stats_missing_file_exit_2(capsys):
-    code, _, _ = run(capsys, "stats", "--in", "/nonexistent/records.csv")
-    assert code == 2
+# --- the exit contract ----------------------------------------------------------------
+#
+# Each row is an argv and a fragment of its one stderr line. A row runs in
+# an empty working directory, run/, beside in/, which holds the input files
+# the rows name.
+
+BUILD_ARGV = ("build", "--n", "100", "--r", "0.2", "--initiators", "3")
+WEIGHTED_BUILD = BUILD_ARGV + ("--strategy", "weighted")
+EXPERIMENT_ARGV = ("experiment", "--desk", "--scale", "0.02")
+NET_ARGV = ("build", "--net", "../in/net.json", "--initiators", "3")
+NOT_FINITE = "alpha and beta must be finite and non-negative"
+BAD_COUNT = "invalid positive_int value"
+
+USAGE_ERRORS = {
+    "no-command": ((), "required: command"),
+    "unknown-flag": (("gen", "--n", "5", "--r", "0.5", "--out", "x.json", "--bogus"),
+                     "unrecognized arguments: --bogus"),
+    "gen-bad-n": (("gen", "--n", "1", "--r", "0.5", "--out", "x.json"), "n must be >= 2"),
+    "build-one-initiator": (("build", "--n", "100", "--r", "0.2", "--initiators", "1"),
+                            "number of initiators must be >= 2"),
+    "build-neither-net-nor-n": (("build", "--initiators", "3"), "exactly one of --net or --n"),
+    "build-n-without-r": (("build", "--n", "100", "--initiators", "3"), "--r goes with --n"),
+    # --net fixes the radius, so --r with it is rejected, as --n is.
+    "build-net-with-r": (NET_ARGV + ("--r", "0.01"), "--r goes with --n"),
+    "build-net-with-n": (NET_ARGV + ("--n", "150"), "exactly one of --net or --n"),
+    "build-net-with-n-and-r": (NET_ARGV + ("--n", "150", "--r", "0.15"),
+                               "exactly one of --net or --n"),
+    "build-unknown-strategy": (BUILD_ARGV + ("--strategy", "bfs"), "unknown strategy 'bfs'"),
+    "build-bogus": (BUILD_ARGV + ("--bogus",), "unrecognized arguments: --bogus"),
+    "build-step-budget-0": (BUILD_ARGV + ("--step-budget", "0"), f"--step-budget: {BAD_COUNT}"),
+    "build-step-budget-negative": (BUILD_ARGV + ("--step-budget", "-3"),
+                                   f"--step-budget: {BAD_COUNT}"),
+    "build-alpha-nan": (WEIGHTED_BUILD + ("--alpha", "nan"), NOT_FINITE),
+    "build-alpha-inf": (WEIGHTED_BUILD + ("--alpha", "inf"), NOT_FINITE),
+    "build-beta-nan": (WEIGHTED_BUILD + ("--beta", "nan"), NOT_FINITE),
+    "build-alpha-negative": (WEIGHTED_BUILD + ("--alpha", "-1"), NOT_FINITE),
+    "build-r-nan": (("build", "--n", "100", "--r", "nan", "--initiators", "3"),
+                    "r must be a finite number > 0, got nan"),
+    "build-r-inf": (("build", "--n", "100", "--r", "inf", "--initiators", "3"),
+                    "r must be a finite number > 0, got inf"),
+    "gen-r-nan": (("gen", "--n", "100", "--r", "nan", "--out", "net.json"),
+                  "r must be a finite number > 0, got nan"),
+    "gen-r-inf": (("gen", "--n", "100", "--r", "inf", "--out", "net.json"),
+                  "r must be a finite number > 0, got inf"),
+    "experiment-alpha-nan": (("experiment", "--desk", "--strategies", "weighted", "--alpha", "nan"),
+                             NOT_FINITE),
+    "experiment-alpha-inf": (("experiment", "--desk", "--strategies", "weighted", "--alpha", "inf"),
+                             NOT_FINITE),
+    "experiment-bogus": (EXPERIMENT_ARGV + ("--bogus",), "unrecognized arguments: --bogus"),
+    "experiment-step-budget-0": (EXPERIMENT_ARGV + ("--step-budget", "0"),
+                                 f"--step-budget: {BAD_COUNT}"),
+    "experiment-full-step-budget-0": (("experiment", "--step-budget", "0"),
+                                      f"--step-budget: {BAD_COUNT}"),
+    "experiment-full-step-budget-negative": (("experiment", "--step-budget", "-3"),
+                                             f"--step-budget: {BAD_COUNT}"),
+    "experiment-jobs-x": (EXPERIMENT_ARGV + ("--jobs", "x"), f"--jobs: {BAD_COUNT}"),
+    "experiment-jobs-0": (EXPERIMENT_ARGV + ("--jobs", "0"), f"--jobs: {BAD_COUNT}"),
+    "experiment-scale-above-1": (("experiment", "--scale", "1.5"), "scale must be in (0, 1]"),
+    "experiment-scale-0": (("experiment", "--scale", "0"), "scale must be in (0, 1]"),
+    "experiment-empty-initiator-grid": (("experiment", "--scale", "0.001"),
+                                        "no initiator counts for n=1000"),
+    "experiment-bad-strategy-token": (("experiment", "--strategies", "drw,dfs"),
+                                      "unknown strategy 'dfs'"),
+    "experiment-repeated-strategy": (
+        EXPERIMENT_ARGV + ("--strategies", "drw,DRW", "--out-dir", "out"),
+        "a strategy is listed twice"),
+    "stats-unknown-group-column": (("stats", "--in", "../in/records.csv", "--group", "nope"),
+                                   "unknown group column 'nope'"),
+    # A column listed twice would print a duplicate column.
+    "stats-group-column-twice": (("stats", "--in", "../in/records.csv", "--group", "n,n"),
+                                 "group column 'n' is listed twice"),
+}
+
+RUNTIME_ERRORS = {
+    "gen-subcritical-radius": (("gen", "--n", "300", "--r", "0.001", "--out", "no.json"),
+                               "no connected placement after 1000 attempts"),
+    # The pair phase cannot finish on one step.
+    "build-failure": (("build", "--n", "300", "--r", "0.08", "--initiators", "2", "--seed", "0",
+                       "--step-budget", "1"), "step budget 1 spent"),
+    "build-missing-net-file": (("build", "--net", "/nonexistent/u.json", "--initiators", "3"),
+                               "No such file"),
+    "stats-empty-input": (("stats", "--in", "../in/empty.csv"), "no non-failed records"),
+    "stats-malformed-input": (("stats", "--in", "../in/bad.csv"), "unexpected columns"),
+    "stats-missing-file": (("stats", "--in", "/nonexistent/records.csv"), "No such file"),
+    # --out-dir is made before the sweep, so a path naming a file fails at once.
+    "experiment-out-dir-file": (EXPERIMENT_ARGV + ("--out-dir", "../in/taken"), "File exists"),
+}
+
+
+@pytest.mark.parametrize("argv, fragment", list(USAGE_ERRORS.values()), ids=list(USAGE_ERRORS))
+def test_usage_error_contract(tmp_path, monkeypatch, capsys, argv, fragment):
+    """Exit 1, nothing on stdout, one stderr line that starts
+    `drw-overlay: error: ` and names the fault; no sweep runs and nothing is
+    written, even where a parser would let an output path through."""
+    (tmp_path / "in").mkdir()
+    (tmp_path / "in" / "net.json").write_text(json.dumps(path_json()))
+    (tmp_path / "in" / "records.csv").write_text(",".join(GOOD_ROW) + "\n"
+                                                 + ",".join(GOOD_ROW.values()) + "\n")
+    (tmp_path / "run").mkdir()
+    monkeypatch.chdir(tmp_path / "run")
+    with mock.patch.object(cli, "run_scenario") as sweep:
+        code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "") and not sweep.called
+    assert err.startswith("drw-overlay: error: ") and len(err.splitlines()) == 1
+    assert fragment in err
+    assert not any((tmp_path / "run").iterdir())
+
+
+@pytest.mark.parametrize("argv, fragment", list(RUNTIME_ERRORS.values()), ids=list(RUNTIME_ERRORS))
+def test_runtime_error_contract(tmp_path, monkeypatch, capsys, argv, fragment):
+    """Exit 2, nothing on stdout, one stderr line that starts `drw-overlay: `
+    and names the fault; no sweep runs and nothing is written."""
+    (tmp_path / "in").mkdir()
+    (tmp_path / "in" / "empty.csv").write_text(",".join(RECORD_COLUMNS) + "\n")
+    (tmp_path / "in" / "bad.csv").write_text("who,what\n1,2\n")
+    (tmp_path / "in" / "taken").write_text("")
+    (tmp_path / "run").mkdir()
+    monkeypatch.chdir(tmp_path / "run")
+    with mock.patch.object(cli, "run_scenario") as sweep:
+        code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "") and not sweep.called
+    assert err.startswith("drw-overlay: ") and len(err.splitlines()) == 1
+    assert fragment in err
+    assert not any((tmp_path / "run").iterdir())
 
 
 # --- fuzzed input files ---------------------------------------------------------------

@@ -6,6 +6,7 @@ from unittest import mock
 
 import pytest
 
+from walltime import mask_wall_time
 from drw_overlay.experiments import (
     DEFAULT_GROUP_KEYS,
     FULL_INITIATORS,
@@ -45,17 +46,6 @@ def summary_text(rows) -> str:
     buf = io.StringIO()
     write_summary_csv(rows, buf)
     return buf.getvalue()
-
-
-def mask_wall_time(text: str) -> str:
-    """Zero the hardware-dependent last column for byte comparisons."""
-    out = []
-    for line in text.splitlines():
-        if line.startswith("#") or line.startswith("n,"):
-            out.append(line)
-        else:
-            out.append(line.rsplit(",", 1)[0] + ",0")
-    return "\n".join(out)
 
 
 # --- scenario definitions -------------------------------------------------------

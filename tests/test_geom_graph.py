@@ -1,4 +1,7 @@
-"""Network generation checked against brute-force geometric oracles."""
+"""Network generation checked against brute-force geometric oracles: one
+dense scan each for the unit-disk rule (pairs_by_scan) and the largest
+pairwise distance (all_pairs_max), and one breadth-first search for
+connectivity (reaches_all)."""
 
 import json
 import math
@@ -8,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import handnets as H
@@ -30,53 +33,13 @@ from drw_overlay.geom_graph import (
 )
 
 
-def brute_force_adjacency(positions, r):
-    """O(n^2) recomputation with the documented squared-distance rule."""
-    n = len(positions)
-    adj = [[] for _ in range(n)]
-    for u in range(n):
-        for v in range(u + 1, n):
-            dx = positions[u][0] - positions[v][0]
-            dy = positions[u][1] - positions[v][1]
-            if dx * dx + dy * dy <= r * r:
-                adj[u].append(v)
-                adj[v].append(u)
-    return adj
-
-
-class UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-
-def components(positions, r):
-    uf = UnionFind(len(positions))
-    for u, nbrs in enumerate(brute_force_adjacency(positions, r)):
-        for v in nbrs:
-            uf.union(u, v)
-    return len({uf.find(i) for i in range(len(positions))})
-
-
 def test_adjacency_matches_brute_force():
-    net = generate_network(GraphGenConfig(n=100, r=0.2, seed=42))
-    assert net.adjacency == brute_force_adjacency(net.positions, net.radius)
-
-
-def test_adjacency_matches_brute_force_many_seeds():
-    for seed in range(20):
-        net = generate_network(GraphGenConfig(n=60, r=0.25, seed=seed))
-        assert net.adjacency == brute_force_adjacency(net.positions, net.radius)
+    """A generated network, from its first placement or a later one, is the
+    unit disk graph of its positions, and connected."""
+    for seed in range(3):  # 1, 5 and 2 placements
+        net = generate_network(GraphGenConfig(n=60, r=0.2, seed=seed))
+        assert list(map(tuple, net.edges().tolist())) == pairs_by_scan(net.positions, net.radius)
+        assert reaches_all(net.adjacency)
 
 
 def test_adjacency_sorted_symmetric_irreflexive():
@@ -100,14 +63,6 @@ def test_different_seeds_differ():
     a = generate_network(GraphGenConfig(n=50, r=0.3, seed=0))
     b = generate_network(GraphGenConfig(n=50, r=0.3, seed=1))
     assert not np.array_equal(a.positions, b.positions)
-
-
-def test_connectivity_against_union_find():
-    """Every returned network is one component under an independent union-find."""
-    for seed in range(100):
-        net = generate_network(GraphGenConfig(n=50, r=0.3, seed=seed))
-        assert is_connected(net)
-        assert components(net.positions, net.radius) == 1
 
 
 def test_positions_inside_unit_square():
@@ -180,13 +135,7 @@ def test_edges_each_pair_once():
 
 def test_max_pairwise_distance_matches_all_pairs_scan():
     net = generate_network(GraphGenConfig(n=200, r=0.12, seed=21))
-    best = 0.0
-    for u in range(net.n):
-        for v in range(u + 1, net.n):
-            dx = net.positions[u, 0] - net.positions[v, 0]
-            dy = net.positions[u, 1] - net.positions[v, 1]
-            best = max(best, math.sqrt(dx * dx + dy * dy))
-    assert max_pairwise_distance(net) == best
+    assert max_pairwise_distance(net) == all_pairs_max(net.positions)
 
 
 def test_max_pairwise_degenerate_inputs():
@@ -309,13 +258,14 @@ def test_unit_disk_pairs_equal_all_pairs_scan(case):
     assert sorted(map(tuple, pairs.tolist())) == pairs_by_scan(points, r)
 
 
-def connected_by_search(n, edges):
-    """Breadth-first search from node 0 over an edge list."""
+def adjacency_lists(n, edges):
+    """Each node's neighbours over an edge list, in the order the edges
+    list them; sorted rows when the edges are sorted pairs u < v."""
     adjacency = [[] for _ in range(n)]
     for u, v in edges:
         adjacency[u].append(v)
         adjacency[v].append(u)
-    return reaches_all(adjacency)
+    return adjacency
 
 
 @st.composite
@@ -340,9 +290,10 @@ def labelled_graphs(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(graph=labelled_graphs())
+@example(graph=(4, np.array([[0, 1], [1, 2], [0, 2]])))  # the last node alone
 def test_connected_equals_breadth_first_search(graph):
     n, edges = graph
-    assert geom_graph._connected(n, edges) == connected_by_search(n, edges.tolist())
+    assert geom_graph._connected(n, edges) == reaches_all(adjacency_lists(n, edges.tolist()))
 
 
 def test_unit_disk_pairs_memory_stays_linear():
@@ -431,22 +382,10 @@ def bitsets(adjacency, rank):
     return [sum(1 << rank[u] for u in row) for row in adjacency]
 
 
-def assert_bit_rank_orders_by_y(net):
-    """bit_rank is a permutation of range(n), non-decreasing in y, and
-    nodes of equal y keep their id order."""
-    rank = net.bit_rank.tolist()
-    assert sorted(rank) == list(range(net.n))
-    by_rank = sorted(range(net.n), key=rank.__getitem__)
-    ys = net.positions[:, 1].tolist()
-    for a, b in zip(by_rank, by_rank[1:]):
-        assert ys[a] < ys[b] or (ys[a] == ys[b] and a < b)
-
-
 def test_bit_rank_ties_keep_id_order():
     # Crossing nodes 0-4 share y = 0.5; 7, 6 and 5 sit above them in that order.
     net = H.crossing_network()
     assert net.bit_rank.tolist() == [0, 1, 2, 3, 4, 7, 6, 5]
-    assert_bit_rank_orders_by_y(net)
     assert net.neighbor_bits == bitsets(net.adjacency, net.bit_rank.tolist())
     # Node 2's neighbours 1, 3 and 7 sit at bits 1, 3 and 5.
     assert net.neighbor_bits[2] == 0b101010
@@ -457,7 +396,7 @@ def test_neighbor_bits_across_row_blocks(n):
     # The bitsets are packed 256 rows at a time; n=300 ends in a partial
     # second block and n=513 in a one-row third block.
     net = network_from_positions(np.random.default_rng(n).random((n, 2)), 0.15)
-    adjacency = brute_force_adjacency(net.positions.tolist(), net.radius)
+    adjacency = adjacency_lists(n, pairs_by_scan(net.positions, net.radius))
     assert all(adjacency[v] for v in (0, 255, 256, 257, n - 1))
     assert net.adjacency == adjacency
     rank = y_ranks(net.positions.tolist())
@@ -486,19 +425,15 @@ def placements(draw):
 def test_csr_views_match_oracles(placement, seed):
     points, r = placement
     net = network_from_positions(points, r, seed)
-    n = net.n
-    adjacency = brute_force_adjacency(net.positions, net.radius)
+    pairs = pairs_by_scan(net.positions, net.radius)
+    assert list(map(tuple, net.edges().tolist())) == pairs
+    assert net.m == len(pairs)
+    adjacency = adjacency_lists(net.n, pairs)
     assert net.adjacency == adjacency
-    for u, row in enumerate(net.adjacency):
-        assert row == sorted(set(row)) and u not in row
-        assert all(u in net.adjacency[v] for v in row)
-    assert len({id(v) for row in net.adjacency for v in row}) <= n
+    assert len({id(v) for row in net.adjacency for v in row}) <= net.n
     rank = y_ranks(net.positions.tolist())
     assert net.bit_rank.tolist() == rank
-    assert_bit_rank_orders_by_y(net)
     assert net.neighbor_bits == bitsets(adjacency, rank)
-    assert all(bits.bit_length() <= n for bits in net.neighbor_bits)
-    assert net.m == len(net.edges())
     assert is_connected(net) == reaches_all(adjacency)
     data = json.loads(json.dumps(to_json_dict(net)))
     if not is_connected(net):

@@ -76,10 +76,17 @@ def test_scenario_keeps_its_radius_as_given():
     (dict(r=Fraction(3, 10)), "r must be an int or a float, got Fraction(3, 10)"),
     (dict(n_values=()), "a scenario needs at least one n"),
     (dict(strategies=()), "a scenario needs at least one strategy"),
-], ids=["float32-radius", "fraction-radius", "no-n", "no-strategy"])
+    (dict(scale=math.nan), "scale must be in (0, 1], got nan"),
+    (dict(scale=5), "scale must be in (0, 1], got 5"),
+    (dict(label="a\nb"), "label must be one line of text, got 'a\\nb'"),
+    (dict(label="a\rb"), "label must be one line of text, got 'a\\rb'"),
+    (dict(label=3), "label must be one line of text, got 3"),
+], ids=["float32-radius", "fraction-radius", "no-n", "no-strategy", "scale-nan", "scale-5",
+        "label-newline", "label-return", "label-int"])
 def test_scenario_rejects_what_it_cannot_run(fields, message):
-    """No seed label encodes a float32 or a Fraction, and a sweep with no n
-    or no strategy has no cell to run."""
+    """No seed label encodes a float32 or a Fraction, a sweep with no n
+    or no strategy has no cell to run, and the metadata block echoes
+    scale and label: a label with a line break would split the block."""
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         scenario_with(**fields)
 

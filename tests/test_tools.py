@@ -135,20 +135,22 @@ def test_mutant_report_counts_failures_new_under_the_row():
         "=========================== short test summary info ============================\n"
         "FAILED tests/test_a.py::test_one - AssertionError: assert 1 == 2\n"
         "FAILED tests/test_a.py::test_cases[b] - Assert...\n"
+        "FAILED tests/test_a.py::test_cases[ drw] - Assert...\n"
         "FAILED tests/test_b.py::test_slow - Failed: Timeout\n"
         "ERROR tests/test_c.py - ImportError: cannot import name 'x'\n"
-        "3 failed, 2 passed, 1 error in 1.23s\n")
+        "4 failed, 2 passed, 1 error in 1.23s\n")
     unmutated = mutants.summary_failures("FAILED tests/test_b.py::test_slow - Failed: Timeout\n")
     asked = ["tests/", "tests/test_a.py", "tests/test_a.py::test_cases[a]",
-             "tests/test_a.py::test_cases[b]", "tests/test_a.py::test_on",
+             "tests/test_a.py::test_cases[b]", "tests/test_a.py::test_cases[ drw]",
+             "tests/test_a.py::test_on",
              "tests/test_b.py", "tests/test_b.py::test_slow", "tests/test_c.py::test_any"]
     assert mutants.report("row", asked, under_row, unmutated) == {
         "mutant": "row",
         "failed": ["tests/", "tests/test_a.py", "tests/test_a.py::test_cases[b]",
-                   "tests/test_c.py::test_any"],
+                   "tests/test_a.py::test_cases[ drw]", "tests/test_c.py::test_any"],
         "passed": ["tests/test_a.py::test_cases[a]", "tests/test_a.py::test_on",
                    "tests/test_b.py", "tests/test_b.py::test_slow"],
-        "caught": ["tests/test_a.py::test_cases[b]", "tests/test_a.py::test_one",
-                   "tests/test_c.py"]}
+        "caught": ["tests/test_a.py::test_cases[ drw]", "tests/test_a.py::test_cases[b]",
+                   "tests/test_a.py::test_one", "tests/test_c.py"]}
     assert mutants.report("row", asked, "source occurs 0 times in f.py", unmutated) == {
         "mutant": "row", "error": "source occurs 0 times in f.py"}

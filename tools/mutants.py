@@ -35,6 +35,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 ENGINE, OVERLAY = "src/drw_overlay/walk_engine.py", "src/drw_overlay/overlay.py"
+GRAPH = "src/drw_overlay/geom_graph.py"
 REFERENCE = ["tests/test_reference.py::test_builds_equal_reference_builds",
              "tests/test_reference.py::test_table_builds_equal_reference_builds"]
 MARKING = ("walk.marked |= net.neighbor_bits[path[head - 1]]\n"
@@ -87,7 +88,7 @@ MUTANTS = [
     ("initiators-cached-per-n", OVERLAY, CACHE_KEY,
      CACHE_KEY.replace("(net.n, count)", "net.n").replace("[net.n, count]", "[net.n]"), REFERENCE),
     ("words-not-copied", OVERLAY, "return copy(master)", "return master", REFERENCE),
-    ("bit-rank-duplicated", "src/drw_overlay/geom_graph.py",
+    ("bit-rank-duplicated", GRAPH,
      'rank[np.argsort(self.positions[:, 1], kind="stable")] = np.arange(self.n)',
      'rank[np.argsort(self.positions[:, 1], kind="stable")] = '
      'np.minimum(np.arange(self.n), self.n - 2)', REFERENCE),
@@ -116,6 +117,27 @@ MUTANTS = [
     ("budget-check-one-step-late", OVERLAY, "if walk.steps >= budget:", "if walk.steps > budget:",
      ["tests/test_reference.py::test_budget_failure_equals_reference_build"]),
     ("initiators-drawn-with-replacement", OVERLAY, "replace=False", "replace=True", REFERENCE),
+    # The geometry: the unit-disk rule, the views of the CSR rows, the
+    # connectivity decision and the spreads that depth divides.
+    ("pair-rule-strict", GRAPH, "keep = np.flatnonzero(dx <= r2)",
+     "keep = np.flatnonzero(dx < r2)",
+     ["tests/test_geom_graph.py::test_unit_disk_pairs_equal_all_pairs_scan"]),
+    ("edges-both-directions", GRAPH, "keep = rows < self.indices", "keep = rows != self.indices",
+     ["tests/test_geom_graph.py::test_csr_views_match_oracles"]),
+    ("bits-first-block-only", GRAPH, "for lo in range(0, n, _BITS_ROWS):",
+     "for lo in range(0, min(n, _BITS_ROWS), _BITS_ROWS):",
+     ["tests/test_geom_graph.py::test_neighbor_bits_across_row_blocks"]),
+    ("connected-skips-last-node", GRAPH, "return bool((root == 0).all())",
+     "return bool((root[:-1] == 0).all())",
+     ["tests/test_geom_graph.py::test_connected_equals_breadth_first_search"]),
+    ("json-loads-disconnected", GRAPH,
+     '    if not is_connected(net):\n        raise ValueError("network is not connected")\n', "",
+     ["tests/test_cli.py::test_build_two_component_net_exit_2"]),
+    ("max-pairwise-drops-ties", GRAPH, "keep = fx * fx + fy * fy >= lb",
+     "keep = fx * fx + fy * fy > lb",
+     ["tests/test_geom_graph.py::test_max_pairwise_equals_all_pairs_scan"]),
+    ("depth-unnormalised", "src/drw_overlay/metrics.py", "return reach / span", "return reach",
+     ["tests/test_metrics.py::test_depth_matches_brute_force_ratio"]),
 ]
 
 
@@ -141,8 +163,9 @@ def pytest_failures(root: Path, tests: list[str], row: tuple | None = None) -> s
 
 
 def summary_failures(stdout: str) -> set[str]:
-    """The ids a ``pytest -rfE`` summary names as failed or in error."""
-    return set(re.findall(r"^(?:FAILED|ERROR) (\S+)", stdout, re.M))
+    """The ids a ``pytest -rfE`` summary names as failed or in error: each
+    line's text up to " - " or its end, since a case id may hold blanks."""
+    return set(re.findall(r"^(?:FAILED|ERROR) (.+?)(?: - .*)?$", stdout, re.M))
 
 
 def under(test: str, asked: str) -> bool:
