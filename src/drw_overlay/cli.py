@@ -64,16 +64,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
+    # Flags that several commands share, each declared once.
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0, help="base seed")
+    walks = argparse.ArgumentParser(add_help=False)
+    walks.add_argument("--alpha", type=float, default=1.0,
+                       help="first-ring weight for the weighted strategy")
+    walks.add_argument("--beta", type=float, default=1.0,
+                       help="second-ring weight for the weighted strategy")
+    walks.add_argument("--step-budget", type=positive_int, default=None,
+                       help="per-walk step cap (default 50*n)")
 
-    gen = sub.add_parser("gen", help="generate a connected network JSON")
+    gen = sub.add_parser("gen", parents=[seeded], help="generate a connected network JSON")
     gen.add_argument("--n", type=int, required=True, help="number of nodes")
     gen.add_argument("--r", type=float, required=True,
                      help="communication radius")
-    gen.add_argument("--seed", type=int, default=0, help="base seed")
     gen.add_argument("--out", required=True, help="output JSON path")
     gen.set_defaults(func=_cmd_gen)
 
-    build = sub.add_parser("build", help="build one overlay layer")
+    build = sub.add_parser("build", parents=[seeded, walks], help="build one overlay layer")
     build.add_argument("--net", help="network JSON produced by gen")
     build.add_argument("--n", type=int, help="generate a network instead")
     build.add_argument("--r", type=float, help="radius when using --n")
@@ -81,30 +90,16 @@ def build_parser() -> argparse.ArgumentParser:
                        help="number of walk initiators (>= 2)")
     build.add_argument("--strategy", default="drw",
                        help=f"candidate scoring rule: one of {', '.join(STRATEGY_KINDS)}")
-    build.add_argument("--alpha", type=float, default=1.0,
-                       help="first-ring weight for the weighted strategy")
-    build.add_argument("--beta", type=float, default=1.0,
-                       help="second-ring weight for the weighted strategy")
-    build.add_argument("--seed", type=int, default=0, help="base seed")
-    build.add_argument("--step-budget", type=positive_int, default=None,
-                       help="per-walk step cap (default 50*n)")
     build.add_argument("--out", help="write the layer as JSON here")
     build.set_defaults(func=_cmd_build)
 
-    exp = sub.add_parser("experiment", help="run a replication sweep")
+    exp = sub.add_parser("experiment", parents=[seeded, walks], help="run a replication sweep")
     exp.add_argument("--scale", type=float, default=0.1,
                      help="protocol scale factor in (0, 1]")
     exp.add_argument("--strategies", default="drw,prw",
                      help="comma-separated strategy tokens")
-    exp.add_argument("--alpha", type=float, default=1.0,
-                     help="first-ring weight for the weighted strategy")
-    exp.add_argument("--beta", type=float, default=1.0,
-                     help="second-ring weight for the weighted strategy")
     exp.add_argument("--desk", action="store_true",
                      help="small node counts (200-1000) with rescaled radius")
-    exp.add_argument("--seed", type=int, default=0, help="base seed")
-    exp.add_argument("--step-budget", type=positive_int, default=None,
-                     help="per-walk step cap (default 50*n)")
     exp.add_argument("--out-dir", default=".",
                      help="directory for records.csv and summary.csv")
     exp.add_argument("--jobs", type=positive_int, default=1,

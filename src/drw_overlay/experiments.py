@@ -82,8 +82,10 @@ class ScenarioConfig:
     unclamped and with its type, since it feeds every derived seed. With
     r_rescale_ref set, node count n uses radius r * sqrt(r_rescale_ref / n),
     which keeps the reference's mean degree.
-    n_values and strategies must not be empty, and no two strategies may
-    share a label, which names a strategy's records. scale must lie in
+    n_values and strategies must not be empty. No n, no initiator count of
+    one n and no strategy label, which names a strategy's records, may be
+    listed twice, since a repeated cell would repeat its records' keys, and
+    initiator_counts may name no n that n_values leaves out. scale must lie in
     (0, 1], and label, echoed in the CSV metadata, must be one line of text.
     """
 
@@ -102,6 +104,11 @@ class ScenarioConfig:
         self.n_values = tuple(check_int(n, "n", 2) for n in self.n_values)
         if not self.n_values:
             raise ValueError("a scenario needs at least one n")
+        if len(set(self.n_values)) < len(self.n_values):
+            raise ValueError(f"an n is listed twice in {','.join(map(str, self.n_values))}")
+        for n in self.initiator_counts:
+            if n not in self.n_values:
+                raise ValueError(f"initiator counts for n={n}, which n_values leaves out")
         check_radius(self.r)
         if not isinstance(self.r, (int, float)):
             raise ValueError(f"r must be an int or a float, got {self.r!r}")
@@ -117,6 +124,8 @@ class ScenarioConfig:
         for n, counts in self.initiator_counts.items():
             if not counts:
                 raise ValueError(f"no initiator counts for n={n}")
+            if len(set(counts)) < len(counts):
+                raise ValueError(f"an initiator count is listed twice for n={n}")
             if max(counts) > n:
                 raise ValueError(f"initiator count {max(counts)} invalid for n={n}")
         labels = [s.label for s in self.strategies]

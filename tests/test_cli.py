@@ -276,12 +276,6 @@ def desk_run(tmp_path_factory):
     return out
 
 
-def test_experiment_writes_both_csvs(desk_run, capsys):
-    capsys.readouterr()
-    assert (desk_run / "records.csv").exists()
-    assert (desk_run / "summary.csv").exists()
-
-
 def test_experiment_row_count_matches_protocol(desk_run):
     # desk at scale 0.02: initiator lists filtered to <= 0.02*n,
     # n=200 -> {2,3,4}, n=500 -> {2..10}, n=1000 -> {2..10,20}; R=10
@@ -289,13 +283,6 @@ def test_experiment_row_count_matches_protocol(desk_run):
     cells = 3 + 9 + 10
     assert len(records) == cells * 2 * 10
     assert all(rec.failed == 0 for rec in records)
-
-
-def test_experiment_metadata_block(desk_run):
-    head = (desk_run / "records.csv").read_text().splitlines()[:8]
-    assert head[0].startswith("# overlay-experiment v")
-    assert any("scenario=desk scale=0.02" in l for l in head)
-    assert any("r_rescale_ref=1000" in l for l in head)
 
 
 def test_experiment_reports_partial_failures(tmp_path, capsys):
@@ -394,12 +381,13 @@ GOOD_ROW = dict(n="1000", r="0.05", strategy="drw", initiators="10", rep="0",
     dict(wall_time_ms="inf"),
     dict(wall_time_ms="-3.0"),
     dict(seed="-7"),
+    dict(seed=str(2**64)),
     dict(seed=str(2**70)),
 ], ids=["all-four", "failed", "size", "steps", "backtracks", "depth-nan",
         "depth-above-1", "r-zero", "initiators-one", "initiators-above-n",
         "size-below-initiators", "size-above-n", "strategy-newline",
         "wall-time-nan", "wall-time-inf", "wall-time-negative", "seed-negative",
-        "seed-above-64-bits"])
+        "seed-2-to-the-64", "seed-above-64-bits"])
 def test_stats_impossible_row_exit_2(tmp_path, capsys, bad):
     p = tmp_path / "bad.csv"
     row = {**GOOD_ROW, **bad}
@@ -407,13 +395,6 @@ def test_stats_impossible_row_exit_2(tmp_path, capsys, bad):
     code, out, err = run(capsys, "stats", "--in", str(p))
     assert code == 2 and out == ""
     assert err.startswith("drw-overlay: bad row ") and len(err.splitlines()) == 1
-
-
-def test_stats_good_row_accepted(tmp_path, capsys):
-    p = tmp_path / "good.csv"
-    p.write_text(",".join(GOOD_ROW) + "\n" + ",".join(GOOD_ROW.values()) + "\n")
-    code, _, _ = run(capsys, "stats", "--in", str(p))
-    assert code == 0
 
 
 def test_stats_failed_row_with_empty_layer_accepted(tmp_path, capsys):

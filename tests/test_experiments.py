@@ -6,9 +6,7 @@ from unittest import mock
 
 import pytest
 
-from walltime import mask_wall_time
 from drw_overlay.experiments import (
-    DEFAULT_GROUP_KEYS,
     FULL_INITIATORS,
     RECORD_COLUMNS,
     SUMMARY_METRICS,
@@ -25,7 +23,6 @@ from drw_overlay.experiments import (
     scenario_metadata,
     summarize,
     write_records_csv,
-    write_summary_csv,
 )
 from drw_overlay.metrics import box_stats
 from drw_overlay.walk_engine import CostStrategy
@@ -40,12 +37,6 @@ def small_config(**overrides):
                 label="test")
     base.update(overrides)
     return ScenarioConfig(**base)
-
-
-def summary_text(rows) -> str:
-    buf = io.StringIO()
-    write_summary_csv(rows, buf)
-    return buf.getvalue()
 
 
 # --- scenario definitions -------------------------------------------------------
@@ -78,15 +69,6 @@ def test_scaled_protocol_drops_large_cells():
     assert max(cfg.initiator_counts[3000]) <= 300
 
 
-def test_scale_bounds():
-    with pytest.raises(ValueError):
-        full_scenario(0.0)
-    with pytest.raises(ValueError):
-        full_scenario(1.5)
-    with pytest.raises(ValueError):
-        desk_scenario(-1)
-
-
 def test_scenario_makers_check_the_step_budget():
     """The makers build the config with the budget, so its own check sees it."""
     with pytest.raises(ValueError, match="step budget must be >= 1, got 0"):
@@ -109,21 +91,6 @@ def test_desk_scenario_rescales_radius():
     assert cfg.effective_radius(250) == pytest.approx(0.1)
     assert cfg.effective_radius(200) == pytest.approx(0.05 * (5 ** 0.5))
     assert cfg.initiator_counts[200] == (2, 3, 4, 5, 6, 7, 8, 9, 10, 20)
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        small_config(replications=0)
-    with pytest.raises(ValueError):
-        small_config(initiator_counts={60: (1, 4)})
-    with pytest.raises(ValueError):
-        small_config(initiator_counts={60: ()})
-    for budget in (0, -3):
-        with pytest.raises(ValueError, match=f"step budget must be >= 1, got {budget}"):
-            small_config(step_budget=budget)
-    # A strategy listed twice would run every cell twice under one label.
-    with pytest.raises(ValueError, match="listed twice in drw,prw,drw"):
-        small_config(strategies=(DRW, PRW, CostStrategy("drw")))
 
 
 # --- seeds -----------------------------------------------------------------------
@@ -164,24 +131,6 @@ def test_row_count_and_order():
     keys = [(r.n, r.initiators, r.strategy, r.rep) for r in rows]
     assert keys == sorted(keys)
     assert len(set(keys)) == len(keys)
-
-
-def test_rerun_identical_but_wall_time():
-    cfg = small_config()
-    a, b = run_scenario(cfg), run_scenario(cfg)
-    strip = lambda rows: [(r.n, r.r, r.strategy, r.initiators, r.rep, r.seed,
-                           r.active_path_size, r.depth, r.total_steps,
-                           r.total_backtracks, r.failed) for r in rows]
-    assert strip(a) == strip(b)
-
-
-def test_parallel_jobs_same_rows():
-    cfg = small_config(replications=4)
-    serial = run_scenario(cfg, jobs=1)
-    parallel = run_scenario(cfg, jobs=3)
-    strip = lambda rows: [(r.n, r.strategy, r.initiators, r.rep, r.seed,
-                           r.active_path_size, r.depth) for r in rows]
-    assert strip(serial) == strip(parallel)
 
 
 def test_pool_gets_no_more_workers_than_tasks():
@@ -232,11 +181,6 @@ def test_impossible_cell_runs_through_with_failure_flags():
     assert failed_cells(rows) == [(40, "drw", 2)]
 
 
-def test_failed_cells_empty_on_success():
-    rows = run_scenario(small_config())
-    assert failed_cells(rows) == []
-
-
 # --- CSV ---------------------------------------------------------------------------
 
 def test_records_csv_round_trip():
@@ -269,17 +213,6 @@ def test_records_csv_depth_six_decimals():
     assert re.fullmatch(r"\d+\.\d{6}", depth_field)
 
 
-def test_records_csv_deterministic_bytes_masked():
-    cfg = small_config()
-    texts = []
-    for _ in range(2):
-        buf = io.StringIO()
-        write_records_csv(run_scenario(cfg), buf,
-                          metadata=scenario_metadata(cfg))
-        texts.append(mask_wall_time(buf.getvalue()))
-    assert texts[0] == texts[1]
-
-
 def test_read_records_rejects_malformed():
     with pytest.raises(ValueError):
         read_records_csv(io.StringIO("a,b,c\n1,2,3\n"))
@@ -292,28 +225,10 @@ def one_row_csv(seed: str, wall_time_ms: str) -> io.StringIO:
     return io.StringIO(",".join(RECORD_COLUMNS) + "\n" + row + "\n")
 
 
-@pytest.mark.parametrize("seed, wall_time_ms", [
-    ("7", "nan"), ("7", "inf"), ("7", "-3.0"), ("-7", "1.000"), (str(2**64), "1.000"),
-    (str(2**70), "1.000"),
-])
-def test_read_records_rejects_impossible_seed_or_wall_time(seed, wall_time_ms):
-    """The sweep writes 64-bit seeds and finite, non-negative wall times."""
-    with pytest.raises(ValueError, match="^bad row "):
-        read_records_csv(one_row_csv(seed, wall_time_ms))
-
-
 def test_read_records_accepts_seed_and_wall_time_at_their_bounds():
     for seed, wall_time_ms in (("0", "0.000"), (str(2**64 - 1), "1e9")):
         rec, = read_records_csv(one_row_csv(seed, wall_time_ms))
         assert (rec.seed, rec.wall_time_ms) == (int(seed), float(wall_time_ms))
-
-
-def test_records_csv_to_file(tmp_path):
-    rows = run_scenario(small_config(initiator_counts={60: (2,)},
-                                     strategies=(DRW,), replications=1))
-    path = tmp_path / "records.csv"
-    write_records_csv(rows, path)
-    assert read_records_csv(path)[0].n == 60
 
 
 # --- summaries ----------------------------------------------------------------------
@@ -361,19 +276,3 @@ def test_summarize_rejects_unknown_group_key():
         summarize([], group_keys=("n", "nope"))
     with pytest.raises(ValueError, match="listed twice"):
         summarize([], group_keys=("n", "strategy", "n"))
-
-
-def test_summary_csv_shape():
-    rows = run_scenario(small_config())
-    text = summary_text(summarize(rows))
-    lines = text.splitlines()
-    expect_header = ",".join(DEFAULT_GROUP_KEYS) + \
-        ",metric,min,q1,median,q3,max,lo_whisker,hi_whisker,outlier_count,count"
-    assert lines[0] == expect_header
-    assert len(lines) == 1 + 2 * 2 * len(SUMMARY_METRICS)
-    assert all(len(l.split(",")) == len(lines[0].split(",")) for l in lines)
-
-
-def test_summary_csv_deterministic():
-    rows = run_scenario(small_config())
-    assert summary_text(summarize(rows)) == summary_text(summarize(rows))

@@ -76,17 +76,24 @@ def test_scenario_keeps_its_radius_as_given():
     (dict(r=Fraction(3, 10)), "r must be an int or a float, got Fraction(3, 10)"),
     (dict(n_values=()), "a scenario needs at least one n"),
     (dict(strategies=()), "a scenario needs at least one strategy"),
+    (dict(n_values=(60, 60)), "an n is listed twice in 60,60"),
+    (dict(initiator_counts={60: (2, 2)}), "an initiator count is listed twice for n=60"),
+    (dict(initiator_counts={60: (2, 4), 70: (2,)}),
+     "initiator counts for n=70, which n_values leaves out"),
     (dict(scale=math.nan), "scale must be in (0, 1], got nan"),
     (dict(scale=5), "scale must be in (0, 1], got 5"),
     (dict(label="a\nb"), "label must be one line of text, got 'a\\nb'"),
     (dict(label="a\rb"), "label must be one line of text, got 'a\\rb'"),
     (dict(label=3), "label must be one line of text, got 3"),
-], ids=["float32-radius", "fraction-radius", "no-n", "no-strategy", "scale-nan", "scale-5",
+], ids=["float32-radius", "fraction-radius", "no-n", "no-strategy", "n-twice",
+        "initiator-count-twice", "initiators-of-a-missing-n", "scale-nan", "scale-5",
         "label-newline", "label-return", "label-int"])
 def test_scenario_rejects_what_it_cannot_run(fields, message):
     """No seed label encodes a float32 or a Fraction, a sweep with no n
-    or no strategy has no cell to run, and the metadata block echoes
-    scale and label: a label with a line break would split the block."""
+    or no strategy has no cell to run, a cell listed twice writes records
+    that read_records_csv rejects, counts for an n the sweep leaves out
+    would be dropped unseen, and the metadata block echoes scale and
+    label: a label with a line break would split the block."""
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         scenario_with(**fields)
 

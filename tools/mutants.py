@@ -36,6 +36,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 ENGINE, OVERLAY = "src/drw_overlay/walk_engine.py", "src/drw_overlay/overlay.py"
 GRAPH = "src/drw_overlay/geom_graph.py"
+EXPERIMENTS, METRICS = "src/drw_overlay/experiments.py", "src/drw_overlay/metrics.py"
+GOLDEN_CSV = "tests/test_golden.py::test_experiment_csv_golden"
+BOX_ORACLE = "tests/test_metrics.py::test_box_stats_matches_sort_and_scan"
 REFERENCE = ["tests/test_reference.py::test_builds_equal_reference_builds",
              "tests/test_reference.py::test_table_builds_equal_reference_builds"]
 MARKING = ("walk.marked |= net.neighbor_bits[path[head - 1]]\n"
@@ -126,7 +129,7 @@ MUTANTS = [
      ["tests/test_geom_graph.py::test_csr_views_match_oracles"]),
     ("bits-first-block-only", GRAPH, "for lo in range(0, n, _BITS_ROWS):",
      "for lo in range(0, min(n, _BITS_ROWS), _BITS_ROWS):",
-     ["tests/test_geom_graph.py::test_neighbor_bits_across_row_blocks"]),
+     ["tests/test_geom_graph.py::test_csr_views_match_oracles"]),
     ("connected-skips-last-node", GRAPH, "return bool((root == 0).all())",
      "return bool((root[:-1] == 0).all())",
      ["tests/test_geom_graph.py::test_connected_equals_breadth_first_search"]),
@@ -136,8 +139,47 @@ MUTANTS = [
     ("max-pairwise-drops-ties", GRAPH, "keep = fx * fx + fy * fy >= lb",
      "keep = fx * fx + fy * fy > lb",
      ["tests/test_geom_graph.py::test_max_pairwise_equals_all_pairs_scan"]),
-    ("depth-unnormalised", "src/drw_overlay/metrics.py", "return reach / span", "return reach",
+    ("depth-unnormalised", METRICS, "return reach / span", "return reach",
      ["tests/test_metrics.py::test_depth_matches_brute_force_ratio"]),
+    # The sweep: the protocol's scaling, the row order, the records.csv
+    # format and reader, the summary's sample and the failed cells.
+    ("replication-floor-dropped", EXPERIMENTS, "replications=max(10,", "replications=max(1,",
+     ["tests/test_experiments.py::test_replication_floor",
+      "tests/test_cli.py::test_experiment_row_count_matches_protocol"]),
+    ("scaled-grid-strict", EXPERIMENTS, "if i <= scale * n)", "if i < scale * n)",
+     [GOLDEN_CSV, "tests/test_experiments.py::test_scaled_protocol_drops_large_cells"]),
+    ("rows-sorted-strategy-first", EXPERIMENTS,
+     "(rec.n, rec.initiators, rec.strategy, rec.rep)",
+     "(rec.n, rec.strategy, rec.initiators, rec.rep)",
+     [GOLDEN_CSV, "tests/test_experiments.py::test_row_count_and_order"]),
+    ("pool-not-clamped", EXPERIMENTS, "max_workers=min(jobs, len(tasks))", "max_workers=jobs",
+     ["tests/test_experiments.py::test_pool_gets_no_more_workers_than_tasks"]),
+    ("depth-five-decimals", EXPERIMENTS, '"depth": (float, "{:.6f}".format)',
+     '"depth": (float, "{:.5f}".format)',
+     [GOLDEN_CSV, "tests/test_experiments.py::test_records_csv_depth_six_decimals"]),
+    ("failed-flag-unchecked", EXPERIMENTS, "if rec.failed not in (0, 1):", "if False:",
+     ["tests/test_cli.py::test_stats_impossible_row_exit_2[failed]"]),
+    ("replication-repeat-allowed", EXPERIMENTS, "if problem is None and key in seen:",
+     "if False:", ["tests/test_cli.py::test_stats_repeated_replication_exit_2"]),
+    ("summary-keeps-failed", EXPERIMENTS, "usable = [rec for rec in records if not rec.failed]",
+     "usable = list(records)",
+     ["tests/test_experiments.py::test_summarize_skips_failed_and_raises_when_all_failed"]),
+    ("failed-cell-any", EXPERIMENTS, "if all(flags))", "if any(flags))",
+     ["tests/test_cli.py::test_experiment_reports_partial_failures"]),
+    ("rescale-ignored", EXPERIMENTS, "return self.r * math.sqrt(self.r_rescale_ref / n)",
+     "return self.r",
+     [GOLDEN_CSV, "tests/test_experiments.py::test_desk_scenario_rescales_radius"]),
+    ("unconnected-network-raises", EXPERIMENTS, "except NotConnected:\n        net = None",
+     "except ZeroDivisionError:\n        net = None",
+     ["tests/test_experiments.py::test_impossible_cell_runs_through_with_failure_flags"]),
+    # The box statistics: whiskers, fences and quartiles.
+    ("whisker-unclamped", METRICS,
+     "lo_w = min(float(inside.min()), float(q1))\n    hi_w = max(float(inside.max()), float(q3))",
+     "lo_w = float(inside.min())\n    hi_w = float(inside.max())", [BOX_ORACLE]),
+    ("fence-outliers-inclusive", METRICS, "(data < lo_fence) | (data > hi_fence)",
+     "(data <= lo_fence) | (data >= hi_fence)", [GOLDEN_CSV, BOX_ORACLE]),
+    ("quartiles-nearest", METRICS, "np.percentile(data, [25.0, 50.0, 75.0])",
+     'np.percentile(data, [25.0, 50.0, 75.0], method="nearest")', [GOLDEN_CSV, BOX_ORACLE]),
 ]
 
 
