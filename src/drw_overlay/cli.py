@@ -15,6 +15,7 @@ import sys
 from pathlib import Path
 
 from .experiments import (
+    DEFAULT_GROUP_KEYS,
     EmptyGroup,
     check_group_keys,
     desk_scenario,
@@ -109,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     stats = sub.add_parser("stats", help="summarize a records CSV")
     stats.add_argument("--in", dest="infile", required=True,
                        help="records CSV path")
-    stats.add_argument("--group", default="n,strategy,initiators",
+    stats.add_argument("--group", default=",".join(DEFAULT_GROUP_KEYS),
                        help="comma-separated grouping columns")
     stats.set_defaults(func=_cmd_stats)
 

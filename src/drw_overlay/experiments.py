@@ -16,6 +16,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from time import perf_counter
+from typing import get_type_hints
 
 from . import __version__
 from .geom_graph import GraphGenConfig, NotConnected, check_int, check_radius, generate_network
@@ -27,7 +28,6 @@ from .walk_engine import CostStrategy
 
 FULL_REPLICATIONS = 100
 FULL_R = 0.05
-FULL_N = (1000, 2000, 3000)
 
 # Initiator sweeps of the full protocol, one list per node count.
 FULL_INITIATORS: dict[int, tuple[int, ...]] = {
@@ -41,23 +41,28 @@ FULL_INITIATORS: dict[int, tuple[int, ...]] = {
 
 DESK_N = (200, 500, 1000)
 
-# records.csv: each column in file (and ExperimentRecord field) order, with
-# its (parser, formatter).
-_COLUMNS = {
-    "n": (int, str),
-    "r": (float, repr),
-    "strategy": (str, str),
-    "initiators": (int, str),
-    "rep": (int, str),
-    "seed": (int, str),
-    "active_path_size": (int, str),
-    "depth": (float, "{:.6f}".format),
-    "total_steps": (int, str),
-    "total_backtracks": (int, str),
-    "failed": (int, str),
-    "wall_time_ms": (float, "{:.3f}".format),
-}
-RECORD_COLUMNS = tuple(_COLUMNS)
+
+@dataclass(frozen=True)
+class ExperimentRecord:
+    n: int
+    r: float
+    strategy: str
+    initiators: int
+    rep: int
+    seed: int
+    active_path_size: int
+    depth: float
+    total_steps: int
+    total_backtracks: int
+    failed: int
+    wall_time_ms: float
+
+
+# records.csv has one column per ExperimentRecord field, in field order,
+# parsed with the field's type and written with str, except these formats.
+_COLUMNS = {"depth": "{:.6f}".format, "wall_time_ms": "{:.3f}".format}
+_PARSERS = get_type_hints(ExperimentRecord)
+RECORD_COLUMNS = tuple(_PARSERS)
 
 SUMMARY_METRICS = ("active_path_size", "depth", "total_steps", "total_backtracks")
 
@@ -75,21 +80,19 @@ class EmptyGroup(ValueError):
 class ScenarioConfig:
     """One sweep definition.
 
-    initiator_counts maps each node count to its sweep list. Every integer
-    goes through check_int: node and initiator counts >= 2, replications,
-    step_budget and r_rescale_ref >= 1. r must pass check_radius and be an
-    int or a float, the types a seed label encodes; it is kept as given,
-    unclamped and with its type, since it feeds every derived seed. With
-    r_rescale_ref set, node count n uses radius r * sqrt(r_rescale_ref / n),
-    which keeps the reference's mean degree.
-    n_values and strategies must not be empty. No n, no initiator count of
-    one n and no strategy label, which names a strategy's records, may be
-    listed twice, since a repeated cell would repeat its records' keys, and
-    initiator_counts may name no n that n_values leaves out. scale must lie in
-    (0, 1], and label, echoed in the CSV metadata, must be one line of text.
+    initiator_counts maps each node count, in sweep order, to its sweep
+    list. Every integer goes through check_int: node and initiator counts
+    >= 2, replications, step_budget and r_rescale_ref >= 1. r must pass
+    check_radius and be an int or a float, the types a seed label encodes;
+    it feeds every derived seed, so it is not clamped, and a float is kept
+    as a builtin float. With r_rescale_ref set, node count n uses radius
+    r * sqrt(r_rescale_ref / n), which keeps the reference's mean degree.
+    initiator_counts and strategies must not be empty, and no initiator
+    count of one n or strategy label may be listed twice: a repeated cell
+    would repeat its records' keys. scale must lie in (0, 1], and label,
+    echoed in the CSV metadata, must be one line of text.
     """
 
-    n_values: tuple[int, ...]
     r: float
     initiator_counts: dict[int, tuple[int, ...]]
     strategies: tuple[CostStrategy, ...]
@@ -101,16 +104,15 @@ class ScenarioConfig:
     label: str = "custom"
 
     def __post_init__(self):
-        self.n_values = tuple(check_int(n, "n", 2) for n in self.n_values)
-        if not self.n_values:
+        self.initiator_counts = {
+            check_int(n, "n", 2): tuple(check_int(i, "number of initiators", 2) for i in counts)
+            for n, counts in self.initiator_counts.items()}
+        if not self.initiator_counts:
             raise ValueError("a scenario needs at least one n")
-        if len(set(self.n_values)) < len(self.n_values):
-            raise ValueError(f"an n is listed twice in {','.join(map(str, self.n_values))}")
-        for n in self.initiator_counts:
-            if n not in self.n_values:
-                raise ValueError(f"initiator counts for n={n}, which n_values leaves out")
         check_radius(self.r)
-        if not isinstance(self.r, (int, float)):
+        if isinstance(self.r, float):
+            self.r = float(self.r)  # numpy 2 writes np.float64(0.2) as "np.float64(0.2)"
+        elif not isinstance(self.r, int):
             raise ValueError(f"r must be an int or a float, got {self.r!r}")
         self.replications = check_int(self.replications, "replications", 1)
         self.base_seed = check_int(self.base_seed, "base seed")
@@ -118,9 +120,6 @@ class ScenarioConfig:
             self.step_budget = check_int(self.step_budget, "step budget", 1)
         if self.r_rescale_ref is not None:
             self.r_rescale_ref = check_int(self.r_rescale_ref, "r_rescale_ref", 1)
-        self.initiator_counts = {n: tuple(check_int(i, "number of initiators", 2)
-                                          for i in self.initiator_counts.get(n, ()))
-                                 for n in self.n_values}
         for n, counts in self.initiator_counts.items():
             if not counts:
                 raise ValueError(f"no initiator counts for n={n}")
@@ -145,7 +144,7 @@ class ScenarioConfig:
     @property
     def cell_count(self) -> int:
         """The sweep's (n, strategy, I) cells, the unit of failed_cells."""
-        return len(self.strategies) * sum(len(self.initiator_counts[n]) for n in self.n_values)
+        return len(self.strategies) * sum(map(len, self.initiator_counts.values()))
 
 
 def _check_scale(scale) -> None:
@@ -153,18 +152,19 @@ def _check_scale(scale) -> None:
         raise ValueError(f"scale must be in (0, 1], got {scale}")
 
 
-def _protocol(label, n_values, lists, scale, strategies, base_seed, step_budget,
+def _protocol(label, grid, scale, strategies, base_seed, step_budget,
               r_rescale_ref=None) -> ScenarioConfig:
     """The protocol's scaling rule, shared by both scenario makers.
 
-    scale must lie in (0, 1]. Node count n keeps the counts of lists[n] up
+    scale must lie in (0, 1]. Node count n keeps the counts of grid[n] up
     to scale*n, replications shrink to scale*100 with a floor of 10, and
     the strategies default to drw and prw.
     """
     _check_scale(scale)  # before round(), which raises OverflowError on inf
     return ScenarioConfig(
-        n_values=n_values, r=FULL_R,
-        initiator_counts={n: tuple(i for i in lists[n] if i <= scale * n) for n in n_values},
+        r=FULL_R,
+        initiator_counts={n: tuple(i for i in counts if i <= scale * n)
+                          for n, counts in grid.items()},
         strategies=tuple(strategies or (CostStrategy("drw"), CostStrategy("prw"))),
         replications=max(10, round(FULL_REPLICATIONS * scale)), base_seed=base_seed,
         step_budget=step_budget, r_rescale_ref=r_rescale_ref, scale=scale, label=label)
@@ -178,7 +178,7 @@ def full_scenario(scale: float = 1.0, *, strategies=None, base_seed: int = 0,
     and 100 replications per cell; ``_protocol`` says how a smaller scale
     shrinks it.
     """
-    return _protocol("full", FULL_N, FULL_INITIATORS, scale, strategies, base_seed, step_budget)
+    return _protocol("full", FULL_INITIATORS, scale, strategies, base_seed, step_budget)
 
 
 def desk_scenario(scale: float = 0.1, *, strategies=None, base_seed: int = 0,
@@ -189,24 +189,8 @@ def desk_scenario(scale: float = 0.1, *, strategies=None, base_seed: int = 0,
     The radius grows as sqrt(1000/n) so the mean degree stays at the
     reference level; connected placements at small n are rare otherwise.
     """
-    return _protocol("desk", DESK_N, dict.fromkeys(DESK_N, FULL_INITIATORS[1000]),
+    return _protocol("desk", dict.fromkeys(DESK_N, FULL_INITIATORS[1000]),
                      scale, strategies, base_seed, step_budget, r_rescale_ref=1000)
-
-
-@dataclass(frozen=True)
-class ExperimentRecord:
-    n: int
-    r: float
-    strategy: str
-    initiators: int
-    rep: int
-    seed: int
-    active_path_size: int
-    depth: float
-    total_steps: int
-    total_backtracks: int
-    failed: int
-    wall_time_ms: float
 
 
 def network_seed(cfg: ScenarioConfig, n: int, rep: int) -> int:
@@ -255,7 +239,7 @@ def _run_rep_group(cfg: ScenarioConfig, n: int, rep: int) -> list[ExperimentReco
 
 def run_scenario(cfg: ScenarioConfig, jobs: int = 1) -> list[ExperimentRecord]:
     """Execute every cell and replication; rows come back in a fixed order."""
-    tasks = [(cfg, n, rep) for n in cfg.n_values
+    tasks = [(cfg, n, rep) for n in cfg.initiator_counts
              for rep in range(cfg.replications)]
     if jobs <= 1:
         groups = [_run_rep_group(*t) for t in tasks]
@@ -276,15 +260,14 @@ def scenario_metadata(cfg: ScenarioConfig) -> list[str]:
     lines = [
         f"overlay-experiment v{__version__}",
         f"scenario={cfg.label} scale={cfg.scale:g} base_seed={cfg.base_seed}",
-        f"n_values={','.join(str(n) for n in cfg.n_values)} r={cfg.r!r}"
+        f"n_values={','.join(map(str, cfg.initiator_counts))} r={cfg.r!r}"
         + (f" r_rescale_ref={cfg.r_rescale_ref}" if cfg.r_rescale_ref else ""),
         f"strategies={','.join(s.label for s in cfg.strategies)}"
         f" replications={cfg.replications}"
         f" step_budget={cfg.step_budget if cfg.step_budget is not None else 'default'}",
     ]
-    for n in cfg.n_values:
-        lines.append(f"initiators[{n}]="
-                     + ",".join(str(i) for i in cfg.initiator_counts[n]))
+    for n, counts in cfg.initiator_counts.items():
+        lines.append(f"initiators[{n}]=" + ",".join(map(str, counts)))
     return lines
 
 
@@ -307,7 +290,8 @@ def write_records_csv(records, out, metadata=()) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(RECORD_COLUMNS)
         for rec in records:
-            writer.writerow([fmt(getattr(rec, name)) for name, (_, fmt) in _COLUMNS.items()])
+            writer.writerow([_COLUMNS.get(name, str)(getattr(rec, name))
+                             for name in RECORD_COLUMNS])
 
 
 def read_records_csv(source) -> list[ExperimentRecord]:
@@ -327,8 +311,8 @@ def read_records_csv(source) -> list[ExperimentRecord]:
     for row in rows[1:]:
         if len(row) != len(RECORD_COLUMNS):
             raise ValueError(f"malformed row: {row!r}")
-        rec = ExperimentRecord(**{name: parse(cell) for (name, (parse, _)), cell
-                                  in zip(_COLUMNS.items(), row)})
+        rec = ExperimentRecord(**{name: parse(cell) for (name, parse), cell
+                                  in zip(_PARSERS.items(), row)})
         key = (rec.n, rec.strategy, rec.initiators, rec.rep)
         problem = _record_problem(rec)
         if problem is None and key in seen:

@@ -308,8 +308,8 @@ def generate_network(cfg: GraphGenConfig) -> Network:
     test. Raises NotConnected after MAX_ATTEMPTS rejected placements.
     """
     for attempt in range(MAX_ATTEMPTS):
-        gen = stream(cfg.seed, "placement", attempt)
-        positions = gen.random((cfg.n, 2))
+        raw = stream(cfg.seed, "placement", attempt).bit_generator.random_raw((cfg.n, 2))
+        positions = (raw >> 11) * 2.0**-53  # Generator.random's doubles, from pinned words
         pairs = _unit_disk_pairs(positions, cfg.r)
         if np.bincount(pairs.ravel(), minlength=cfg.n).all() and _connected(cfg.n, pairs):
             return _network(positions, pairs, cfg.r, cfg.seed, attempts=attempt + 1)

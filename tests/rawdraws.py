@@ -1,14 +1,12 @@
-"""Copies of the numpy Generator methods the outputs depend on, read off raw
-PCG64 words.
+"""A copy of Generator.choice, the one numpy method the outputs depend on,
+read off raw PCG64 words.
 
 NEP 19 keeps a bit generator's raw stream fixed across numpy releases, but
-not what a Generator method makes of it. These copies follow numpy's own
-source over ``bit_generator.random_raw`` alone and share no draw code with
-the package, so a test that compares the two names the Generator method a
-numpy release changed.
+not what a Generator method makes of it. The copy follows numpy's own
+source over ``bit_generator.random_raw`` alone and shares no draw code with
+the package, so a test that compares the two names the method if a numpy
+release changed it.
 """
-
-import numpy as np
 
 MASK32 = (1 << 32) - 1
 
@@ -52,9 +50,3 @@ def choice(raw, n: int, k: int) -> list[int]:
         j = bounded(words, i + 1)
         picks[i], picks[j] = picks[j], picks[i]
     return picks
-
-
-def uniform(raw, shape) -> np.ndarray:
-    """Generator.random(shape): each raw 64-bit output, in C order, as a
-    double, its top 53 bits times 2**-53."""
-    return ((raw(int(np.prod(shape))) >> 11) * 2.0**-53).reshape(shape)

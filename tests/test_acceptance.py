@@ -72,7 +72,7 @@ def record(label: str, passed: bool, detail: str) -> bool:
 def paired_records():
     """n=1000, r=0.05, both strategies on identical networks, R=50."""
     cfg = ScenarioConfig(
-        n_values=(1000,), r=0.05,
+        r=0.05,
         initiator_counts={1000: (2, 3, 10, 20, 100)},
         strategies=(DRW, PRW), replications=50,
         base_seed=0, label="acceptance")
@@ -83,7 +83,7 @@ def paired_records():
 def growth_records():
     """I=10 across n in {1000, 2000, 3000}, R=30, paired strategies."""
     cfg = ScenarioConfig(
-        n_values=(1000, 2000, 3000), r=0.05,
+        r=0.05,
         initiator_counts={n: (10,) for n in (1000, 2000, 3000)},
         strategies=(DRW, PRW), replications=30,
         base_seed=0, label="acceptance")

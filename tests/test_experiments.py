@@ -4,6 +4,7 @@ import io
 import re
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from drw_overlay.experiments import (
@@ -26,13 +27,14 @@ from drw_overlay.experiments import (
 )
 from drw_overlay.metrics import box_stats
 from drw_overlay.walk_engine import CostStrategy
+from walltime import mask_wall_time
 
 DRW = CostStrategy("drw")
 PRW = CostStrategy("prw")
 
 
 def small_config(**overrides):
-    base = dict(n_values=(60,), r=0.2, initiator_counts={60: (2, 4)},
+    base = dict(r=0.2, initiator_counts={60: (2, 4)},
                 strategies=(DRW, PRW), replications=3, base_seed=5,
                 label="test")
     base.update(overrides)
@@ -43,7 +45,7 @@ def small_config(**overrides):
 
 def test_full_protocol_cell_counts():
     cfg = full_scenario(1.0)
-    assert cfg.n_values == (1000, 2000, 3000)
+    assert tuple(cfg.initiator_counts) == (1000, 2000, 3000)
     assert cfg.r == 0.05
     assert cfg.replications == 100
     assert len(cfg.initiator_counts[1000]) == 20
@@ -86,7 +88,7 @@ def test_replication_floor():
 
 def test_desk_scenario_rescales_radius():
     cfg = desk_scenario(0.1)
-    assert cfg.n_values == (200, 500, 1000)
+    assert tuple(cfg.initiator_counts) == (200, 500, 1000)
     assert cfg.effective_radius(1000) == pytest.approx(0.05)
     assert cfg.effective_radius(250) == pytest.approx(0.1)
     assert cfg.effective_radius(200) == pytest.approx(0.05 * (5 ** 0.5))
@@ -171,8 +173,7 @@ def test_paired_networks_across_strategies():
 
 def test_impossible_cell_runs_through_with_failure_flags():
     """A radius far below the connectivity threshold: rows still emitted."""
-    cfg = ScenarioConfig(n_values=(40,), r=0.02,
-                         initiator_counts={40: (2,)},
+    cfg = ScenarioConfig(r=0.02, initiator_counts={40: (2,)},
                          strategies=(DRW,), replications=2, label="test")
     rows = run_scenario(cfg)
     assert len(rows) == 2
@@ -211,6 +212,29 @@ def test_records_csv_depth_six_decimals():
                  if not l.startswith(("#", "n,"))][0]
     depth_field = data_line.split(",")[7]
     assert re.fullmatch(r"\d+\.\d{6}", depth_field)
+
+
+def test_records_csv_row_format():
+    """Each field written with str, but depth and wall_time_ms rounded."""
+    rec = ExperimentRecord(n=60, r=0.2, strategy="drw", initiators=2, rep=0, seed=1,
+                           active_path_size=2, depth=0.5, total_steps=1,
+                           total_backtracks=0, failed=0, wall_time_ms=1.23456)
+    buf = io.StringIO()
+    write_records_csv([rec], buf)
+    assert buf.getvalue().splitlines()[1] == "60,0.2,drw,2,0,1,2,0.500000,1,0,0,1.235"
+
+
+def test_numpy_float_radius_writes_the_bytes_of_its_float():
+    """numpy 2 writes np.float64(0.2) as "np.float64(0.2)", which a sweep
+    kept in its r column and metadata block, and read_records_csv refused."""
+    texts = []
+    for r in (0.2, np.float64(0.2)):
+        cfg = small_config(r=r, replications=1)
+        buf = io.StringIO()
+        write_records_csv(run_scenario(cfg), buf, metadata=scenario_metadata(cfg))
+        texts.append(mask_wall_time(buf.getvalue()))
+    plain, numpy_r = (read_records_csv(io.StringIO(text)) for text in texts)
+    assert numpy_r == plain and texts[1] == texts[0]
 
 
 def test_read_records_rejects_malformed():

@@ -22,8 +22,7 @@ from drw_overlay.walk_engine import CostStrategy
 DRW = CostStrategy("drw")
 TWO_POINTS = [[0.1, 0.2], [0.3, 0.2]]
 NET_JSON = to_json_dict(network_from_positions(TWO_POINTS, 0.5))
-SCENARIO = dict(n_values=(60,), r=0.2, initiator_counts={60: (2, 4)},
-                strategies=(DRW,), replications=3)
+SCENARIO = dict(r=0.2, initiator_counts={60: (2, 4)}, strategies=(DRW,), replications=3)
 
 
 def load_with(**fields):
@@ -66,7 +65,8 @@ def test_every_entry_stores_the_radius_as_a_clamped_float(entry):
 
 def test_scenario_keeps_its_radius_as_given():
     """A sweep's r feeds every derived seed, and the seed of 1 is not the
-    seed of 1.0, so ScenarioConfig checks r but neither clamps nor converts it."""
+    seed of 1.0, so ScenarioConfig checks r but neither clamps it nor turns
+    an int into a float."""
     for given in (1, 1.0, 5):
         assert scenario_with(r=given).r is given
 
@@ -74,25 +74,20 @@ def test_scenario_keeps_its_radius_as_given():
 @pytest.mark.parametrize("fields, message", [
     (dict(r=np.float32(0.5)), "r must be an int or a float, got np.float32(0.5)"),
     (dict(r=Fraction(3, 10)), "r must be an int or a float, got Fraction(3, 10)"),
-    (dict(n_values=()), "a scenario needs at least one n"),
+    (dict(initiator_counts={}), "a scenario needs at least one n"),
     (dict(strategies=()), "a scenario needs at least one strategy"),
-    (dict(n_values=(60, 60)), "an n is listed twice in 60,60"),
     (dict(initiator_counts={60: (2, 2)}), "an initiator count is listed twice for n=60"),
-    (dict(initiator_counts={60: (2, 4), 70: (2,)}),
-     "initiator counts for n=70, which n_values leaves out"),
     (dict(scale=math.nan), "scale must be in (0, 1], got nan"),
     (dict(scale=5), "scale must be in (0, 1], got 5"),
     (dict(label="a\nb"), "label must be one line of text, got 'a\\nb'"),
     (dict(label="a\rb"), "label must be one line of text, got 'a\\rb'"),
     (dict(label=3), "label must be one line of text, got 3"),
-], ids=["float32-radius", "fraction-radius", "no-n", "no-strategy", "n-twice",
-        "initiator-count-twice", "initiators-of-a-missing-n", "scale-nan", "scale-5",
-        "label-newline", "label-return", "label-int"])
+], ids=["float32-radius", "fraction-radius", "no-n", "no-strategy", "initiator-count-twice",
+        "scale-nan", "scale-5", "label-newline", "label-return", "label-int"])
 def test_scenario_rejects_what_it_cannot_run(fields, message):
     """No seed label encodes a float32 or a Fraction, a sweep with no n
     or no strategy has no cell to run, a cell listed twice writes records
-    that read_records_csv rejects, counts for an n the sweep leaves out
-    would be dropped unseen, and the metadata block echoes scale and
+    that read_records_csv rejects, and the metadata block echoes scale and
     label: a label with a line break would split the block."""
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         scenario_with(**fields)
@@ -112,9 +107,9 @@ INT_FIELDS = {
                                 lambda c: c.seed, 3, None),
     "OverlayBuildConfig.step_budget": (lambda v: OverlayBuildConfig(3, DRW, step_budget=v),
                                        lambda c: c.step_budget, 3, 1),
-    "ScenarioConfig.n_values": (lambda v: scenario_with(n_values=(v,),
-                                                        initiator_counts={v: (2,)}),
-                                lambda c: c.n_values[0], 60, 2),
+    # A sweep's n values, echoed as n_values= in its metadata, are the grid's keys.
+    "ScenarioConfig.n_values": (lambda v: scenario_with(initiator_counts={v: (2,)}),
+                                lambda c: next(iter(c.initiator_counts)), 60, 2),
     "ScenarioConfig.replications": (lambda v: scenario_with(replications=v),
                                     lambda c: c.replications, 3, 1),
     "ScenarioConfig.base_seed": (lambda v: scenario_with(base_seed=v),

@@ -1,10 +1,12 @@
-"""The two Generator methods the outputs depend on, pinned to raw-word copies.
+"""The raw-word draws pinned to the Generator methods they were made from.
 
-Placements come from ``Generator.random`` and initiators from
-``Generator.choice``; walks already read raw words (see
-``test_walk_engine.py::test_pick_equals_generator_integers``). Each check
-names the method, so a numpy release that changes one fails here, not
-only in an opaque golden hash.
+Placements read raw words as ``Generator.random`` does, and walks as
+``Generator.integers`` does (see
+``test_walk_engine.py::test_pick_equals_generator_integers``). Initiators
+still come from ``Generator.choice``, the one method the outputs depend
+on, pinned here to a raw-word copy. Each check names the method, so a
+numpy release that changes one fails here, not only in an opaque golden
+hash.
 """
 
 from types import SimpleNamespace
@@ -26,13 +28,13 @@ def raw_of(*parts):
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(2, 60), r=st.floats(0.2, 1.0), seed=st.integers(0, 2**32))
 def test_positions_are_generator_random(n, r, seed):
-    """The accepted placement is attempt k's raw words as doubles, read
-    from stream(seed, "placement", k)."""
+    """The accepted placement is what Generator.random gives on
+    stream(seed, "placement", k), for the attempt k that made it."""
     try:
         net = generate_network(GraphGenConfig(n=n, r=r, seed=seed))
     except NotConnected:
         reject()
-    want = rawdraws.uniform(raw_of(seed, "placement", net.attempts - 1), (n, 2))
+    want = stream(seed, "placement", net.attempts - 1).random((n, 2))
     assert np.array_equal(net.positions, want), "Generator.random changed"
 
 

@@ -48,7 +48,7 @@ def test_numpy_float_radius_derives_the_python_float_seeds():
     from drw_overlay.walk_engine import CostStrategy
 
     def config(r):
-        return ScenarioConfig(n_values=(60,), r=r, initiator_counts={60: (2, 4)},
+        return ScenarioConfig(r=r, initiator_counts={60: (2, 4)},
                               strategies=(CostStrategy("drw"),), replications=3)
 
     plain, numpy_r = config(0.3), config(np.float64(0.3))

@@ -154,9 +154,10 @@ MUTANTS = [
      [GOLDEN_CSV, "tests/test_experiments.py::test_row_count_and_order"]),
     ("pool-not-clamped", EXPERIMENTS, "max_workers=min(jobs, len(tasks))", "max_workers=jobs",
      ["tests/test_experiments.py::test_pool_gets_no_more_workers_than_tasks"]),
-    ("depth-five-decimals", EXPERIMENTS, '"depth": (float, "{:.6f}".format)',
-     '"depth": (float, "{:.5f}".format)',
+    ("depth-five-decimals", EXPERIMENTS, '"depth": "{:.6f}".format', '"depth": "{:.5f}".format',
      [GOLDEN_CSV, "tests/test_experiments.py::test_records_csv_depth_six_decimals"]),
+    ("wall-time-unformatted", EXPERIMENTS, '"wall_time_ms": "{:.3f}".format',
+     '"wall_time_ms": str', ["tests/test_experiments.py::test_records_csv_row_format"]),
     ("failed-flag-unchecked", EXPERIMENTS, "if rec.failed not in (0, 1):", "if False:",
      ["tests/test_cli.py::test_stats_impossible_row_exit_2[failed]"]),
     ("replication-repeat-allowed", EXPERIMENTS, "if problem is None and key in seen:",
